@@ -129,6 +129,27 @@ class QuantumResult:
             + other.branch_mispredictions,
         )
 
+    def clipped(self, instructions: int) -> "QuantumResult":
+        """This result cut back to its first ``instructions``.
+
+        Every additive field is scaled by the committed fraction, as
+        when a slice overruns the end of its application.
+        """
+        scale = instructions / self.instructions
+        return QuantumResult(
+            instructions=instructions,
+            cycles=self.cycles * scale,
+            ace_bit_cycles={
+                k: v * scale for k, v in self.ace_bit_cycles.items()
+            },
+            occupancy_bit_cycles={
+                k: v * scale for k, v in self.occupancy_bit_cycles.items()
+            },
+            memory_accesses=self.memory_accesses * scale,
+            l3_accesses=self.l3_accesses * scale,
+            branch_mispredictions=self.branch_mispredictions * scale,
+        )
+
     @staticmethod
     def zero() -> "QuantumResult":
         return QuantumResult(instructions=0, cycles=0.0)

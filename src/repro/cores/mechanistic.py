@@ -98,6 +98,11 @@ _SMALL_MLP = 1.0
 #: Live architectural-register fraction (shared model constant).
 _ARCH_REG_LIVE_FRACTION = ARCH_REG_LIVE_FRACTION
 
+#: Entries a model's phase-analysis memo holds before it is emptied.
+#: Hit rates are flat from 32 entries up, while an unbounded memo
+#: grows with every new interference environment (docs/performance.md).
+ANALYSIS_MEMO_CAP = 256
+
 
 @dataclass(frozen=True)
 class PhaseAnalysis:
@@ -470,16 +475,38 @@ def analyze_phase(
 
 
 class MechanisticCoreModel(CoreModel):
-    """O(1)-per-quantum core model driven by benchmark profiles."""
+    """O(1)-per-quantum core model driven by benchmark profiles.
+
+    ``analyze`` is memoized per model: the analysis is a pure function
+    of (phase, memory environment) for a fixed core and memory, and
+    interference settles at bitwise-repeating environments.  Entries
+    are keyed by the phase's ``id`` and pin the phase object, so a key
+    is never reused by a different live object; a hit is confirmed by
+    identity.  The memo is emptied whenever it reaches
+    :data:`ANALYSIS_MEMO_CAP` entries.  Callers share the returned
+    analyses, so treat them as read-only.
+    """
 
     def __init__(self, core: CoreConfig, memory: MemoryConfig | None = None):
         super().__init__(core)
         self.memory = memory if memory is not None else MemoryConfig()
+        self._memo: dict[
+            tuple[int, float, float],
+            tuple["PhaseCharacteristics", PhaseAnalysis],
+        ] = {}
 
     def analyze(
         self, chars: "PhaseCharacteristics", env: MemoryEnvironment
     ) -> PhaseAnalysis:
-        return analyze_phase(chars, self.core, self.memory, env)
+        key = (id(chars), env.l3_share_fraction, env.dram_latency_multiplier)
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] is chars:
+            return entry[1]
+        analysis = analyze_phase(chars, self.core, self.memory, env)
+        if len(self._memo) >= ANALYSIS_MEMO_CAP:
+            self._memo.clear()
+        self._memo[key] = (chars, analysis)
+        return analysis
 
     def run_cycles(
         self,
@@ -491,42 +518,49 @@ class MechanisticCoreModel(CoreModel):
         """Advance a profile through a cycle budget, phase by phase."""
         if cycles <= 0:
             return QuantumResult.zero()
-        result = QuantumResult.zero()
+        # Accumulate in place, adding each chunk's terms in the same
+        # order ``QuantumResult.merged_with`` would, so the totals are
+        # bit-identical to merging one result per chunk.
+        committed = 0
+        elapsed = 0.0
+        ace: dict[StructureKind, float] = {}
+        occupancy: dict[StructureKind, float] = {}
+        dram = l3 = mispredictions = 0.0
         position = start_instruction
         remaining = float(cycles)
         # Iterate phase chunks; each chunk is homogeneous, so the phase
         # analysis applies uniformly across it.
         while remaining > 1e-9:
-            chars = app.phase_at(position)
+            chars, to_phase_end = app.phase_span(position)
             analysis = self.analyze(chars, env)
-            to_phase_end = app.instructions_until_phase_change(position)
-            chunk_cycles = min(remaining, to_phase_end * analysis.cpi)
-            instructions = int(round(chunk_cycles / analysis.cpi))
+            cpi = analysis.cpi
+            chunk_cycles = min(remaining, to_phase_end * cpi)
+            instructions = int(round(chunk_cycles / cpi))
             if instructions <= 0:
                 # Budget too small to commit a single instruction in
                 # this phase; consume the remaining cycles idle.
-                chunk = QuantumResult(instructions=0, cycles=remaining)
-                result = result.merged_with(chunk)
+                elapsed += remaining
                 break
-            chunk_cycles = instructions * analysis.cpi
-            chunk = QuantumResult(
-                instructions=instructions,
-                cycles=chunk_cycles,
-                ace_bit_cycles={
-                    k: v * chunk_cycles
-                    for k, v in analysis.ace_bits_per_cycle.items()
-                },
-                occupancy_bit_cycles={
-                    k: v * chunk_cycles
-                    for k, v in analysis.occupancy_bits_per_cycle.items()
-                },
-                memory_accesses=analysis.dram_accesses_per_instruction
-                * instructions,
-                l3_accesses=analysis.l3_accesses_per_instruction * instructions,
-                branch_mispredictions=chars.branch_mpki / 1000.0
-                * instructions,
-            )
-            result = result.merged_with(chunk)
+            chunk_cycles = instructions * cpi
+            for kind, rate in analysis.ace_bits_per_cycle.items():
+                ace[kind] = ace.get(kind, 0.0) + rate * chunk_cycles
+            for kind, rate in analysis.occupancy_bits_per_cycle.items():
+                occupancy[kind] = (
+                    occupancy.get(kind, 0.0) + rate * chunk_cycles
+                )
+            committed += instructions
+            elapsed += chunk_cycles
+            dram += analysis.dram_accesses_per_instruction * instructions
+            l3 += analysis.l3_accesses_per_instruction * instructions
+            mispredictions += chars.branch_mpki / 1000.0 * instructions
             position += instructions
             remaining -= chunk_cycles
-        return result
+        return QuantumResult(
+            instructions=committed,
+            cycles=elapsed,
+            ace_bit_cycles=ace,
+            occupancy_bit_cycles=occupancy,
+            memory_accesses=dram,
+            l3_accesses=l3,
+            branch_mispredictions=mispredictions,
+        )

@@ -569,20 +569,7 @@ class OpenSystem:
         remaining = job.instructions - job.position
         if result.instructions > remaining:
             # Clip at the job's end; the rest of the slice idles.
-            scale = remaining / result.instructions
-            result = QuantumResult(
-                instructions=remaining,
-                cycles=result.cycles * scale,
-                ace_bit_cycles={
-                    k: v * scale for k, v in result.ace_bit_cycles.items()
-                },
-                occupancy_bit_cycles={
-                    k: v * scale
-                    for k, v in result.occupancy_bit_cycles.items()
-                },
-                memory_accesses=result.memory_accesses * scale,
-                l3_accesses=result.l3_accesses * scale,
-            )
+            result = result.clipped(remaining)
         job.abc_seconds += result.total_ace_bit_cycles / freq
         job.position += result.instructions
         job.demand = ApplicationDemand(

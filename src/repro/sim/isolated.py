@@ -42,19 +42,7 @@ def run_isolated(
         # Clip the final chunk at the profile boundary.
         overshoot = position + chunk.instructions - profile.instructions
         if overshoot > 0:
-            scale = (chunk.instructions - overshoot) / chunk.instructions
-            chunk = QuantumResult(
-                instructions=chunk.instructions - overshoot,
-                cycles=chunk.cycles * scale,
-                ace_bit_cycles={
-                    k: v * scale for k, v in chunk.ace_bit_cycles.items()
-                },
-                occupancy_bit_cycles={
-                    k: v * scale for k, v in chunk.occupancy_bit_cycles.items()
-                },
-                memory_accesses=chunk.memory_accesses * scale,
-                l3_accesses=chunk.l3_accesses * scale,
-            )
+            chunk = chunk.clipped(chunk.instructions - overshoot)
         total = total.merged_with(chunk)
         position += chunk.instructions
     return total

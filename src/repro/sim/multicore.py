@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro.ace.counters import AceCounterMode, measured_abc
 from repro.config.machines import BIG, MachineConfig
-from repro.cores.base import CoreModel, QuantumResult
+from repro.cores.base import CoreModel
 from repro.cores.mechanistic import MechanisticCoreModel
 from repro.memory.interference import ApplicationDemand, InterferenceModel
 from repro.obs import metrics as obs_metrics
@@ -214,21 +214,7 @@ class MulticoreSimulation:
                     ):
                         # Clip the slice at the application's end; the
                         # rest of the quantum idles.
-                        scale = remaining / result.instructions
-                        result = QuantumResult(
-                            instructions=remaining,
-                            cycles=result.cycles * scale,
-                            ace_bit_cycles={
-                                k: v * scale
-                                for k, v in result.ace_bit_cycles.items()
-                            },
-                            occupancy_bit_cycles={
-                                k: v * scale
-                                for k, v in result.occupancy_bit_cycles.items()
-                            },
-                            memory_accesses=result.memory_accesses * scale,
-                            l3_accesses=result.l3_accesses * scale,
-                        )
+                        result = result.clipped(remaining)
                     abc_seconds = result.total_ace_bit_cycles / freq
                     rec = records[i]
                     rec.instructions += result.instructions

@@ -19,6 +19,7 @@ same characteristics, which keeps the two modelling levels consistent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from repro.isa.instruction import EXECUTION_LATENCY, InstructionClass
@@ -176,6 +177,9 @@ class BenchmarkProfile:
             raise ValueError(f"phase fractions sum to {total}, expected 1.0")
         if any(frac <= 0 for frac, _ in self.phases):
             raise ValueError("phase fractions must be positive")
+        # Not a field: equality, hashing and repr see only the three
+        # fields above, and ``replace`` recomputes it.
+        object.__setattr__(self, "_boundaries", tuple(self.phase_boundaries()))
 
     def phase_boundaries(self, instructions: int | None = None) -> list[int]:
         """Cumulative instruction boundaries of the phases.
@@ -192,26 +196,30 @@ class BenchmarkProfile:
         boundaries.append(n)
         return boundaries
 
+    def phase_span(self, position: int) -> tuple[PhaseCharacteristics, int]:
+        """The phase in effect at a position and the instructions left in it.
+
+        Positions beyond the end (restarted applications) wrap around.
+        Zero-width phases (a fraction that rounds to no instructions)
+        are never returned.
+        """
+        pos = position % self.instructions
+        bounds = self._boundaries
+        # Search only the phase starts: they never decrease, while the
+        # final boundary is the instruction count itself.
+        i = bisect_right(bounds, pos, 0, len(self.phases)) - 1
+        return self.phases[i][1], bounds[i + 1] - pos
+
     def phase_at(self, position: int) -> PhaseCharacteristics:
         """Characteristics in effect at an instruction position.
 
         Positions beyond the end (restarted applications) wrap around.
         """
-        pos = position % self.instructions
-        boundaries = self.phase_boundaries()
-        for i, (_, chars) in enumerate(self.phases):
-            if boundaries[i] <= pos < boundaries[i + 1]:
-                return chars
-        return self.phases[-1][1]
+        return self.phase_span(position)[0]
 
     def instructions_until_phase_change(self, position: int) -> int:
         """Instructions left in the current phase from a position."""
-        pos = position % self.instructions
-        boundaries = self.phase_boundaries()
-        for i in range(len(self.phases)):
-            if boundaries[i] <= pos < boundaries[i + 1]:
-                return boundaries[i + 1] - pos
-        return self.instructions - pos
+        return self.phase_span(position)[1]
 
     def scaled(self, instructions: int) -> "BenchmarkProfile":
         """The same benchmark at a different instruction count."""

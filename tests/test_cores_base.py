@@ -61,6 +61,29 @@ class TestQuantumResult:
             StructureKind.ISSUE_QUEUE: 2.0,
         }
 
+    def test_clipped_scales_every_additive_field(self):
+        full = QuantumResult(
+            instructions=400,
+            cycles=200.0,
+            ace_bit_cycles={
+                StructureKind.ROB: 800.0, StructureKind.LOAD_QUEUE: 40.0,
+            },
+            occupancy_bit_cycles={StructureKind.ROB: 1000.0},
+            memory_accesses=8.0,
+            l3_accesses=20.0,
+            branch_mispredictions=12.0,
+        )
+        part = full.clipped(100)
+        assert part.instructions == 100
+        assert part.cycles == 50.0
+        assert list(part.ace_bit_cycles.items()) == [
+            (StructureKind.ROB, 200.0), (StructureKind.LOAD_QUEUE, 10.0),
+        ]
+        assert part.occupancy_bit_cycles == {StructureKind.ROB: 250.0}
+        assert part.memory_accesses == 2.0
+        assert part.l3_accesses == 5.0
+        assert part.branch_mispredictions == 3.0
+
     def test_zero(self):
         zero = QuantumResult.zero()
         assert zero.instructions == 0

@@ -1,0 +1,443 @@
+"""The mechanistic quantum loop: analysis memo, slice accumulation, lookup.
+
+``MechanisticCoreModel.analyze`` memoizes ``analyze_phase`` per model,
+``run_cycles`` accumulates a slice in place, and
+``BenchmarkProfile.phase_span`` finds a phase with one bisect.  Each is
+checked here against the plain computation it replaces: every result
+must be exactly equal, dict key order included, because the goldens
+and the benchmark digests pin outputs byte for byte.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cli.main import build_parser
+from repro.config import MemoryConfig, big_core_config, machine_2b2s
+from repro.config import small_core_config
+from repro.cores import mechanistic
+from repro.cores.base import ISOLATED, MemoryEnvironment, QuantumResult
+from repro.cores.mechanistic import (
+    ANALYSIS_MEMO_CAP,
+    MechanisticCoreModel,
+    analyze_phase,
+)
+from repro.sched.random_sched import RandomScheduler
+from repro.service import (
+    OpenSystem,
+    ServiceConfig,
+    ServiceFeed,
+    make_process,
+    service_benchmark_pool,
+)
+from repro.service import server
+from repro.sim.multicore import MulticoreSimulation
+from repro.workloads.characteristics import (
+    BenchmarkProfile,
+    PhaseCharacteristics,
+)
+from repro.workloads.spec2006 import BENCHMARK_NAMES, SUITE, benchmark
+
+CORES = {"big": big_core_config(), "small": small_core_config()}
+MEMORY = MemoryConfig()
+SUITE_PHASES = [chars for prof in SUITE.values() for _, chars in prof.phases]
+
+shares = st.floats(0.05, 1.0)
+multipliers = st.floats(1.0, 4.0)
+environments = st.builds(MemoryEnvironment, shares, multipliers)
+
+
+def _analysis_fields(analysis):
+    """Every field of a PhaseAnalysis, dicts as ordered item lists."""
+    return (
+        analysis.ipc,
+        list(analysis.cpi_components.items()),
+        list(analysis.ace_bits_per_cycle.items()),
+        list(analysis.occupancy_bits_per_cycle.items()),
+        analysis.dram_accesses_per_instruction,
+        analysis.l3_accesses_per_instruction,
+    )
+
+
+def _result_fields(result):
+    """Every field of a QuantumResult, dicts as ordered item lists."""
+    return (
+        type(result.instructions),
+        result.instructions,
+        result.cycles,
+        list(result.ace_bit_cycles.items()),
+        list(result.occupancy_bit_cycles.items()),
+        result.memory_accesses,
+        result.l3_accesses,
+        result.branch_mispredictions,
+    )
+
+
+def _model(core_type):
+    return MechanisticCoreModel(CORES[core_type], MEMORY)
+
+
+def _count_misses(monkeypatch):
+    """Record every call the memo passes through to ``analyze_phase``."""
+    misses = []
+    original = mechanistic.analyze_phase
+
+    def counting(*args):
+        misses.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(mechanistic, "analyze_phase", counting)
+    return misses
+
+
+class _CappedModel(MechanisticCoreModel):
+    """Records the largest memo size seen after any ``analyze`` call."""
+
+    max_entries = 0
+
+    def analyze(self, chars, env):
+        analysis = super().analyze(chars, env)
+        self.max_entries = max(self.max_entries, len(self._memo))
+        return analysis
+
+
+class TestAnalysisMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phase=st.sampled_from(SUITE_PHASES),
+        core_type=st.sampled_from(sorted(CORES)),
+        env=environments,
+    )
+    def test_hit_equals_fresh_analysis(self, phase, core_type, env):
+        model = _model(core_type)
+        expected = _analysis_fields(
+            analyze_phase(phase, CORES[core_type], MEMORY, env)
+        )
+        miss = model.analyze(phase, env)
+        # An equal environment, not the same object, finds the entry.
+        hit = model.analyze(
+            phase,
+            MemoryEnvironment(
+                env.l3_share_fraction, env.dram_latency_multiplier
+            ),
+        )
+        assert hit is miss
+        assert _analysis_fields(hit) == expected
+        assert len(model._memo) == 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        phase=st.sampled_from(SUITE_PHASES),
+        core_type=st.sampled_from(sorted(CORES)),
+        env=environments,
+    )
+    def test_exact_after_cap_empties_memo(self, phase, core_type, env):
+        model = _model(core_type)
+        first = model.analyze(phase, env)
+        # Distinct environments fill the memo to the cap; the next
+        # new key empties it.
+        for i in range(ANALYSIS_MEMO_CAP):
+            model.analyze(phase, MemoryEnvironment(0.01 + i * 1e-4, 5.0))
+        assert len(model._memo) == 1
+        again = model.analyze(phase, env)
+        assert again is not first
+        assert _analysis_fields(again) == _analysis_fields(
+            analyze_phase(phase, CORES[core_type], MEMORY, env)
+        )
+        assert model.analyze(phase, env) is again
+
+    def test_models_keep_separate_memos(self):
+        phase = SUITE_PHASES[0]
+        big, small = _model("big"), _model("small")
+        assert big.analyze(phase, ISOLATED) is not small.analyze(
+            phase, ISOLATED
+        )
+        assert big.analyze(phase, ISOLATED).ipc != small.analyze(
+            phase, ISOLATED
+        ).ipc
+
+
+class TestPinnedKeys:
+    def test_reused_id_is_not_served_a_stale_entry(self):
+        model = _model("big")
+        dead = PhaseCharacteristics(branch_mpki=1.0)
+        live = PhaseCharacteristics(branch_mpki=9.0, l3_mpki=2.0)
+        env = MemoryEnvironment(0.5, 2.0)
+        # The state an id-only key would reach once ``dead`` died and
+        # ``live`` took its address: ``live``'s key holds ``dead``'s
+        # analysis.
+        key = (id(live), env.l3_share_fraction, env.dram_latency_multiplier)
+        model._memo[key] = (dead, model.analyze(dead, env))
+        result = model.analyze(live, env)
+        assert _analysis_fields(result) == _analysis_fields(
+            analyze_phase(live, model.core, model.memory, env)
+        )
+        assert model._memo[key][0] is live
+
+    def test_fresh_object_at_a_freed_address(self):
+        model = _model("small")
+        env = MemoryEnvironment(0.75, 1.5)
+        # Phases created and dropped in turn: CPython hands freed
+        # addresses to the next object, but never while an entry pins it.
+        for value in range(1, 40):
+            phase = PhaseCharacteristics(branch_mpki=float(value))
+            assert _analysis_fields(model.analyze(phase, env)) == (
+                _analysis_fields(
+                    analyze_phase(phase, model.core, model.memory, env)
+                )
+            )
+            del phase
+
+
+class TestMemoCap:
+    def test_cap_is_a_module_constant(self):
+        assert isinstance(ANALYSIS_MEMO_CAP, int)
+        assert 32 <= ANALYSIS_MEMO_CAP <= 1024
+        params = inspect.signature(MechanisticCoreModel.__init__).parameters
+        assert list(params) == ["self", "core", "memory"]
+        source = inspect.getsource(mechanistic)
+        assert "os.environ" not in source and "getenv" not in source
+
+    def test_no_cli_option_sizes_the_memo(self):
+        def options(parser):
+            for action in parser._actions:
+                yield from action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from options(sub)
+
+        assert not [o for o in options(build_parser()) if "memo" in o]
+
+    def test_long_random_run_stays_under_cap(self, monkeypatch):
+        misses = _count_misses(monkeypatch)
+        machine = machine_2b2s()
+        models = {
+            "big": _CappedModel(machine.big, machine.memory),
+            "small": _CappedModel(machine.small, machine.memory),
+        }
+        profiles = [
+            benchmark(name).scaled(100_000_000)
+            for name in ("mcf", "milc", "povray", "soplex")
+        ]
+        MulticoreSimulation(
+            machine, profiles, RandomScheduler(machine, 4), models=models
+        ).run()
+        # More distinct keys than two full memos: the cap was reached.
+        assert len(misses) > 2 * ANALYSIS_MEMO_CAP
+        for model in models.values():
+            assert 0 < model.max_entries <= ANALYSIS_MEMO_CAP
+
+    def test_worker_models_stay_under_cap(self, monkeypatch):
+        monkeypatch.setattr(server, "_WORKER_MODELS", {})
+        misses = _count_misses(monkeypatch)
+        process = make_process(
+            "poisson", 800.0, service_benchmark_pool(), seed=0,
+            instructions=5_000_000,
+        )
+        system = OpenSystem(
+            ServiceConfig(machine=machine_2b2s()), feed=ServiceFeed()
+        )
+        system.enqueue_arrivals(process.stream(400))
+        system.run()
+        assert len(misses) > 2 * ANALYSIS_MEMO_CAP
+        assert server._WORKER_MODELS
+        for model in server._WORKER_MODELS.values():
+            assert 0 < len(model._memo) <= ANALYSIS_MEMO_CAP
+
+
+def _reference_run_cycles(model, app, start_instruction, cycles, env):
+    """The chunk-and-merge loop ``run_cycles`` replaced, on the old lookup.
+
+    Returns the result and the number of phase analyses it needed.
+    """
+    if cycles <= 0:
+        return QuantumResult.zero(), 0
+    result = QuantumResult.zero()
+    position = start_instruction
+    remaining = float(cycles)
+    lookups = 0
+    while remaining > 1e-9:
+        chars, to_phase_end = _reference_lookup(app, position)
+        analysis = analyze_phase(chars, model.core, model.memory, env)
+        lookups += 1
+        chunk_cycles = min(remaining, to_phase_end * analysis.cpi)
+        instructions = int(round(chunk_cycles / analysis.cpi))
+        if instructions <= 0:
+            chunk = QuantumResult(instructions=0, cycles=remaining)
+            result = result.merged_with(chunk)
+            break
+        chunk_cycles = instructions * analysis.cpi
+        chunk = QuantumResult(
+            instructions=instructions,
+            cycles=chunk_cycles,
+            ace_bit_cycles={
+                k: v * chunk_cycles
+                for k, v in analysis.ace_bits_per_cycle.items()
+            },
+            occupancy_bit_cycles={
+                k: v * chunk_cycles
+                for k, v in analysis.occupancy_bits_per_cycle.items()
+            },
+            memory_accesses=analysis.dram_accesses_per_instruction
+            * instructions,
+            l3_accesses=analysis.l3_accesses_per_instruction * instructions,
+            branch_mispredictions=chars.branch_mpki / 1000.0 * instructions,
+        )
+        result = result.merged_with(chunk)
+        position += instructions
+        remaining -= chunk_cycles
+    return result, lookups
+
+
+def _count_lookups(model):
+    calls = []
+    analyze = model.analyze
+
+    def counted(chars, env):
+        calls.append(1)
+        return analyze(chars, env)
+
+    model.analyze = counted
+    return calls
+
+
+class TestRunCycles:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(BENCHMARK_NAMES),
+        core_type=st.sampled_from(sorted(CORES)),
+        instructions=st.sampled_from([7, 1_000, 300_000, 20_000_000]),
+        start=st.floats(0.0, 2.5),
+        budget=st.one_of(
+            st.tuples(st.just("cycles"), st.floats(-5.0, 5.0)),
+            st.tuples(st.just("cycles"), st.floats(1e-12, 1e-8)),
+            # Up to a few passes over the profile.
+            st.tuples(st.just("per_instruction"), st.floats(0.0, 6.0)),
+        ),
+        env=environments,
+    )
+    def test_matches_chunk_and_merge_loop(
+        self, name, core_type, instructions, start, budget, env
+    ):
+        app = benchmark(name).scaled(instructions)
+        model = _model(core_type)
+        position = int(start * instructions)
+        kind, value = budget
+        cycles = value if kind == "cycles" else value * instructions
+        lookups = _count_lookups(model)
+        expected, expected_lookups = _reference_run_cycles(
+            model, app, position, cycles, env
+        )
+        got = model.run_cycles(app, position, cycles, env)
+        assert _result_fields(got) == _result_fields(expected)
+        # Every phase lookup still goes through ``analyze``.
+        assert len(lookups) == expected_lookups
+
+    def _multi_phase(self, instructions):
+        return next(
+            SUITE[name].scaled(instructions)
+            for name in BENCHMARK_NAMES
+            if len(SUITE[name].phases) > 2
+        )
+
+    def test_crosses_phases_and_wraps(self):
+        app = self._multi_phase(100_000)
+        model = _model("big")
+        env = MemoryEnvironment(0.6, 1.3)
+        start = app.phase_boundaries()[-2] - 10
+        expected, lookups = _reference_run_cycles(
+            model, app, start, 2e6, env
+        )
+        got = model.run_cycles(app, start, 2e6, env)
+        assert lookups > len(app.phases) + 1
+        assert got.instructions > app.instructions
+        assert _result_fields(got) == _result_fields(expected)
+
+    def test_budget_too_small_for_one_instruction(self):
+        app = benchmark("mcf").scaled(1_000_000)
+        model = _model("small")
+        cpi = model.analyze(app.phase_at(0), ISOLATED).cpi
+        got = model.run_cycles(app, 0, 0.4 * cpi, ISOLATED)
+        expected, _ = _reference_run_cycles(model, app, 0, 0.4 * cpi, ISOLATED)
+        assert got.instructions == 0
+        assert got.cycles == 0.4 * cpi
+        assert got.ace_bit_cycles == {}
+        assert _result_fields(got) == _result_fields(expected)
+
+    def test_idle_tail_after_committed_chunk(self):
+        app = benchmark("povray").scaled(1_000_000)
+        model = _model("big")
+        cpi = model.analyze(app.phase_at(0), ISOLATED).cpi
+        budget = 100.4 * cpi
+        got = model.run_cycles(app, 0, budget, ISOLATED)
+        expected, lookups = _reference_run_cycles(
+            model, app, 0, budget, ISOLATED
+        )
+        assert lookups == 2 and got.instructions == 100
+        assert _result_fields(got) == _result_fields(expected)
+
+
+def _reference_lookup(profile, position):
+    """The linear scans the two lookups replaced, kept verbatim."""
+    pos = position % profile.instructions
+    boundaries = profile.phase_boundaries()
+    chars = profile.phases[-1][1]
+    for i, (_, phase) in enumerate(profile.phases):
+        if boundaries[i] <= pos < boundaries[i + 1]:
+            chars = phase
+            break
+    left = profile.instructions - pos
+    for i in range(len(profile.phases)):
+        if boundaries[i] <= pos < boundaries[i + 1]:
+            left = boundaries[i + 1] - pos
+            break
+    return chars, left
+
+
+@st.composite
+def _profiles(draw):
+    weights = draw(st.lists(st.integers(1, 50), min_size=1, max_size=8))
+    total = sum(weights)
+    phases = tuple(
+        (w / total, PhaseCharacteristics(branch_mpki=float(i)))
+        for i, w in enumerate(weights)
+    )
+    instructions = draw(
+        st.one_of(st.integers(1, 12), st.integers(13, 10**9))
+    )
+    return BenchmarkProfile("drawn", instructions, phases)
+
+
+class TestPhaseLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(profile=_profiles(), offset=st.integers(0, 3 * 10**9))
+    def test_matches_linear_scan(self, profile, offset):
+        position = offset % (3 * profile.instructions)
+        chars, left = _reference_lookup(profile, position)
+        assert profile.phase_span(position) == (chars, left)
+        assert profile.phase_span(position)[0] is chars
+        assert profile.phase_at(position) is chars
+        assert profile.instructions_until_phase_change(position) == left
+
+    def test_zero_width_phases_are_skipped(self):
+        a, b, c = (PhaseCharacteristics(branch_mpki=i) for i in (1.0, 2.0, 3.0))
+        profile = BenchmarkProfile("tiny", 3, ((0.1, a), (0.1, b), (0.8, c)))
+        assert profile.phase_boundaries() == [0, 0, 1, 3]
+        assert [profile.phase_span(p) for p in range(4)] == [
+            (b, 1), (c, 2), (c, 1), (b, 1),
+        ]
+        for position in range(6):
+            assert profile.phase_span(position) == _reference_lookup(
+                profile, position
+            )
+
+    def test_scaled_profile_recomputes_boundaries(self):
+        profile = benchmark("mcf")
+        small = profile.scaled(1_000)
+        assert small.phase_span(999)[1] == 1
+        assert small == profile.scaled(1_000)
+        assert hash(small) == hash(profile.scaled(1_000))

@@ -72,6 +72,31 @@ class TestCompletionMode:
         assert all(a.completed_runs == 1 for a in result.apps)
         assert result.sser > 0
 
+    def test_clipped_observation_keeps_branch_mpki(self):
+        machine = machine_2b2s()
+        observations = []
+
+        class Recording(StaticScheduler):
+            def observe(self, plan, obs):
+                observations.extend(obs)
+                super().observe(plan, obs)
+
+        profiles = _profiles()
+        MulticoreSimulation(
+            machine, profiles, Recording(machine, 4, (0, 1)),
+            restart_finished=False,
+        ).run()
+        executed = [0] * len(profiles)
+        for obs in observations:
+            if obs.instructions <= 0:
+                continue
+            executed[obs.app_index] += obs.instructions
+            rates = [c.branch_mpki for _, c in profiles[obs.app_index].phases]
+            assert min(rates) * 0.999 <= obs.branch_mpki <= max(rates) * 1.001
+        # The slices add up to each application's length exactly, so
+        # every application's last slice was clipped.
+        assert executed == [3_000_000] * len(profiles)
+
     def test_antt_meaningful_in_completion_mode(self, completion_run):
         """ANTT uses per-application turnaround, which only stops
         accumulating at completion in this mode."""

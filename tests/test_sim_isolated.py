@@ -29,6 +29,15 @@ class TestRunIsolated:
         assert result.instructions == 1_000_000
         assert result.cycles > 0
 
+    def test_clipped_last_chunk_keeps_branch_mispredictions(self, big_model):
+        # 1M-cycle chunks overrun the profile end, so the last chunk is
+        # clipped; mcf's branch MPKI is 12 in every phase.
+        prof = benchmark("mcf").scaled(3_000_000)
+        assert {chars.branch_mpki for _, chars in prof.phases} == {12.0}
+        result = run_isolated(big_model, prof, chunk_cycles=1e6)
+        assert result.instructions == 3_000_000
+        assert result.branch_mispredictions == pytest.approx(36_000.0)
+
     def test_abc_proportional_to_length(self, big_model):
         short = run_isolated(big_model, benchmark("milc").scaled(500_000))
         long = run_isolated(big_model, benchmark("milc").scaled(1_000_000))
