@@ -41,6 +41,7 @@ from repro.cores.tracebase import TraceApplication, TraceDrivenModel
 from repro.isa.instruction import (
     FP_WRITERS,
     INT_WRITERS,
+    NUM_CLASSES,
     InstructionClass,
     fu_bits_table,
 )
@@ -50,6 +51,14 @@ TIMESTAMP_CLIP = 4095
 
 #: Live architectural-register fraction (shared model constant).
 _ARCH_REG_LIVE_FRACTION = ARCH_REG_LIVE_FRACTION
+
+#: Class -> functional-unit bits, and whether the class writes a
+#: destination register / a floating-point one (indexed by class).
+_FU_BITS = fu_bits_table()
+_WRITES_REG = np.zeros(NUM_CLASSES, dtype=bool)
+_WRITES_REG[sorted(INT_WRITERS | FP_WRITERS)] = True
+_WRITES_FP = np.zeros(NUM_CLASSES, dtype=bool)
+_WRITES_FP[sorted(FP_WRITERS)] = True
 
 
 @dataclass
@@ -142,24 +151,19 @@ class OutOfOrderCoreModel(TraceDrivenModel):
         """Vectorized ACE/occupancy accounting from window timings."""
         core = self.core
         assert core.rob is not None and core.load_queue is not None
-        fu_bits = fu_bits_table()
         classes = timing.classes
         non_nop = classes != InstructionClass.NOP
         is_load = classes == InstructionClass.LOAD
         is_store = classes == InstructionClass.STORE
-        writers = np.isin(
-            classes, np.array(sorted(INT_WRITERS | FP_WRITERS), dtype=np.int8)
-        )
-        fp_writers = np.isin(
-            classes, np.array(sorted(FP_WRITERS), dtype=np.int8)
-        )
+        writers = _WRITES_REG[classes]
+        fp_writers = _WRITES_FP[classes]
 
         rob_res = np.minimum(timing.commit - timing.dispatch, TIMESTAMP_CLIP)
         iq_res = np.minimum(timing.issue - timing.dispatch, TIMESTAMP_CLIP)
         reg_res = np.minimum(timing.commit - timing.finish, TIMESTAMP_CLIP)
         fu_res = np.minimum(timing.latency, TIMESTAMP_CLIP)
         reg_bits = np.where(fp_writers, 128.0, 64.0)
-        fu_res_bits = fu_res * fu_bits[classes]
+        fu_res_bits = fu_res * _FU_BITS[classes]
 
         occupancy = {
             StructureKind.ROB: float(rob_res.sum()) * core.rob.bits_per_entry,

@@ -28,7 +28,8 @@ from repro.isa.instruction import (
     latency_table,
 )
 
-#: Maximum instructions attempted per cycle of budget (dispatch width).
+#: Instructions a window holds beyond ``budget x width``: an additive
+#: slack, so a window never runs out before its budget breaks.
 _WINDOW_SLACK = 1024
 
 #: Cycles a committed store occupies the in-order store queue.

@@ -12,7 +12,9 @@ per load/store.  The kernels here restructure
    extracted as plain Python lists in vectorized numpy operations, and
    all of the chunk's load/store addresses run through
    :meth:`~repro.memory.hierarchy.CacheHierarchy.access_data_batch`
-   in one pass; then
+   in one pass.  Chunks start at :data:`_FIRST_CHUNK` instructions and
+   double up to :data:`_CHUNK`, so a short budget does not precompute
+   (and roll back) far past its break; then
 2. a **minimal max-plus recurrence loop** over local-variable-bound
    floats -- no enum construction, no dict lookups, no numpy scalar
    round-trips.
@@ -41,15 +43,25 @@ from repro.isa.instruction import (
 )
 from repro.obs import metrics as obs_metrics
 
-#: Maximum instructions attempted per cycle of budget (dispatch width).
+#: Instructions a window holds beyond ``budget x width``: an additive
+#: slack, so a window never runs out before its budget breaks.
 _WINDOW_SLACK = 1024
 
 #: Cycles a committed store occupies the in-order store queue.
 _STORE_DRAIN = 3.0
 
-#: Instructions per precompute/recurrence chunk.  Bounds both the
-#: batched-access overrun past the budget break (rolled back, but
-#: wasted work) and the transient memory of the per-chunk buffers.
+#: Instructions in a window's first precompute/recurrence chunk.  Each
+#: later chunk doubles, up to :data:`_CHUNK`, so the instructions
+#: precomputed stay within ``2 x committed + _FIRST_CHUNK`` however
+#: the window's length compares with its budget.  Below 256 the
+#: batched accesses stop falling while the chunk count keeps rising
+#: (docs/performance.md).
+_FIRST_CHUNK = 256
+
+#: Largest precompute/recurrence chunk, in instructions.  Bounds the
+#: transient memory of the per-chunk buffers and, once chunks reach
+#: it, the batched-access overrun past the budget break (rolled back,
+#: but wasted work).
 _CHUNK = 4096
 
 #: Class -> kernel kind code: 0 plain, 1 load, 2 store, 3 integer
@@ -64,6 +76,16 @@ _KIND[InstructionClass.FP_DIV] = 4
 #: Static execution latency per class, as float64 (exactly the
 #: ``float(latency_table()[cls])`` values of the reference).
 _STATIC_LATENCY = latency_table().astype(np.float64)
+
+
+def _chunk_bounds(n):
+    """``(start, end)`` of each chunk of an ``n``-instruction window:
+    :data:`_FIRST_CHUNK` instructions, doubling up to :data:`_CHUNK`."""
+    c0, size = 0, _FIRST_CHUNK
+    while c0 < n:
+        c1 = min(c0 + size, n)
+        yield c0, c1
+        c0, size = c1, min(2 * size, _CHUNK)
 
 
 def _chunk_inputs(window, c0, c1, hierarchy, icache_penalty, dram_extra):
@@ -174,8 +196,7 @@ def ooo_simulate_window(model, app, start_instruction, cycles, env):
     nll = -lq_size
     nss = -sq_size
     broke = False
-    for c0 in range(0, n, _CHUNK):
-        c1 = min(c0 + _CHUNK, n)
+    for c0, c1 in _chunk_bounds(n):
         (kind, eff_lat, icx, dep1, dep2, misp,
          mem_rel, journal, levels) = _chunk_inputs(
             window, c0, c1, hierarchy, icache_penalty, dram_extra
@@ -342,8 +363,7 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
     iw = -width
     ilatch = -latch_slots
     broke = False
-    for c0 in range(0, n, _CHUNK):
-        c1 = min(c0 + _CHUNK, n)
+    for c0, c1 in _chunk_bounds(n):
         (kind, eff_lat, icx, dep1, dep2, misp,
          mem_rel, journal, levels) = _chunk_inputs(
             window, c0, c1, hierarchy, icache_penalty, dram_extra

@@ -272,29 +272,24 @@ class CacheHierarchy:
                     cache.stats.misses -= 1
                 cache._clock -= 1
                 cache.stats.accesses -= 1
-        for level in levels[keep:]:
-            if level >= 2:
-                self.l3_accesses -= 1
-                if level == 3:
-                    self.dram_accesses -= 1
+        # Levels: 0 = L1 hit, 1 = L2, 2 = L3, 3 = DRAM -- an access
+        # touches every level up to where it hit.
         undone = levels[keep:]
+        l3 = int(np.count_nonzero(undone >= LEVEL_L3))
+        dram = int(np.count_nonzero(undone == LEVEL_DRAM))
+        self.l3_accesses -= l3
+        self.dram_accesses -= dram
         reg = obs_metrics.ACTIVE
         if reg is not None and len(undone):
             # access_data_batch already counted the rolled-back tail
             # in the observability registry; decrement so the metrics
-            # agree with the cache statistics (levels: 0 = L1 hit,
-            # 1 = L2, 2 = L3, 3 = DRAM -- an access touches every
-            # level up to where it hit).
+            # agree with the cache statistics.
             reg.counter("cache.accesses", level="l1").inc(-len(undone))
             reg.counter("cache.accesses", level="l2").inc(
-                -int((undone >= 1).sum())
+                -int(np.count_nonzero(undone >= LEVEL_L2))
             )
-            reg.counter("cache.accesses", level="l3").inc(
-                -int((undone >= 2).sum())
-            )
-            reg.counter("cache.accesses", level="dram").inc(
-                -int((undone == 3).sum())
-            )
+            reg.counter("cache.accesses", level="l3").inc(-l3)
+            reg.counter("cache.accesses", level="dram").inc(-dram)
         del journal[keep:]
 
     def access_instruction(self, address: int) -> AccessOutcome:

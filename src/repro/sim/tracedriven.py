@@ -11,6 +11,10 @@ DRAM-latency multiplier.)
 This path is O(instructions) -- use it for validation and small-scale
 studies (10^5..10^7 instructions); the mechanistic path covers
 paper-scale runs.
+
+Each application's isolated reference run is memoized by content
+(:data:`REFERENCE_MEMO_CAP`), so one mix under several schedulers
+runs its reference passes once.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.ace.counters import AceCounterMode
-from repro.config.machines import MachineConfig
+from repro.config.cores import CoreConfig
+from repro.config.machines import MachineConfig, MemoryConfig
 from repro.cores.base import CoreModel
 from repro.cores.inorder import InOrderCoreModel
 from repro.cores.ooo import OutOfOrderCoreModel
@@ -30,8 +35,20 @@ from repro.sim.isolated import ReferenceTimes, run_isolated
 from repro.sim.multicore import MulticoreSimulation
 from repro.sim.results import RunResult
 from repro.kernels.trace_cache import cached_generate_trace
+from repro.workloads.characteristics import BenchmarkProfile
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.spec2006 import benchmark
+
+#: Isolated reference runs remembered before the memo is emptied.  An
+#: entry is one float, so the cap only bounds a long sweep over many
+#: distinct traces.
+REFERENCE_MEMO_CAP = 256
+
+#: ``(big core, memory, profile, instructions, trace seed)`` -> the
+#: big-core cycles of the application's measured isolated pass.
+_reference_memo: dict[
+    tuple[CoreConfig, MemoryConfig, BenchmarkProfile, int, int], float
+] = {}
 
 
 def trace_driven_models(machine: MachineConfig) -> dict[str, CoreModel]:
@@ -57,6 +74,34 @@ def trace_applications(
         )
         for i, name in enumerate(names)
     ]
+
+
+def _reference_cycles(
+    model: OutOfOrderCoreModel,
+    app: TraceApplication,
+    profile: BenchmarkProfile,
+    instructions: int,
+    seed: int,
+) -> float:
+    """Isolated big-core cycles of ``app``, the trace generated from
+    ``(profile, instructions, seed)``.
+
+    A warm-up pass primes the application's private caches first: in
+    the mix the applications run repeatedly with warm private caches,
+    so a cold-cache reference would overestimate T_ref at trace scale.
+    ``model`` has no shared L3, so the run touches only the
+    application's own hierarchy and its result is a function of the
+    memo key: a hit is exact.
+    """
+    key = (model.core, model.memory, profile, instructions, seed)
+    cycles = _reference_memo.get(key)
+    if cycles is None:
+        run_isolated(model, app)  # warm-up pass
+        cycles = run_isolated(model, app).cycles
+        if len(_reference_memo) >= REFERENCE_MEMO_CAP:
+            _reference_memo.clear()
+        _reference_memo[key] = cycles
+    return cycles
 
 
 def run_trace_workload(
@@ -100,19 +145,15 @@ def run_trace_workload(
     scheduler = make_scheduler(scheduler_name, scaled, len(apps), seed)
     # Reference times come from a *separate* isolated model so the
     # measurement neither warms nor pollutes the shared-L3 models.
-    # A priming pass warms the reference caches first: in the mix the
-    # applications run repeatedly with warm private caches, so a
-    # cold-cache reference would overestimate T_ref at trace scale.
     reference_model = OutOfOrderCoreModel(scaled.big, scaled.memory)
     references = []
     with span("trace.reference_runs"):
-        for app in apps:
-            run_isolated(reference_model, app)  # warm-up pass
-            run = run_isolated(reference_model, app)
+        for i, (name, app) in enumerate(zip(names, apps)):
+            cycles = _reference_cycles(
+                reference_model, app, benchmark(name), instructions, seed + i
+            )
             references.append(
-                ReferenceTimes.uniform(
-                    app, run.cycles / scaled.big.frequency_hz
-                )
+                ReferenceTimes.uniform(app, cycles / scaled.big.frequency_hz)
             )
     simulation = MulticoreSimulation(
         scaled,

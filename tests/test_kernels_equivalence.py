@@ -14,6 +14,8 @@ from repro.cores.base import ISOLATED
 from repro.cores.inorder import InOrderCoreModel
 from repro.cores.ooo import OutOfOrderCoreModel
 from repro.cores.tracebase import TraceApplication
+from repro.isa.trace import Trace
+from repro.kernels import window
 from repro.kernels.reference import (
     reference_inorder_run,
     reference_ooo_window,
@@ -57,6 +59,25 @@ def _assert_timing_equal(kernel, reference, context=""):
         b = getattr(reference, field)
         assert a.dtype == b.dtype, (context, field)
         assert np.array_equal(a, b), (context, field)
+
+
+def _assert_inorder_equal(kernel, reference, context=""):
+    assert kernel.instructions == reference.instructions, context
+    assert kernel.cycles == reference.cycles, context
+    assert kernel.memory_accesses == reference.memory_accesses, context
+    assert kernel.l3_accesses == reference.l3_accesses, context
+    assert (
+        kernel.branch_mispredictions == reference.branch_mispredictions
+    ), context
+    # The kernel's accounting is vectorized (reassociated sums):
+    # equal up to floating-point rounding, not bit-identical.
+    for kind in kernel.ace_bit_cycles:
+        assert kernel.ace_bit_cycles[kind] == pytest.approx(
+            reference.ace_bit_cycles[kind], rel=1e-12, abs=1e-9
+        ), (context, kind)
+        assert kernel.occupancy_bit_cycles[kind] == pytest.approx(
+            reference.occupancy_bit_cycles[kind], rel=1e-12, abs=1e-9
+        ), (context, kind)
 
 
 class TestOutOfOrderKernel:
@@ -133,22 +154,7 @@ class TestInOrderKernel:
         model_r = InOrderCoreModel(small_core_config(), MemoryConfig())
         result_k = model_k.run_cycles(app_k, 0, budget, ISOLATED)
         result_r = reference_inorder_run(model_r, app_r, 0, budget, ISOLATED)
-        assert result_k.instructions == result_r.instructions
-        assert result_k.cycles == result_r.cycles
-        assert result_k.memory_accesses == result_r.memory_accesses
-        assert result_k.l3_accesses == result_r.l3_accesses
-        assert (
-            result_k.branch_mispredictions == result_r.branch_mispredictions
-        )
-        # The kernel's accounting is vectorized (reassociated sums):
-        # equal up to floating-point rounding, not bit-identical.
-        for kind in result_k.ace_bit_cycles:
-            assert result_k.ace_bit_cycles[kind] == pytest.approx(
-                result_r.ace_bit_cycles[kind], rel=1e-12, abs=1e-9
-            ), kind
-            assert result_k.occupancy_bit_cycles[kind] == pytest.approx(
-                result_r.occupancy_bit_cycles[kind], rel=1e-12, abs=1e-9
-            ), kind
+        _assert_inorder_equal(result_k, result_r, (name, budget))
         assert _cache_state(model_k.hierarchy_for(app_k)) == _cache_state(
             model_r.hierarchy_for(app_r)
         )
@@ -209,3 +215,177 @@ class TestBudgetBreakOffByOne:
             hier_k.l1d.stats.accesses == hier_r.l1d.stats.accesses
         )
         assert _cache_state(hier_k) == _cache_state(hier_r)
+
+
+def _chained_app(name, instructions, seed=0):
+    """A generated trace whose every instruction also depends on the one
+    before it.  Each finish time then exceeds the previous one by at
+    least a cycle, and so do the commit (and in-order writeback) times,
+    so any instruction can be made the budget's break instruction."""
+    trace = generate_trace(benchmark(name), instructions, seed=seed)
+    dep1 = np.ones(len(trace), dtype=trace.dep1.dtype)
+    dep1[0] = 0
+    return TraceApplication(
+        Trace(
+            classes=trace.classes,
+            dep1=dep1,
+            dep2=trace.dep2,
+            addresses=trace.addresses,
+            mispredicted=trace.mispredicted,
+            icache_miss=trace.icache_miss,
+            name=trace.name,
+        )
+    )
+
+
+def _run_ooo(model, app, budget, start=0):
+    return model.simulate_window(app, start, budget, ISOLATED)
+
+
+def _run_inorder(model, app, budget, start=0):
+    return model.run_cycles(app, start, budget, ISOLATED)
+
+
+def _committed(result):
+    if hasattr(result, "committed"):  # an OoO WindowTiming
+        return result.committed
+    return result.instructions
+
+
+_KERNELS = {
+    "ooo": (
+        lambda: OutOfOrderCoreModel(big_core_config(), MemoryConfig()),
+        _run_ooo,
+        reference_ooo_window,
+    ),
+    "inorder": (
+        lambda: InOrderCoreModel(small_core_config(), MemoryConfig()),
+        _run_inorder,
+        reference_inorder_run,
+    ),
+}
+
+
+def _budget_breaking_at(kernel, make_app, index):
+    """The smallest whole-cycle budget (at least 1) under which a fresh
+    model commits exactly ``index`` instructions of the chained trace,
+    so instruction ``index`` is the break instruction."""
+    new_model, run, _ = _KERNELS[kernel]
+
+    def committed(budget):
+        return _committed(run(new_model(), make_app(), float(budget)))
+
+    hi = 1
+    while committed(hi) < index:
+        hi *= 2
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if committed(mid) >= index:
+            hi = mid
+        else:
+            lo = mid + 1
+    assert committed(lo) == index  # commit times are >= 1 cycle apart
+    return float(lo)
+
+
+def _assert_kernel_matches_reference(kernel, make_app, budget, context):
+    new_model, run, reference = _KERNELS[kernel]
+    model_k, model_r = new_model(), new_model()
+    app_k, app_r = make_app(), make_app()
+    result_k = run(model_k, app_k, budget)
+    result_r = reference(model_r, app_r, 0, budget, ISOLATED)
+    if kernel == "ooo":
+        _assert_timing_equal(result_k, result_r, context)
+    else:
+        _assert_inorder_equal(result_k, result_r, context)
+    assert _cache_state(model_k.hierarchy_for(app_k)) == _cache_state(
+        model_r.hierarchy_for(app_r)
+    ), context
+    return result_k
+
+
+def _first_chunks(count):
+    return list(window._chunk_bounds(10**6))[:count]
+
+
+class TestChunkEdges:
+    """Exact at the edges of the doubling chunk schedule.
+
+    The precompute pass batches a chunk's cache accesses up front and
+    rolls back those past the break instruction, so the edges of a
+    chunk are where an off-by-one would show.  Instructions can only be
+    placed at a chunk edge in a window whose commit times strictly
+    increase, hence the chained traces.
+    """
+
+    @pytest.mark.parametrize("kernel", ("ooo", "inorder"))
+    @pytest.mark.parametrize("name", ("soplex", "mcf"))
+    @pytest.mark.parametrize("edge", (
+        "first of chunk 1", "last of chunk 1",
+        "first of chunk 2", "last of chunk 2",
+    ))
+    def test_break_at_chunk_edge(self, kernel, name, edge):
+        position, chunk = edge.split(" of chunk ")
+        c0, c1 = _first_chunks(2)[int(chunk) - 1]
+        index = c0 if position == "first" else c1 - 1
+
+        def make_app():
+            return _chained_app(name, 3_000)
+
+        budget = _budget_breaking_at(kernel, make_app, index)
+        result = _assert_kernel_matches_reference(
+            kernel, make_app, budget, (kernel, name, edge, budget)
+        )
+        assert _committed(result) == index
+
+    @pytest.mark.parametrize("kernel", ("ooo", "inorder"))
+    @pytest.mark.parametrize("chunks", (2, 3))
+    @pytest.mark.parametrize("breaks", (False, True))
+    def test_window_exactly_a_sum_of_chunks(self, kernel, chunks, breaks):
+        # The trace ends where a chunk does, so the window does too.
+        length = _first_chunks(chunks)[-1][1]
+
+        def make_app():
+            return _chained_app("soplex", length, seed=4)
+
+        if breaks:  # on the window's last instruction
+            budget = _budget_breaking_at(kernel, make_app, length - 1)
+        else:
+            budget = 1e6
+        result = _assert_kernel_matches_reference(
+            kernel, make_app, budget, (kernel, chunks, breaks)
+        )
+        assert _committed(result) == (length - 1 if breaks else length)
+
+
+class TestPrecomputeWaste:
+    """The doubling schedule bounds the instructions precomputed (and
+    their batched cache accesses) by about twice those committed.  With
+    a fixed 4096-instruction first chunk, a 40-cycle big-core window
+    precomputed all of its 40 x 4 + 1024 = 1,184 instructions to commit
+    a few dozen."""
+
+    @pytest.mark.parametrize("kernel", ("ooo", "inorder"))
+    @pytest.mark.parametrize("name", ("soplex", "mcf"))
+    @pytest.mark.parametrize("budget", (40.0, 400.0))
+    def test_precompute_within_twice_committed(
+        self, monkeypatch, kernel, name, budget
+    ):
+        precomputed = []
+        chunk_inputs = window._chunk_inputs
+
+        def spy(trace, c0, c1, *args):
+            precomputed.append(c1 - c0)
+            return chunk_inputs(trace, c0, c1, *args)
+
+        new_model, run, _ = _KERNELS[kernel]
+        model, app = new_model(), _app(name)
+        # Mid-run, as a sampling slice is: warm caches first.
+        start = _committed(run(model, app, 10_000.0))
+        monkeypatch.setattr(window, "_chunk_inputs", spy)
+        committed = _committed(run(model, app, budget, start))
+        assert 0 < committed
+        assert sum(precomputed) <= (
+            2 * (committed + 1) + window._FIRST_CHUNK
+        ), (committed, precomputed)
