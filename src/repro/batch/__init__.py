@@ -15,7 +15,6 @@ from repro.batch.analysis import (
     STRUCTURE_COLUMNS,
     analyze_phase_batch,
 )
-from repro.batch.features import PhaseFeatures, extract_features
 from repro.batch.simstate import SimState
 from repro.batch.sweep import (
     BatchRunRequest,
@@ -24,6 +23,7 @@ from repro.batch.sweep import (
     run_workload_batch,
     run_workloads_batched,
 )
+from repro.cores.mechanistic import PhaseFeatures
 
 __all__ = [
     "BatchPhaseAnalysis",
@@ -34,7 +34,6 @@ __all__ = [
     "STRUCTURE_COLUMNS",
     "SimState",
     "analyze_phase_batch",
-    "extract_features",
     "run_workload_batch",
     "run_workloads_batched",
 ]

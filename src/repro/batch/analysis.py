@@ -1,11 +1,12 @@
 """Batched mechanistic phase analysis over array inputs.
 
-``analyze_big_phase``/``analyze_small_phase`` rewritten over arrays:
-one call evaluates N (phase-features, memory-environment) pairs with
-element-wise numpy float64 ops in *exactly* the scalar code's
-association order, so every output matches the scalar analyzer
-bit-for-bit (IEEE-754 element-wise ops are identical to CPython float
-ops; only re-association could diverge, and none happens here).
+The environment tail of the scalar analyzers rewritten over arrays:
+one call evaluates N (:class:`~repro.cores.mechanistic.PhaseFeatures`,
+memory-environment) pairs with element-wise numpy float64 ops in
+*exactly* the scalar code's association order, so every output
+matches the scalar analyzer bit-for-bit (IEEE-754 element-wise ops are
+identical to CPython float ops; only re-association could diverge, and
+none happens here).
 
 Results come back as a :class:`BatchPhaseAnalysis` with a unified
 seven-column structure layout (:data:`STRUCTURE_COLUMNS`); columns a
@@ -21,9 +22,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.features import PhaseFeatures
 from repro.config.structures import StructureKind
-from repro.cores.mechanistic import PhaseAnalysis
+from repro.cores.mechanistic import (
+    _FE_OCCUPANCY_FACTOR,
+    _IQ_FRACTION,
+    _L3_EXPOSED_BIG,
+    _REG_LIVE_FRACTION,
+    _SMALL_STORE_DRAIN,
+    _STORE_RESIDENCY,
+    PhaseAnalysis,
+    PhaseFeatures,
+)
 
 #: Unified structure-column order of the batched ACE/occupancy arrays.
 STRUCTURE_COLUMNS: tuple[StructureKind, ...] = (
@@ -43,10 +52,6 @@ _ROB, _IQ, _LQ, _SQ, _RF, _FU, _PL = range(7)
 #: column indices -- the fold order of ``sum(dict.values())``.
 BIG_KEY_COLUMNS = (_ROB, _IQ, _LQ, _SQ, _RF, _FU)
 SMALL_KEY_COLUMNS = (_PL, _IQ, _SQ, _RF, _FU)
-
-#: Per-regime constants of the big-core model (mechanistic.py).
-_IQ_FRACTION = {"base": 0.20, "fe": 0.10, "llc": 0.30, "mem": 0.30}
-_REG_LIVE_FRACTION = {"base": 0.35, "fe": 0.20, "llc": 0.50, "mem": 0.70}
 
 
 @dataclass
@@ -141,7 +146,7 @@ def _analyze_big(
     m3, dram_lat = _miss_and_latency(feats, shares, mults)
     m2 = _gather(feats, "m2")
     l3_lat = _gather(feats, "l3_lat")
-    comp_llc = (m2 - m3) * l3_lat * 0.55  # _L3_EXPOSED_BIG
+    comp_llc = (m2 - m3) * l3_lat * _L3_EXPOSED_BIG
     comp_mem = m3 * dram_lat / _gather(feats, "mlp")
     cpi = _gather(feats, "cpi_prefix") + comp_llc + comp_mem
     ipc = 1.0 / cpi
@@ -167,7 +172,7 @@ def _analyze_big(
     occ_base = np.where(fixed, _gather(feats, "occ_base_const"), occ_base_ramp)
     occ_mem = _gather(feats, "occ_mem")
     occ_llc = (occ_base + rob_size) / 2.0
-    occ_fe = occ_base * 0.25  # _FE_OCCUPANCY_FACTOR
+    occ_fe = occ_base * _FE_OCCUPANCY_FACTOR
 
     non_nop = _gather(feats, "non_nop")
     wp_mem = _gather(feats, "wp_mem")
@@ -209,7 +214,7 @@ def _analyze_big(
         ace_frac = non_nop * correct_path
         occ_iq = np.minimum(iq_size, occ * _IQ_FRACTION[regime])
         occ_lq = np.minimum(lq_size, occ * load)
-        occ_sq = np.minimum(sq_size, occ * store * 1.2)  # _STORE_RESIDENCY
+        occ_sq = np.minimum(sq_size, occ * store * _STORE_RESIDENCY)
         live_regs = occ * writer_frac * _REG_LIVE_FRACTION[regime]
 
         def _add(col: int, contribution: np.ndarray, into: np.ndarray) -> None:
@@ -263,8 +268,7 @@ def _analyze_small(
     store = _gather(feats, "store")
     non_nop = _gather(feats, "non_nop")
 
-    # _SMALL_STORE_DRAIN == 3.0
-    sq_base = np.minimum(sq_size, ipc * store * 3.0)
+    sq_base = np.minimum(sq_size, ipc * store * _SMALL_STORE_DRAIN)
     sq_occ = {
         "flow": sq_base,
         "fe": sq_base * 0.5,

@@ -12,7 +12,8 @@ stays the reference implementation; this driver replays its exact
 float operation sequence per lane:
 
 * the environment-independent part of each phase analysis is frozen
-  once per (phase, core, memory) by :mod:`repro.batch.features`;
+  once per (phase, core, memory) in the sweep's own table of
+  :class:`~repro.cores.mechanistic.PhaseFeatures`;
 * the environment-dependent tail is evaluated by
   :func:`repro.batch.analysis.analyze_phase_batch` and memoized in a
   growable table keyed by exact (feature id, environment id) pairs --
@@ -42,10 +43,9 @@ from repro.batch.analysis import (
     SMALL_KEY_COLUMNS,
     analyze_phase_batch,
 )
-from repro.batch.features import PhaseFeatures, extract_features
 from repro.batch.simstate import NEVER_RAN, SimState
 from repro.config.machines import BIG, SMALL, MachineConfig
-from repro.cores.mechanistic import MechanisticCoreModel
+from repro.cores.mechanistic import MechanisticCoreModel, PhaseFeatures
 from repro.memory.interference import ApplicationDemand, InterferenceModel
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
@@ -167,9 +167,11 @@ class BatchedSweep:
         self._profiles: dict[tuple[str, int | None], BenchmarkProfile] = {}
         self._big_models: dict[int, MechanisticCoreModel] = {}
         self._ref_cache: dict[tuple[int, int], ReferenceTimes] = {}
-        # Feature / environment / analysis memo state.
+        # Feature / environment / analysis memo state.  Features are
+        # keyed by (chars, core, memory) identity; each pins its three
+        # objects, so no key is reused while the sweep lives.
         self._features: list[PhaseFeatures] = []
-        self._fid_of: dict[int, int] = {}
+        self._fid_of: dict[tuple[int, int, int], int] = {}
         self._envs: list[tuple[float, float]] = []
         self._eid_of: dict[tuple[float, float], int] = {}
         self._table = _AnalysisTable()
@@ -221,12 +223,13 @@ class BatchedSweep:
             self._ref_cache[key] = ref
         return ref
 
-    def _fid(self, feat: PhaseFeatures) -> int:
-        fid = self._fid_of.get(id(feat))
+    def _fid(self, chars, core, memory) -> int:
+        key = (id(chars), id(core), id(memory))
+        fid = self._fid_of.get(key)
         if fid is None:
             fid = len(self._features)
-            self._features.append(feat)
-            self._fid_of[id(feat)] = fid
+            self._features.append(PhaseFeatures(chars, core, memory))
+            self._fid_of[key] = fid
         return fid
 
     def _prog_row(self, profile: BenchmarkProfile, core, memory) -> int:
@@ -236,7 +239,7 @@ class BatchedSweep:
             fids = []
             brr = []
             for _, chars in profile.phases:
-                fids.append(self._fid(extract_features(chars, core, memory)))
+                fids.append(self._fid(chars, core, memory))
                 brr.append(chars.branch_mpki / 1000.0)
             row = len(self._row_bnd)
             self._row_bnd.append(profile.phase_boundaries())

@@ -25,6 +25,12 @@ class StructureKind(enum.Enum):
     FUNCTIONAL_UNITS = "functional_units"
     PIPELINE_LATCHES = "pipeline_latches"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality; it runs in C, while ``Enum.__hash__``
+    # is a Python-level call on every per-structure dict access.  No
+    # code iterates a set of members, so no order depends on it.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class StructureConfig:

@@ -11,7 +11,10 @@ derives
 
 for either core type, in O(1) per phase.  The multicore simulator uses
 it to run paper-scale experiments (1 B-instruction applications, 1 ms
-quanta) directly.
+quanta) directly.  An analysis splits into :class:`PhaseFeatures`, the
+part fixed by (phase, core, memory), and a short tail that depends on
+the memory environment; the scalar and the batched engines
+(:mod:`repro.batch.analysis`) share the features.
 
 The ACE accounting mirrors the paper's counter architecture exactly:
 
@@ -31,7 +34,7 @@ on the missing load (the mcf/libquantum effect) -- is modelled through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.config.cores import CoreConfig
@@ -98,9 +101,10 @@ _SMALL_MLP = 1.0
 #: Live architectural-register fraction (shared model constant).
 _ARCH_REG_LIVE_FRACTION = ARCH_REG_LIVE_FRACTION
 
-#: Entries a model's phase-analysis memo holds before it is emptied.
-#: Hit rates are flat from 32 entries up, while an unbounded memo
-#: grows with every new interference environment (docs/performance.md).
+#: Entries a model's phase-analysis memo, and its feature table, hold
+#: before they are emptied.  Hit rates are flat from 32 entries up,
+#: while an unbounded memo grows with every new interference
+#: environment (docs/performance.md).
 ANALYSIS_MEMO_CAP = 256
 
 
@@ -114,9 +118,18 @@ class PhaseAnalysis:
             (``base``, ``resource``, ``bpred``, ``icache``, ``l2``,
             ``llc``, ``mem``).
         ace_bits_per_cycle: average resident ACE bits per structure.
-        occupancy_bits_per_cycle: average resident bits (ACE or not).
+        occupancy_bits_per_cycle: average resident bits (ACE or not),
+            keyed like ``ace_bits_per_cycle``.
         dram_accesses_per_instruction: DRAM accesses per instruction.
         l3_accesses_per_instruction: L3 accesses per instruction.
+        cpi: the sum of ``cpi_components``.
+        structures: the structure keys, in dict order.
+        ace_rates / occupancy_rates: the two per-structure maps' values
+            in ``structures`` order.
+
+    The last four are derived once, at construction: analyses are
+    shared through the model memo, and ``run_cycles`` reads them for
+    every slice.
     """
 
     ipc: float
@@ -125,10 +138,24 @@ class PhaseAnalysis:
     occupancy_bits_per_cycle: dict[StructureKind, float]
     dram_accesses_per_instruction: float
     l3_accesses_per_instruction: float
+    cpi: float = field(init=False, repr=False, compare=False)
+    structures: tuple[StructureKind, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    ace_rates: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    occupancy_rates: tuple[float, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def cpi(self) -> float:
-        return sum(self.cpi_components.values())
+    def __post_init__(self) -> None:
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "cpi", sum(self.cpi_components.values()))
+        derive(self, "structures", tuple(self.ace_bits_per_cycle))
+        derive(self, "ace_rates", tuple(self.ace_bits_per_cycle.values()))
+        derive(
+            self, "occupancy_rates",
+            tuple(self.occupancy_bits_per_cycle.values()),
+        )
 
     @property
     def total_ace_bits_per_cycle(self) -> float:
@@ -136,24 +163,6 @@ class PhaseAnalysis:
 
     def avf(self, core: CoreConfig) -> float:
         return self.total_ace_bits_per_cycle / core.total_ace_capacity_bits
-
-
-def _miss_rates(
-    chars: "PhaseCharacteristics", env: MemoryEnvironment
-) -> tuple[float, float, float]:
-    """(L1D, L2, L3) misses per instruction under the environment."""
-    m1 = chars.l1d_mpki / 1000.0
-    m2 = chars.l2_mpki / 1000.0
-    m3 = chars.l3_mpki_at_share(env.l3_share_fraction) / 1000.0
-    return m1, m2, min(m3, m2)
-
-
-def _dram_latency(
-    core: CoreConfig, memory: MemoryConfig, env: MemoryEnvironment
-) -> float:
-    """Full L3-miss-to-data latency in core cycles."""
-    dram = memory.dram_latency_cycles(core.frequency_ghz)
-    return memory.l3.latency_cycles + dram * env.dram_latency_multiplier
 
 
 def _producer_latency(chars: "PhaseCharacteristics") -> float:
@@ -169,24 +178,6 @@ def _fu_throughput_limit(core: CoreConfig, chars: "PhaseCharacteristics") -> flo
         if frac > 0:
             limit = min(limit, pool.throughput / frac)
     return limit
-
-
-def _fu_bits(
-    core: CoreConfig, chars: "PhaseCharacteristics", ipc: float
-) -> tuple[float, float]:
-    """(ACE, occupied) functional-unit bits per cycle at a given IPC."""
-    mix = chars.mix.as_dict()
-    occupied = 0.0
-    for pool in core.functional_units:
-        frac = mix.get(pool.instruction_class, 0.0)
-        busy_units = min(ipc * frac * pool.latency, float(pool.max_in_flight))
-        occupied += busy_units * pool.bits
-    # Loads/stores/branches execute on the integer ALUs for one cycle.
-    alu = core.fu_pool(InstructionClass.INT_ALU)
-    extra_frac = chars.mix.load + chars.mix.store + chars.mix.branch
-    occupied += min(ipc * extra_frac, float(alu.count)) * alu.bits
-    # NOPs never occupy a functional unit, so occupied == ACE here.
-    return occupied, occupied
 
 
 def _register_bits_per_writer(chars: "PhaseCharacteristics") -> float:
@@ -205,6 +196,390 @@ def _writer_fraction(chars: "PhaseCharacteristics") -> float:
     return sum(mix[c] for c in INT_WRITERS | FP_WRITERS)
 
 
+class PhaseFeatures:
+    """The environment-independent part of one (phase, core, memory).
+
+    Only the LLC miss rate (``l3_mpki_at_share``), the DRAM latency
+    multiplier and everything downstream of them vary with the
+    :class:`~repro.cores.base.MemoryEnvironment`.  Everything else an
+    analysis needs is computed here once, as plain Python floats in
+    the analyzers' exact operation order; :func:`analyze_features`
+    (scalar) and :mod:`repro.batch.analysis` (numpy) evaluate the
+    environment tail from these values.  Occupancy attributes exist
+    only for the ``kind`` of core they model.
+
+    ``cpi_prefix`` is the left fold ``0.0 + base + resource + bpred +
+    icache + l2`` of the environment-independent CPI components, and
+    ``l3_mpki``/``sens_headroom`` restate ``l3_mpki_at_share``, for the
+    batched tail; the scalar tail sums the full component dict and
+    calls ``l3_mpki_at_share``.  ``pools`` carries, per functional-unit
+    pool, (mix fraction, latency, max in flight, bits) for the
+    IPC-dependent FU term.
+    """
+
+    __slots__ = (
+        "kind", "core", "memory", "chars",
+        # miss-rate and latency inputs
+        "m2", "l3_mpki", "sens_headroom", "mlp", "l3_lat", "dram_base",
+        # CPI stack
+        "comp_base", "comp_resource", "comp_bpred", "comp_icache",
+        "comp_l2", "cpi_prefix", "t_fe",
+        # mix-derived
+        "non_nop", "load", "store", "writer_frac", "reg_bits_per_writer",
+        "arch_add", "iq_size", "iq_bits", "sq_size", "sq_bits",
+        # big-core occupancy model
+        "rob_size", "rob_bits", "lq_size", "lq_bits",
+        "occ_base_fixed", "occ_base_const", "fe_events", "fill_rate",
+        "refill_occ", "time_to_fill", "ramp_ttf", "occ_mem",
+        "wp_mem", "run_cap", "run_cap_finite",
+        # small-core occupancy model
+        "latch_bits", "occ_flow", "occ_stall", "occ_fe_small",
+        "iq_occ_flow", "iq_occ_fe", "iq_occ_stall", "store_drain_extra",
+        # functional units: (frac, latency, max_in_flight, bits) + ALU extra
+        "pools", "alu_count", "alu_bits", "extra_frac",
+    )
+
+    def __init__(
+        self,
+        chars: "PhaseCharacteristics",
+        core: CoreConfig,
+        memory: MemoryConfig,
+    ) -> None:
+        self.kind = "big" if core.out_of_order else "small"
+        self.core = core
+        self.memory = memory
+        self.chars = chars
+
+        width = float(core.width)
+        m1 = chars.l1d_mpki / 1000.0
+        self.m2 = chars.l2_mpki / 1000.0
+        # l3_mpki_at_share(s) == l3_mpki + (headroom*sens) * (1 - s)
+        self.l3_mpki = chars.l3_mpki
+        headroom = max(chars.l2_mpki - chars.l3_mpki, 0.0)
+        self.sens_headroom = headroom * chars.cache_sensitivity
+        br = chars.branch_mpki / 1000.0
+        ic = chars.icache_mpki / 1000.0
+        p_bl = chars.branch_depends_on_load_prob
+        self.mlp = chars.mlp if core.out_of_order else _SMALL_MLP
+        l2_lat = float(memory.l2.latency_cycles)
+        self.l3_lat = float(memory.l3.latency_cycles)
+        self.dram_base = memory.dram_latency_cycles(core.frequency_ghz)
+
+        producer_lat = _producer_latency(chars)
+        if core.out_of_order:
+            ipc_dataflow = chars.dep_distance_mean / producer_lat
+        else:
+            ipc_dataflow = (
+                _INORDER_ILP_EFFICIENCY * chars.dep_distance_mean / producer_lat
+            )
+        ipc_limit = min(width, ipc_dataflow, _fu_throughput_limit(core, chars))
+
+        self.comp_base = 1.0 / width
+        self.comp_resource = 1.0 / ipc_limit - 1.0 / width
+        if core.out_of_order:
+            drain = producer_lat + _BACKEND_SLACK
+            self.comp_bpred = br * (core.frontend_depth + drain * (1.0 - p_bl))
+            self.comp_l2 = (m1 - self.m2) * l2_lat * _L2_EXPOSED_BIG
+        else:
+            self.comp_bpred = br * core.frontend_depth
+            # Stall-on-use: fully exposed.
+            self.comp_l2 = (m1 - self.m2) * l2_lat
+        self.comp_icache = ic * (l2_lat + _ICACHE_EXTRA)
+        self.cpi_prefix = (
+            0.0 + self.comp_base + self.comp_resource + self.comp_bpred
+            + self.comp_icache + self.comp_l2
+        )
+        self.t_fe = self.comp_bpred + self.comp_icache
+
+        self.non_nop = 1.0 - chars.mix.nop
+        self.load = chars.mix.load
+        self.store = chars.mix.store
+        self.writer_frac = _writer_fraction(chars)
+        self.reg_bits_per_writer = _register_bits_per_writer(chars)
+        # Live architectural registers are ACE independent of
+        # occupancy, on either core type (ground truth).  The small
+        # core's cheap counter hardware does not measure them (see
+        # repro.ace.counters.measured_abc).
+        self.arch_add = (
+            float(core.register_file.arch_bits) * _ARCH_REG_LIVE_FRACTION
+        )
+        self.iq_size = float(core.issue_queue.entries)
+        self.iq_bits = float(core.issue_queue.bits_per_entry)
+        self.sq_size = float(core.store_queue.entries)
+        self.sq_bits = float(core.store_queue.bits_per_entry)
+
+        if core.out_of_order:
+            assert core.rob is not None and core.load_queue is not None
+            rob_size = float(core.rob.entries)
+            self.rob_size = rob_size
+            self.rob_bits = float(core.rob.bits_per_entry)
+            self.lq_size = float(core.load_queue.entries)
+            self.lq_bits = float(core.load_queue.bits_per_entry)
+            # ROB occupancy in the base regime.  During dependence-bound
+            # execution the front end outruns commit, so the ROB ramps
+            # toward full between front-end disruptions.
+            self.refill_occ = min(rob_size, _REFILL_OCCUPANCY)
+            self.fill_rate = max(0.0, width - ipc_limit)
+            self.fe_events = br + ic
+            self.occ_base_fixed = True
+            self.time_to_fill = 1.0
+            self.ramp_ttf = 0.0
+            if self.fill_rate <= 1e-12:
+                # Fetch-bound steady state: Little's law at full width.
+                self.occ_base_const = min(
+                    rob_size, width * (producer_lat + _BACKEND_SLACK * 2)
+                )
+            elif self.fe_events <= 1e-12:
+                self.occ_base_const = rob_size
+            else:
+                self.occ_base_fixed = False
+                self.occ_base_const = 0.0
+                self.time_to_fill = (rob_size - self.refill_occ) / self.fill_rate
+                ramp_avg = (self.refill_occ + rob_size) / 2.0
+                self.ramp_ttf = ramp_avg * self.time_to_fill
+            self.occ_mem = rob_size * _MEM_OCCUPANCY_FACTOR
+            self.wp_mem = p_bl * _WRONG_PATH_WINDOW_FRACTION
+            # With a misprediction every 1/br instructions, only about
+            # half a run of correct-path instructions can be in flight
+            # at once; the rest of the window holds un-ACE wrong-path
+            # state.
+            self.run_cap = (
+                _CORRECT_PATH_RUN_FACTOR / br if br > 0 else math.inf
+            )
+            self.run_cap_finite = math.isfinite(self.run_cap)
+        else:
+            assert core.pipeline_latches is not None
+            # Stall cycles keep the pipeline latches fully occupied;
+            # flowing cycles hold roughly IPC * depth instructions.
+            latches = core.pipeline_latches
+            latch_slots = float(latches.entries)
+            self.latch_bits = float(latches.bits_per_entry)
+            self.occ_flow = min(latch_slots, ipc_limit * core.frontend_depth)
+            self.occ_stall = latch_slots
+            self.occ_fe_small = self.occ_flow * _FE_OCCUPANCY_FACTOR
+            self.iq_occ_flow = min(self.iq_size, ipc_limit)
+            self.iq_occ_fe = 0.5
+            self.iq_occ_stall = self.iq_size
+            # Stores pile up behind a stall: the "stall" store-queue
+            # occupancy adds this to the flowing one.
+            self.store_drain_extra = 2.0 * chars.mix.store * 10.0
+
+        mix = chars.mix.as_dict()
+        self.pools = tuple(
+            (
+                mix.get(pool.instruction_class, 0.0),
+                pool.latency,
+                float(pool.max_in_flight),
+                pool.bits,
+            )
+            for pool in core.functional_units
+        )
+        # Loads/stores/branches execute on the integer ALUs for one cycle.
+        alu = core.fu_pool(InstructionClass.INT_ALU)
+        self.alu_count = float(alu.count)
+        self.alu_bits = alu.bits
+        self.extra_frac = chars.mix.load + chars.mix.store + chars.mix.branch
+
+
+def _environment_terms(
+    f: PhaseFeatures, env: MemoryEnvironment
+) -> tuple[float, float]:
+    """(L3 misses per instruction, full L3-miss-to-data latency)."""
+    m3 = f.chars.l3_mpki_at_share(env.l3_share_fraction) / 1000.0
+    dram_lat = f.l3_lat + f.dram_base * env.dram_latency_multiplier
+    return min(m3, f.m2), dram_lat
+
+
+def _fu_occupied(f: PhaseFeatures, ipc: float) -> float:
+    """Occupied functional-unit bits per cycle at a given IPC.
+
+    NOPs never occupy a functional unit, so these bits are all ACE.
+    """
+    occupied = 0.0
+    for frac, latency, max_in_flight, bits in f.pools:
+        busy_units = min(ipc * frac * latency, max_in_flight)
+        occupied += busy_units * bits
+    occupied += min(ipc * f.extra_frac, f.alu_count) * f.alu_bits
+    return occupied
+
+
+def _big_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
+    """The environment-dependent part of a big-core analysis."""
+    m2 = f.m2
+    m3, dram_lat = _environment_terms(f, env)
+    components = {
+        "base": f.comp_base,
+        "resource": f.comp_resource,
+        "bpred": f.comp_bpred,
+        "icache": f.comp_icache,
+        "l2": f.comp_l2,
+        "llc": (m2 - m3) * f.l3_lat * _L3_EXPOSED_BIG,
+        "mem": m3 * dram_lat / f.mlp,
+    }
+    cpi = sum(components.values())
+    ipc = 1.0 / cpi
+
+    # -- Regime decomposition (cycles per instruction in each regime) --
+    t_mem = components["mem"]
+    t_fe = f.t_fe
+    t_llc = components["llc"]
+    t_base = cpi - t_mem - t_fe - t_llc
+
+    rob_size = f.rob_size
+    if f.occ_base_fixed:
+        occ_base = f.occ_base_const
+    else:
+        base_interval = t_base / f.fe_events  # base-regime cycles per event
+        if base_interval <= f.time_to_fill:
+            occ_base = f.refill_occ + f.fill_rate * base_interval / 2.0
+        else:
+            occ_base = (
+                f.ramp_ttf + rob_size * (base_interval - f.time_to_fill)
+            ) / base_interval
+    occ_llc = (occ_base + rob_size) / 2.0
+    occ_fe = occ_base * _FE_OCCUPANCY_FACTOR
+
+    # (regime, cycles per instruction, ROB occupancy, wrong-path share)
+    regimes = (
+        ("base", t_base, occ_base, 0.0),
+        ("fe", t_fe, occ_fe, 0.0),
+        ("llc", t_llc, occ_llc, 0.0),
+        ("mem", t_mem, f.occ_mem, f.wp_mem),
+    )
+    non_nop = f.non_nop
+    rob_bits, iq_size, iq_bits = f.rob_bits, f.iq_size, f.iq_bits
+    lq_size, lq_bits = f.lq_size, f.lq_bits
+    sq_size, sq_bits = f.sq_size, f.sq_bits
+    reg_bits_per_writer = f.reg_bits_per_writer
+    ace_rob = ace_iq = ace_lq = ace_sq = ace_rf = 0.0
+    occ_rob = occ_iq_bits = occ_lq_bits = occ_sq_bits = occ_rf = 0.0
+    for regime, t_ci, occ, wrong_path in regimes:
+        if t_ci <= 0.0:
+            continue
+        weight = t_ci / cpi  # fraction of cycles spent in this regime
+        correct_path = 1.0 - wrong_path
+        if occ > 0 and f.run_cap_finite:
+            correct_path = min(correct_path, f.run_cap / occ)
+        ace_frac = non_nop * correct_path
+        occ_iq = min(iq_size, occ * _IQ_FRACTION[regime])
+        occ_lq = min(lq_size, occ * f.load)
+        occ_sq = min(sq_size, occ * f.store * _STORE_RESIDENCY)
+        live_regs = occ * f.writer_frac * _REG_LIVE_FRACTION[regime]
+
+        occ_rob += weight * occ * rob_bits
+        occ_iq_bits += weight * occ_iq * iq_bits
+        occ_lq_bits += weight * occ_lq * lq_bits
+        occ_sq_bits += weight * occ_sq * sq_bits
+        occ_rf += weight * (live_regs * reg_bits_per_writer)
+
+        ace_rob += weight * occ * rob_bits * ace_frac
+        ace_iq += weight * occ_iq * iq_bits * ace_frac
+        ace_lq += weight * occ_lq * lq_bits * ace_frac
+        ace_sq += weight * occ_sq * sq_bits * ace_frac
+        ace_rf += weight * (live_regs * reg_bits_per_writer * ace_frac)
+
+    fu = _fu_occupied(f, ipc)
+    return PhaseAnalysis(
+        ipc=ipc,
+        cpi_components=components,
+        ace_bits_per_cycle={
+            StructureKind.ROB: ace_rob,
+            StructureKind.ISSUE_QUEUE: ace_iq,
+            StructureKind.LOAD_QUEUE: ace_lq,
+            StructureKind.STORE_QUEUE: ace_sq,
+            StructureKind.REGISTER_FILE: ace_rf + f.arch_add,
+            StructureKind.FUNCTIONAL_UNITS: fu,
+        },
+        occupancy_bits_per_cycle={
+            StructureKind.ROB: occ_rob,
+            StructureKind.ISSUE_QUEUE: occ_iq_bits,
+            StructureKind.LOAD_QUEUE: occ_lq_bits,
+            StructureKind.STORE_QUEUE: occ_sq_bits,
+            StructureKind.REGISTER_FILE: occ_rf + f.arch_add,
+            StructureKind.FUNCTIONAL_UNITS: fu,
+        },
+        dram_accesses_per_instruction=m3,
+        l3_accesses_per_instruction=m2,
+    )
+
+
+def _small_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
+    """The environment-dependent part of a small-core analysis."""
+    m2 = f.m2
+    m3, dram_lat = _environment_terms(f, env)
+    components = {
+        "base": f.comp_base,
+        "resource": f.comp_resource,
+        "bpred": f.comp_bpred,
+        "icache": f.comp_icache,
+        "l2": f.comp_l2,
+        "llc": (m2 - m3) * f.l3_lat,
+        "mem": m3 * dram_lat / f.mlp,
+    }
+    cpi = sum(components.values())
+    ipc = 1.0 / cpi
+
+    t_stall = components["l2"] + components["llc"] + components["mem"]
+    t_fe = f.t_fe
+    t_flow = cpi - t_stall - t_fe
+
+    sq_size = f.sq_size
+    sq_base = min(sq_size, ipc * f.store * _SMALL_STORE_DRAIN)
+    # (cycles per instruction, latch, issue-queue and store-queue
+    # occupancy) per regime: flowing, front-end stall, memory stall.
+    regimes = (
+        (t_flow, f.occ_flow, f.iq_occ_flow, sq_base),
+        (t_fe, f.occ_fe_small, f.iq_occ_fe, sq_base * 0.5),
+        (t_stall, f.occ_stall, f.iq_occ_stall,
+         min(sq_size, sq_base + f.store_drain_extra)),
+    )
+    non_nop = f.non_nop
+    latch_bits, iq_bits, sq_bits = f.latch_bits, f.iq_bits, f.sq_bits
+    ace_pl = ace_iq = ace_sq = 0.0
+    occ_pl = occ_iq = occ_sq = 0.0
+    for t_ci, occ, iq_occ, sq_occ in regimes:
+        if t_ci <= 0.0:
+            continue
+        weight = t_ci / cpi
+        occ_pl += weight * occ * latch_bits
+        occ_iq += weight * iq_occ * iq_bits
+        occ_sq += weight * sq_occ * sq_bits
+        ace_pl += weight * occ * latch_bits * non_nop
+        ace_iq += weight * iq_occ * iq_bits * non_nop
+        ace_sq += weight * sq_occ * sq_bits * non_nop
+
+    fu = _fu_occupied(f, ipc)
+    return PhaseAnalysis(
+        ipc=ipc,
+        cpi_components=components,
+        ace_bits_per_cycle={
+            StructureKind.PIPELINE_LATCHES: ace_pl,
+            StructureKind.ISSUE_QUEUE: ace_iq,
+            StructureKind.STORE_QUEUE: ace_sq,
+            StructureKind.REGISTER_FILE: f.arch_add,
+            StructureKind.FUNCTIONAL_UNITS: fu,
+        },
+        occupancy_bits_per_cycle={
+            StructureKind.PIPELINE_LATCHES: occ_pl,
+            StructureKind.ISSUE_QUEUE: occ_iq,
+            StructureKind.STORE_QUEUE: occ_sq,
+            StructureKind.REGISTER_FILE: f.arch_add,
+            StructureKind.FUNCTIONAL_UNITS: fu,
+        },
+        dram_accesses_per_instruction=m3,
+        l3_accesses_per_instruction=m2,
+    )
+
+
+def analyze_features(
+    features: PhaseFeatures, env: MemoryEnvironment
+) -> PhaseAnalysis:
+    """Analyze a phase from its features under one environment."""
+    if features.kind == "big":
+        return _big_tail(features, env)
+    return _small_tail(features, env)
+
+
 def analyze_big_phase(
     chars: "PhaseCharacteristics",
     core: CoreConfig,
@@ -214,145 +589,7 @@ def analyze_big_phase(
     """Analyze one phase on the big out-of-order core."""
     if not core.out_of_order:
         raise ValueError("analyze_big_phase requires an out-of-order core")
-    assert core.rob is not None and core.load_queue is not None
-
-    width = float(core.width)
-    rob_size = float(core.rob.entries)
-    m1, m2, m3 = _miss_rates(chars, env)
-    br = chars.branch_mpki / 1000.0
-    ic = chars.icache_mpki / 1000.0
-    dram_lat = _dram_latency(core, memory, env)
-    l2_lat = float(memory.l2.latency_cycles)
-    l3_lat = float(memory.l3.latency_cycles)
-
-    producer_lat = _producer_latency(chars)
-    ipc_dataflow = chars.dep_distance_mean / producer_lat
-    ipc_limit = min(width, ipc_dataflow, _fu_throughput_limit(core, chars))
-
-    p_bl = chars.branch_depends_on_load_prob
-    drain = producer_lat + _BACKEND_SLACK
-    components = {
-        "base": 1.0 / width,
-        "resource": 1.0 / ipc_limit - 1.0 / width,
-        "bpred": br * (core.frontend_depth + drain * (1.0 - p_bl)),
-        "icache": ic * (l2_lat + _ICACHE_EXTRA),
-        "l2": (m1 - m2) * l2_lat * _L2_EXPOSED_BIG,
-        "llc": (m2 - m3) * l3_lat * _L3_EXPOSED_BIG,
-        "mem": m3 * dram_lat / chars.mlp,
-    }
-    cpi = sum(components.values())
-    ipc = 1.0 / cpi
-
-    # -- Regime decomposition (cycles per instruction in each regime) --
-    t_mem = components["mem"]
-    t_fe = components["bpred"] + components["icache"]
-    t_llc = components["llc"]
-    t_base = cpi - t_mem - t_fe - t_llc
-
-    # ROB occupancy per regime.  During dependence-bound execution the
-    # front end outruns commit, so the ROB ramps toward full between
-    # front-end disruptions.
-    refill_occ = min(rob_size, _REFILL_OCCUPANCY)
-    fill_rate = max(0.0, width - ipc_limit)
-    fe_events = br + ic
-    if fill_rate <= 1e-12:
-        # Fetch-bound steady state: Little's law at full width.
-        occ_base = min(rob_size, width * (producer_lat + _BACKEND_SLACK * 2))
-    elif fe_events <= 1e-12:
-        occ_base = rob_size
-    else:
-        base_interval = t_base / fe_events  # cycles of base regime per event
-        time_to_fill = (rob_size - refill_occ) / fill_rate
-        if base_interval <= time_to_fill:
-            occ_base = refill_occ + fill_rate * base_interval / 2.0
-        else:
-            ramp_avg = (refill_occ + rob_size) / 2.0
-            occ_base = (
-                ramp_avg * time_to_fill + rob_size * (base_interval - time_to_fill)
-            ) / base_interval
-    occ_mem = rob_size * _MEM_OCCUPANCY_FACTOR
-    occ_llc = (occ_base + rob_size) / 2.0
-    occ_fe = occ_base * _FE_OCCUPANCY_FACTOR
-
-    regimes = {"base": (t_base, occ_base), "fe": (t_fe, occ_fe),
-               "llc": (t_llc, occ_llc), "mem": (t_mem, occ_mem)}
-
-    non_nop = 1.0 - chars.mix.nop
-    wrong_path = {"base": 0.0, "fe": 0.0, "llc": 0.0,
-                  "mem": p_bl * _WRONG_PATH_WINDOW_FRACTION}
-    # With a misprediction every 1/br instructions, only about half a
-    # run of correct-path instructions can be in flight at once; the
-    # rest of the window holds un-ACE wrong-path state.
-    run_cap = (
-        _CORRECT_PATH_RUN_FACTOR / br if br > 0 else math.inf
-    )
-
-    rob_bits = float(core.rob.bits_per_entry)
-    iq_size, iq_bits = float(core.issue_queue.entries), float(
-        core.issue_queue.bits_per_entry
-    )
-    lq_size, lq_bits = float(core.load_queue.entries), float(
-        core.load_queue.bits_per_entry
-    )
-    sq_size, sq_bits = float(core.store_queue.entries), float(
-        core.store_queue.bits_per_entry
-    )
-
-    ace = {kind: 0.0 for kind in (
-        StructureKind.ROB, StructureKind.ISSUE_QUEUE, StructureKind.LOAD_QUEUE,
-        StructureKind.STORE_QUEUE, StructureKind.REGISTER_FILE,
-        StructureKind.FUNCTIONAL_UNITS,
-    )}
-    occupancy = dict(ace)
-    reg_bits_per_writer = _register_bits_per_writer(chars)
-    writer_frac = _writer_fraction(chars)
-
-    for regime, (t_ci, occ) in regimes.items():
-        if t_ci <= 0.0:
-            continue
-        weight = t_ci / cpi  # fraction of cycles spent in this regime
-        correct_path = 1.0 - wrong_path[regime]
-        if occ > 0 and math.isfinite(run_cap):
-            correct_path = min(correct_path, run_cap / occ)
-        ace_frac = non_nop * correct_path
-        occ_iq = min(iq_size, occ * _IQ_FRACTION[regime])
-        occ_lq = min(lq_size, occ * chars.mix.load)
-        occ_sq = min(sq_size, occ * chars.mix.store * _STORE_RESIDENCY)
-        live_regs = occ * writer_frac * _REG_LIVE_FRACTION[regime]
-
-        occupancy[StructureKind.ROB] += weight * occ * rob_bits
-        occupancy[StructureKind.ISSUE_QUEUE] += weight * occ_iq * iq_bits
-        occupancy[StructureKind.LOAD_QUEUE] += weight * occ_lq * lq_bits
-        occupancy[StructureKind.STORE_QUEUE] += weight * occ_sq * sq_bits
-        occupancy[StructureKind.REGISTER_FILE] += weight * (
-            live_regs * reg_bits_per_writer
-        )
-
-        ace[StructureKind.ROB] += weight * occ * rob_bits * ace_frac
-        ace[StructureKind.ISSUE_QUEUE] += weight * occ_iq * iq_bits * ace_frac
-        ace[StructureKind.LOAD_QUEUE] += weight * occ_lq * lq_bits * ace_frac
-        ace[StructureKind.STORE_QUEUE] += weight * occ_sq * sq_bits * ace_frac
-        ace[StructureKind.REGISTER_FILE] += weight * (
-            live_regs * reg_bits_per_writer * ace_frac
-        )
-
-    # Live architectural registers are ACE independent of occupancy.
-    arch_bits = float(core.register_file.arch_bits) * _ARCH_REG_LIVE_FRACTION
-    ace[StructureKind.REGISTER_FILE] += arch_bits
-    occupancy[StructureKind.REGISTER_FILE] += arch_bits
-
-    fu_ace, fu_occ = _fu_bits(core, chars, ipc)
-    ace[StructureKind.FUNCTIONAL_UNITS] = fu_ace
-    occupancy[StructureKind.FUNCTIONAL_UNITS] = fu_occ
-
-    return PhaseAnalysis(
-        ipc=ipc,
-        cpi_components=components,
-        ace_bits_per_cycle=ace,
-        occupancy_bits_per_cycle=occupancy,
-        dram_accesses_per_instruction=m3,
-        l3_accesses_per_instruction=m2,
-    )
+    return _big_tail(PhaseFeatures(chars, core, memory), env)
 
 
 def analyze_small_phase(
@@ -364,102 +601,7 @@ def analyze_small_phase(
     """Analyze one phase on the small in-order core."""
     if core.out_of_order:
         raise ValueError("analyze_small_phase requires an in-order core")
-    assert core.pipeline_latches is not None
-
-    width = float(core.width)
-    m1, m2, m3 = _miss_rates(chars, env)
-    br = chars.branch_mpki / 1000.0
-    ic = chars.icache_mpki / 1000.0
-    dram_lat = _dram_latency(core, memory, env)
-    l2_lat = float(memory.l2.latency_cycles)
-    l3_lat = float(memory.l3.latency_cycles)
-
-    producer_lat = _producer_latency(chars)
-    ipc_dataflow = (
-        _INORDER_ILP_EFFICIENCY * chars.dep_distance_mean / producer_lat
-    )
-    ipc_limit = min(width, ipc_dataflow, _fu_throughput_limit(core, chars))
-
-    components = {
-        "base": 1.0 / width,
-        "resource": 1.0 / ipc_limit - 1.0 / width,
-        "bpred": br * core.frontend_depth,
-        "icache": ic * (l2_lat + _ICACHE_EXTRA),
-        "l2": (m1 - m2) * l2_lat,  # stall-on-use: fully exposed
-        "llc": (m2 - m3) * l3_lat,
-        "mem": m3 * dram_lat / _SMALL_MLP,
-    }
-    cpi = sum(components.values())
-    ipc = 1.0 / cpi
-
-    # Regimes: stall cycles keep the pipeline latches fully occupied;
-    # flowing cycles hold roughly IPC * depth instructions.
-    latches = core.pipeline_latches
-    latch_slots = float(latches.entries)
-    latch_bits = float(latches.bits_per_entry)
-    t_stall = components["l2"] + components["llc"] + components["mem"]
-    t_fe = components["bpred"] + components["icache"]
-    t_flow = cpi - t_stall - t_fe
-
-    occ_flow = min(latch_slots, ipc_limit * core.frontend_depth)
-    occ_stall = latch_slots
-    occ_fe = occ_flow * _FE_OCCUPANCY_FACTOR
-
-    iq_size = float(core.issue_queue.entries)
-    iq_bits = float(core.issue_queue.bits_per_entry)
-    sq_size = float(core.store_queue.entries)
-    sq_bits = float(core.store_queue.bits_per_entry)
-
-    non_nop = 1.0 - chars.mix.nop
-    regimes = {"flow": (t_flow, occ_flow), "fe": (t_fe, occ_fe),
-               "stall": (t_stall, occ_stall)}
-    iq_occ = {"flow": min(iq_size, ipc_limit), "fe": 0.5,
-              "stall": iq_size}
-    sq_base = min(sq_size, ipc * chars.mix.store * _SMALL_STORE_DRAIN)
-    sq_occ = {"flow": sq_base, "fe": sq_base * 0.5,
-              "stall": min(sq_size, sq_base + 2.0 * chars.mix.store * 10.0)}
-
-    ace = {kind: 0.0 for kind in (
-        StructureKind.PIPELINE_LATCHES, StructureKind.ISSUE_QUEUE,
-        StructureKind.STORE_QUEUE, StructureKind.REGISTER_FILE,
-        StructureKind.FUNCTIONAL_UNITS,
-    )}
-    occupancy = dict(ace)
-    # Live architectural registers are ACE on either core type
-    # (ground truth).  The small core's cheap counter hardware does
-    # not measure them (see repro.ace.counters.measured_abc).
-    arch_bits = float(core.register_file.arch_bits) * _ARCH_REG_LIVE_FRACTION
-    ace[StructureKind.REGISTER_FILE] = arch_bits
-    occupancy[StructureKind.REGISTER_FILE] = arch_bits
-    for regime, (t_ci, occ) in regimes.items():
-        if t_ci <= 0.0:
-            continue
-        weight = t_ci / cpi
-        occupancy[StructureKind.PIPELINE_LATCHES] += weight * occ * latch_bits
-        occupancy[StructureKind.ISSUE_QUEUE] += weight * iq_occ[regime] * iq_bits
-        occupancy[StructureKind.STORE_QUEUE] += weight * sq_occ[regime] * sq_bits
-        ace[StructureKind.PIPELINE_LATCHES] += (
-            weight * occ * latch_bits * non_nop
-        )
-        ace[StructureKind.ISSUE_QUEUE] += (
-            weight * iq_occ[regime] * iq_bits * non_nop
-        )
-        ace[StructureKind.STORE_QUEUE] += (
-            weight * sq_occ[regime] * sq_bits * non_nop
-        )
-
-    fu_ace, fu_occ = _fu_bits(core, chars, ipc)
-    ace[StructureKind.FUNCTIONAL_UNITS] = fu_ace
-    occupancy[StructureKind.FUNCTIONAL_UNITS] = fu_occ
-
-    return PhaseAnalysis(
-        ipc=ipc,
-        cpi_components=components,
-        ace_bits_per_cycle=ace,
-        occupancy_bits_per_cycle=occupancy,
-        dram_accesses_per_instruction=m3,
-        l3_accesses_per_instruction=m2,
-    )
+    return _small_tail(PhaseFeatures(chars, core, memory), env)
 
 
 def analyze_phase(
@@ -469,9 +611,7 @@ def analyze_phase(
     env: MemoryEnvironment,
 ) -> PhaseAnalysis:
     """Analyze a phase on whichever core type is given."""
-    if core.out_of_order:
-        return analyze_big_phase(chars, core, memory, env)
-    return analyze_small_phase(chars, core, memory, env)
+    return analyze_features(PhaseFeatures(chars, core, memory), env)
 
 
 class MechanisticCoreModel(CoreModel):
@@ -479,10 +619,12 @@ class MechanisticCoreModel(CoreModel):
 
     ``analyze`` is memoized per model: the analysis is a pure function
     of (phase, memory environment) for a fixed core and memory, and
-    interference settles at bitwise-repeating environments.  Entries
-    are keyed by the phase's ``id`` and pin the phase object, so a key
-    is never reused by a different live object; a hit is confirmed by
-    identity.  The memo is emptied whenever it reaches
+    interference settles at bitwise-repeating environments.  A miss
+    looks the phase's :class:`PhaseFeatures` up in a second per-model
+    table and evaluates only the environment tail.  Both tables are
+    keyed by the phase's ``id`` and pin the phase object, so a key is
+    never reused by a different live object; a hit is confirmed by
+    identity.  Each table is emptied whenever it reaches
     :data:`ANALYSIS_MEMO_CAP` entries.  Callers share the returned
     analyses, so treat them as read-only.
     """
@@ -494,6 +636,17 @@ class MechanisticCoreModel(CoreModel):
             tuple[int, float, float],
             tuple["PhaseCharacteristics", PhaseAnalysis],
         ] = {}
+        self._features: dict[int, PhaseFeatures] = {}
+
+    def features(self, chars: "PhaseCharacteristics") -> PhaseFeatures:
+        """The environment-independent features of a phase on this core."""
+        feat = self._features.get(id(chars))
+        if feat is None or feat.chars is not chars:
+            if len(self._features) >= ANALYSIS_MEMO_CAP:
+                self._features.clear()
+            feat = PhaseFeatures(chars, self.core, self.memory)
+            self._features[id(chars)] = feat
+        return feat
 
     def analyze(
         self, chars: "PhaseCharacteristics", env: MemoryEnvironment
@@ -502,7 +655,7 @@ class MechanisticCoreModel(CoreModel):
         entry = self._memo.get(key)
         if entry is not None and entry[0] is chars:
             return entry[1]
-        analysis = analyze_phase(chars, self.core, self.memory, env)
+        analysis = analyze_features(self.features(chars), env)
         if len(self._memo) >= ANALYSIS_MEMO_CAP:
             self._memo.clear()
         self._memo[key] = (chars, analysis)
@@ -518,13 +671,16 @@ class MechanisticCoreModel(CoreModel):
         """Advance a profile through a cycle budget, phase by phase."""
         if cycles <= 0:
             return QuantumResult.zero()
-        # Accumulate in place, adding each chunk's terms in the same
-        # order ``QuantumResult.merged_with`` would, so the totals are
-        # bit-identical to merging one result per chunk.
+        # Accumulate per structure column, adding each chunk's terms in
+        # the order ``QuantumResult.merged_with`` would, so the totals
+        # are bit-identical to merging one result per chunk.  Every
+        # analysis of one model has the same structure layout, so the
+        # first chunk's fixes the columns.
         committed = 0
         elapsed = 0.0
-        ace: dict[StructureKind, float] = {}
-        occupancy: dict[StructureKind, float] = {}
+        structures: tuple[StructureKind, ...] = ()
+        ace: list[float] = []
+        occupancy: list[float] = []
         dram = l3 = mispredictions = 0.0
         position = start_instruction
         remaining = float(cycles)
@@ -542,12 +698,27 @@ class MechanisticCoreModel(CoreModel):
                 elapsed += remaining
                 break
             chunk_cycles = instructions * cpi
-            for kind, rate in analysis.ace_bits_per_cycle.items():
-                ace[kind] = ace.get(kind, 0.0) + rate * chunk_cycles
-            for kind, rate in analysis.occupancy_bits_per_cycle.items():
-                occupancy[kind] = (
-                    occupancy.get(kind, 0.0) + rate * chunk_cycles
-                )
+            if structures:
+                ace = [
+                    total + rate * chunk_cycles
+                    for total, rate in zip(ace, analysis.ace_rates)
+                ]
+                occupancy = [
+                    total + rate * chunk_cycles
+                    for total, rate in zip(occupancy, analysis.occupancy_rates)
+                ]
+            else:
+                # The first chunk starts the columns.  Most slices have
+                # only one, and skipping the zip here measured ~5 %
+                # end to end on paper_fig06 (docs/performance.md).
+                structures = analysis.structures
+                ace = [
+                    0.0 + rate * chunk_cycles for rate in analysis.ace_rates
+                ]
+                occupancy = [
+                    0.0 + rate * chunk_cycles
+                    for rate in analysis.occupancy_rates
+                ]
             committed += instructions
             elapsed += chunk_cycles
             dram += analysis.dram_accesses_per_instruction * instructions
@@ -558,8 +729,8 @@ class MechanisticCoreModel(CoreModel):
         return QuantumResult(
             instructions=committed,
             cycles=elapsed,
-            ace_bit_cycles=ace,
-            occupancy_bit_cycles=occupancy,
+            ace_bit_cycles=dict(zip(structures, ace)),
+            occupancy_bit_cycles=dict(zip(structures, occupancy)),
             memory_accesses=dram,
             l3_accesses=l3,
             branch_mispredictions=mispredictions,

@@ -144,6 +144,15 @@ class MulticoreSimulation:
         timeline: list[TimelinePoint] = []
         now = 0.0
         quantum = 0
+        # Per core id: (type, model, frequency in Hz, out-of-order).
+        cores = []
+        for core in range(self.machine.num_cores):
+            core_type = self.machine.core_type(core)
+            config = self.machine.core_config(core)
+            cores.append((
+                core_type, self.models[core_type],
+                config.frequency_hz, config.out_of_order,
+            ))
 
         def finished() -> bool:
             return all(
@@ -183,9 +192,7 @@ class MulticoreSimulation:
                         new_demands[i] = ApplicationDemand(0.0, 0.0)
                         final_types[i] = "parked"
                         continue
-                    core_type = self.machine.core_type(core)
-                    config = self.machine.core_config(core)
-                    model = self.models[core_type]
+                    core_type, model, freq, out_of_order = cores[core]
                     remaining = self.profiles[i].instructions - positions[i]
                     if not self.restart_finished and remaining <= 0:
                         # Run-to-completion mode: the core idles.
@@ -202,12 +209,11 @@ class MulticoreSimulation:
                         if migrated
                         else 0.0
                     )
-                    exec_cycles = (duration - overhead) * config.frequency_hz
+                    exec_cycles = (duration - overhead) * freq
                     with span("sim.exec", core=core_type):
                         result = model.run_cycles(
                             self.profiles[i], positions[i], exec_cycles, envs[i]
                         )
-                    freq = config.frequency_hz
                     if (
                         not self.restart_finished
                         and result.instructions > remaining
@@ -256,7 +262,7 @@ class MulticoreSimulation:
                             duration_seconds=duration - overhead,
                             instructions=result.instructions,
                             measured_abc_seconds=measured_abc(
-                                result, self.counter_mode, config.out_of_order
+                                result, self.counter_mode, out_of_order
                             )
                             / freq,
                             l3_accesses=result.l3_accesses,

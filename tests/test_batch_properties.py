@@ -11,10 +11,12 @@ reference engine, so these tests compare serialized results with plain
   never from batch position -- results survive re-ordering and
   filtering, on the batched path and on the scalar engine alike;
 * the committed ``fig06_batched`` golden agrees with the scalar
-  ``fig06_1b1s`` golden field-for-field.
+  ``fig06_1b1s`` golden field-for-field;
+* a sweep's phase features live and die with the sweep.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -265,3 +267,31 @@ class TestEquivalenceInvariant:
             v.invariant == "batched_sweep_equivalence"
             for v in report.violations
         )
+
+
+class TestFeatureScope:
+    @staticmethod
+    def _module_container_sizes() -> dict[tuple[str, str], int]:
+        sizes = {}
+        for name, module in list(sys.modules.items()):
+            if not name.startswith(("repro.batch", "repro.cores")):
+                continue
+            for attr, value in vars(module).items():
+                if isinstance(value, (dict, list, set)):
+                    sizes[(name, attr)] = len(value)
+        return sizes
+
+    def test_repeated_sweeps_leave_no_module_level_growth(self):
+        # Each request builds a fresh machine, as separate callers do.
+        def sweep():
+            return _dicts(run_workload_batch([
+                _request("1B1S", ("milc", "povray"), "random"),
+                _request("2B2S", ("mcf", "gobmk", "milc", "sjeng"),
+                         "reliability"),
+            ]))
+
+        first = sweep()
+        before = self._module_container_sizes()
+        for _ in range(3):
+            assert sweep() == first
+        assert self._module_container_sizes() == before

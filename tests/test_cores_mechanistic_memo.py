@@ -1,7 +1,7 @@
 """The mechanistic quantum loop: analysis memo, slice accumulation, lookup.
 
-``MechanisticCoreModel.analyze`` memoizes ``analyze_phase`` per model,
-``run_cycles`` accumulates a slice in place, and
+``MechanisticCoreModel.analyze`` memoizes phase analyses per model,
+``run_cycles`` accumulates a slice in fixed structure columns, and
 ``BenchmarkProfile.phase_span`` finds a phase with one bisect.  Each is
 checked here against the plain computation it replaces: every result
 must be exactly equal, dict key order included, because the goldens
@@ -82,15 +82,15 @@ def _model(core_type):
 
 
 def _count_misses(monkeypatch):
-    """Record every call the memo passes through to ``analyze_phase``."""
+    """Record every call the memo passes through to ``analyze_features``."""
     misses = []
-    original = mechanistic.analyze_phase
+    original = mechanistic.analyze_features
 
     def counting(*args):
         misses.append(1)
         return original(*args)
 
-    monkeypatch.setattr(mechanistic, "analyze_phase", counting)
+    monkeypatch.setattr(mechanistic, "analyze_features", counting)
     return misses
 
 
@@ -357,16 +357,57 @@ class TestRunCycles:
         assert got.instructions > app.instructions
         assert _result_fields(got) == _result_fields(expected)
 
+    @pytest.mark.parametrize("crossings", [0, 1, 3])
+    @pytest.mark.parametrize("core_type", sorted(CORES))
+    def test_crosses_phase_boundaries(self, core_type, crossings):
+        phases = tuple((0.2, SUITE_PHASES[i]) for i in (0, 7, 14, 21, 28))
+        app = BenchmarkProfile("five", 1_000_000, phases)
+        model = _model(core_type)
+        env = MemoryEnvironment(0.45, 1.7)
+        bounds = app.phase_boundaries()
+        cpis = [model.analyze(chars, env).cpi for _, chars in phases]
+        # Start 100 instructions before the end of the first phase and
+        # stop 50 instructions into the phase ``crossings`` later.
+        start = bounds[1] - 100
+        if crossings == 0:
+            budget = 50 * cpis[0]
+        else:
+            budget = 100 * cpis[0] + 50 * cpis[crossings] + sum(
+                (bounds[k + 1] - bounds[k]) * cpis[k]
+                for k in range(1, crossings)
+            )
+        visited = []
+        analyze = model.analyze
+
+        def recording(chars, env):
+            visited.append(chars)
+            return analyze(chars, env)
+
+        model.analyze = recording
+        got = model.run_cycles(app, start, budget, env)
+        expected, _ = _reference_run_cycles(model, app, start, budget, env)
+        assert sum(a is not b for a, b in zip(visited, visited[1:])) == (
+            crossings
+        )
+        assert _result_fields(got) == _result_fields(expected)
+        layout = list(analyze(phases[0][1], env).ace_bits_per_cycle)
+        assert list(got.ace_bit_cycles) == layout
+        assert list(got.occupancy_bit_cycles) == layout
+
     def test_budget_too_small_for_one_instruction(self):
         app = benchmark("mcf").scaled(1_000_000)
-        model = _model("small")
-        cpi = model.analyze(app.phase_at(0), ISOLATED).cpi
-        got = model.run_cycles(app, 0, 0.4 * cpi, ISOLATED)
-        expected, _ = _reference_run_cycles(model, app, 0, 0.4 * cpi, ISOLATED)
-        assert got.instructions == 0
-        assert got.cycles == 0.4 * cpi
-        assert got.ace_bit_cycles == {}
-        assert _result_fields(got) == _result_fields(expected)
+        for core_type in sorted(CORES):
+            model = _model(core_type)
+            cpi = model.analyze(app.phase_at(0), ISOLATED).cpi
+            got = model.run_cycles(app, 0, 0.4 * cpi, ISOLATED)
+            expected, _ = _reference_run_cycles(
+                model, app, 0, 0.4 * cpi, ISOLATED
+            )
+            assert got.instructions == 0
+            assert got.cycles == 0.4 * cpi
+            assert got.ace_bit_cycles == {}
+            assert got.occupancy_bit_cycles == {}
+            assert _result_fields(got) == _result_fields(expected)
 
     def test_idle_tail_after_committed_chunk(self):
         app = benchmark("povray").scaled(1_000_000)
