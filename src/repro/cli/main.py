@@ -174,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "framing")
     shard.add_argument("--transport", default="process",
                        choices=("process", "inprocess"),
-                       help="worker transport: subprocess pipes "
-                            "(default) or in-process (deterministic, "
-                            "for tests)")
+                       help="worker transport: forked worker "
+                            "processes on pipes (default) or in-process "
+                            "(deterministic, for tests)")
     shard.add_argument("--event-log", default=None, metavar="FILE",
                        help="append the canonically-merged JSONL event "
                             "stream to FILE (replay with `repro "

@@ -342,15 +342,16 @@ def run_bench(quick: bool = False) -> dict:
         }
 
     # -- sharded campaign at 1/2/4 worker processes --
-    # The same harness (coordinator + pipe workers) at every count,
-    # so shards_1 honestly pays the worker-spawn overhead the others
+    # The same harness (coordinator + forked pipe workers) at every
+    # count, so shards_1 honestly pays the worker start the others
     # amortize.  The regression gate (--min-shard-speedup) applies at
     # 2 shards; 4 is reported for the scaling curve.  Sized so the
-    # serial compute (~10s quick) dominates worker spawn
-    # (~0.6s/worker): on a >= 2-core host the model predicts ~1.9x at
-    # 2 shards, leaving headroom over the 1.6x CI floor.  On a
-    # single-core host the speedup honestly reads <= 1.0 (workers
-    # time-slice one CPU) -- apply the gate only where cores exist.
+    # serial compute (~3.5s quick) dominates worker start (a forked
+    # worker sends its hello ~6ms after start): on a >= 2-core host
+    # the model predicts ~1.9x at 2 shards, leaving headroom over the
+    # 1.6x CI floor.  On a single-core host the speedup honestly reads
+    # <= 1.0 (workers time-slice one CPU) -- apply the gate only where
+    # cores exist.
     from repro.runtime.shard import ShardCoordinator
     from repro.sim.experiment import sweep_specs
 

@@ -6,9 +6,9 @@ The coordinator partitions a campaign's :class:`~repro.sim.campaign.
 RunSpec` keyspace by stable content hash into N shards and drives each
 shard in an independent worker speaking a line-oriented JSON protocol
 (the same framing as the ``repro serve`` service, see
-:mod:`repro.service.framing`) over a pluggable transport -- subprocess
-pipes today, an SSH or socket backend later by swapping the transport
-only.
+:mod:`repro.service.framing`) over a pluggable transport -- forked
+local workers on pipes today, an SSH or socket backend later by
+swapping the transport only.
 
 Determinism contract (what the property tests and CI pin):
 
@@ -43,8 +43,9 @@ Protocol messages (one JSON object per line, keys sorted):
 from __future__ import annotations
 
 import dataclasses
+import io
+import multiprocessing
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -55,6 +56,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.config.machines import MachineConfig
 from repro.obs import context as obs_context
+from repro.obs import flight as obs_flight
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.runtime.engine import (
@@ -352,7 +354,7 @@ def run_worker(plan: ShardPlan, send: Callable[[dict], None]) -> None:
 
 
 def worker_main(infile=None, outfile=None) -> int:
-    """Pipe-worker entry point (``python -m repro.runtime.shardworker``).
+    """Pipe-worker entry point (the body of a forked local worker).
 
     Reads one plan line from ``infile``, streams protocol messages to
     ``outfile``, and exits.  Anything fatal becomes an ``error``
@@ -407,47 +409,83 @@ class ShardTransport:
         """Best-effort teardown of the worker (fail-fast abort)."""
 
 
-class ProcessShardTransport(ShardTransport):
-    """Worker in a child process, protocol over stdin/stdout pipes.
+def _forked_worker(line: str, write_fd: int) -> None:
+    """Body of a forked worker: run the plan with fd 1 on the pipe."""
+    # The fork copies the coordinator's ambient telemetry.  A worker
+    # starts with none installed, so an open coordinator span cannot
+    # leak into its events as ``trace.parent``.  The model memos it
+    # inherits are exact and stay.
+    obs_context.ACTIVE = None
+    obs_flight.ACTIVE = None
+    obs_metrics.ACTIVE = None
+    obs_tracing.ACTIVE = None
+    os.dup2(write_fd, 1)
+    os.close(write_fd)
+    # A stray print must reach the pipe too, never the coordinator's
+    # own (possibly captured) stdout object.
+    sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+    sys.exit(worker_main(io.StringIO(line)))
 
-    This is the SSH-shaped transport: the argv below could be
-    ``["ssh", host, "python", "-m", "repro.runtime.shardworker"]`` and
-    nothing else in the coordinator or protocol would change.
+
+class ProcessShardTransport(ShardTransport):
+    """Worker in a forked child process, protocol over a pipe.
+
+    The child is a fork of the coordinator, so it starts with the
+    package already imported instead of paying the import again.  It
+    runs :func:`worker_main` on the encoded plan line with its fd 1 on
+    the pipe, and the reader thread here decodes what it writes.
+    Workers are direct children of the coordinator, so their CPU time
+    counts in its ``RUSAGE_CHILDREN``.  A remote transport would exec
+    a worker on another host instead; the protocol is the same lines.
     """
 
-    def __init__(self, python: str | None = None):
-        self.python = python or sys.executable
-        self._process: subprocess.Popen | None = None
+    def __init__(self):
+        self._process: multiprocessing.process.BaseProcess | None = None
         self._reader: threading.Thread | None = None
 
     def start(
         self, plan: ShardPlan, deliver: Callable[[dict | None], None]
     ) -> None:
-        env = dict(os.environ)
-        # The worker must import repro even when running from a source
-        # tree without an installed package.
-        src_root = str(Path(__file__).resolve().parents[2])
-        parts = [src_root] + [
-            p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
-        ]
-        env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-        self._process = subprocess.Popen(
-            [self.python, "-m", "repro.runtime.shardworker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-        assert self._process.stdin is not None
-        self._process.stdin.write(encode_line(plan.to_message()) + "\n")
-        self._process.stdin.flush()
-        self._process.stdin.close()
-        process = self._process
+        line = encode_line(plan.to_message()) + "\n"
+        try:
+            context = multiprocessing.get_context("fork")
+            read_fd, write_fd = os.pipe()
+            try:
+                process = context.Process(
+                    target=_forked_worker,
+                    args=(line, write_fd),
+                    name=f"shard-{plan.shard}-worker",
+                )
+                # Forking while earlier workers' reader threads run is
+                # safe: each of them is blocked on its own pipe, the
+                # child touches none of their objects and leaves
+                # through os._exit, and the process already has
+                # numpy's BLAS thread when the engine's pool forks.
+                process.start()
+            except OSError:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+        except (OSError, ValueError) as exc:
+            # No worker: say why and end the stream, so the
+            # coordinator re-runs the shard in-process.
+            deliver(
+                {
+                    "msg": "error",
+                    "shard": plan.shard,
+                    "error": "cannot start worker: "
+                    f"{type(exc).__name__}: {exc}",
+                }
+            )
+            deliver(None)
+            return
+        self._process = process
+        pipe = open(read_fd, encoding="utf-8", errors="replace")
 
         def pump() -> None:
             try:
-                assert process.stdout is not None
-                for line in process.stdout:
+                for line in pipe:
                     line = line.strip()
                     if not line:
                         continue
@@ -463,9 +501,8 @@ class ProcessShardTransport(ShardTransport):
                         continue
                     deliver(message)
             finally:
-                if process.stdout is not None:
-                    process.stdout.close()
-                process.wait()
+                pipe.close()
+                process.join()
                 deliver(None)
 
         self._reader = threading.Thread(
@@ -474,7 +511,7 @@ class ProcessShardTransport(ShardTransport):
         self._reader.start()
 
     def terminate(self) -> None:
-        if self._process is not None and self._process.poll() is None:
+        if self._process is not None:
             self._process.kill()
 
 
@@ -757,8 +794,8 @@ class ShardCoordinator:
     Args:
         shards: shard count (>= 1).
         transport_factory: zero-arg callable building one
-            :class:`ShardTransport` per shard; defaults to subprocess
-            pipes (:class:`ProcessShardTransport`).
+            :class:`ShardTransport` per shard; defaults to forked
+            local workers on pipes (:class:`ProcessShardTransport`).
         batched: workers use the cross-run batched engine.
         metrics: workers collect metrics; per-shard snapshots fold
             into the report's fleet total.

@@ -8,12 +8,19 @@ coordinator/worker loop over both transports, dead-worker recovery,
 kill-and-resume, and the merged fleet telemetry.
 """
 
+import errno
 import json
+import multiprocessing
+import os
+import shutil
+import signal
 import socket
 
 import pytest
 
 from repro.check import check_resume
+from repro.obs import metrics as obs_metrics
+from repro.obs import tracing as obs_tracing
 from repro.runtime import (
     CallbackSink,
     CampaignError,
@@ -38,6 +45,7 @@ from repro.runtime import (
     read_events_merged,
     shard_of,
 )
+from repro.runtime import shard as shard_module
 from repro.runtime.events import JobFinished, JobStarted
 from repro.runtime.shard import _SHARD_LOCAL_EVENTS
 from repro.service.framing import decode_line, encode_line
@@ -303,15 +311,179 @@ class TestCoordinator:
             inprocess_coordinator(2).run(specs_1b1s(2), machines=machines)
 
 
+def spying_transport(on_message):
+    """A :class:`ProcessShardTransport` that shows every message to
+    ``on_message(shard, message)`` (on its reader thread) first."""
+
+    class SpyingTransport(ProcessShardTransport):
+        def start(self, plan, deliver):
+            def spy(message):
+                if message is not None:
+                    on_message(plan.shard, message)
+                deliver(message)
+
+            super().start(plan, spy)
+
+    return SpyingTransport
+
+
+def parent_pid(pid):
+    """Parent of a live process, from ``/proc`` (Linux only)."""
+    with open(f"/proc/{pid}/stat") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[1])
+
+
+def assert_reaped(pids):
+    """Every pid is gone: exited *and* waited for, so no zombie."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 class TestProcessTransport:
-    def test_subprocess_fleet_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_subprocess_fleet_matches_serial(self, tmp_path, shards):
+        specs = specs_1b1s(4)
+        # The serial run goes first, in this process: the forked
+        # workers inherit the memos it warmed.
+        serial = ExecutionEngine().run_many(
+            specs, store=tmp_path / "serial"
+        )
+        pids = set()
+
+        def note(shard, message):
+            if message.get("msg") == "hello":
+                pids.add(message["pid"])
+
+        report = ShardCoordinator(
+            shards, transport_factory=spying_transport(note)
+        ).run(specs, store=tmp_path / "fleet")
+        assert canonical(report.results) == canonical(serial.results)
+        assert (
+            ResultStore(tmp_path / "serial").digest()
+            == ResultStore(tmp_path / "fleet").digest()
+        )
+        assert_reaped(pids)
+
+    def test_killed_worker_recovers_in_process(self, tmp_path):
+        specs = specs_1b1s(6)
+        owners = partition_indices([spec.key() for spec in specs], 2)
+        victim = max(range(2), key=lambda shard: len(owners[shard]))
+        assert len(owners[victim]) >= 2
+        # The victim's second job sleeps, so the worker is still alive
+        # when its first job's finish event arrives and gets it killed.
+        faults = FaultPlan(sleep_seconds={owners[victim][1]: 0.5})
+        pids, parents = {}, {}
+
+        def kill_mid_shard(shard, message):
+            kind = message.get("msg")
+            if kind == "hello":
+                pids[shard] = message["pid"]
+                if shard == victim and os.path.exists("/proc/self/stat"):
+                    parents[shard] = parent_pid(message["pid"])
+            elif (
+                shard == victim
+                and kind == "event"
+                and message["event"]["event"] == "job_finished"
+            ):
+                os.kill(pids[shard], signal.SIGKILL)
+
+        serial = ExecutionEngine().run_many(
+            specs, store=tmp_path / "serial"
+        )
+        with pytest.warns(UserWarning, match="worker died before"):
+            report = ShardCoordinator(
+                2,
+                transport_factory=spying_transport(kill_mid_shard),
+                fault_plan=faults,
+            ).run(specs, store=tmp_path / "fleet")
+        assert canonical(report.results) == canonical(serial.results)
+        assert (
+            ResultStore(tmp_path / "serial").digest()
+            == ResultStore(tmp_path / "fleet").digest()
+        )
+        if os.path.exists("/proc/self/stat"):
+            # The worker is a direct child of the coordinator.
+            assert parents == {victim: os.getpid()}
+        assert_reaped(pids.values())
+
+    def test_stray_worker_stdout_never_reaches_coordinator(
+        self, tmp_path, monkeypatch, capfd
+    ):
+        run_worker = shard_module.run_worker
+
+        def noisy(plan, send):
+            print(f"stray output from shard {plan.shard}")
+            run_worker(plan, send)
+
+        # The fork inherits the patched module.
+        monkeypatch.setattr(shard_module, "run_worker", noisy)
+        specs = specs_1b1s(4)
+        capfd.readouterr()
+        with pytest.warns(UserWarning, match="non-protocol output"):
+            report = ShardCoordinator(2).run(
+                specs, store=tmp_path / "fleet"
+            )
+        assert all(outcome.ok for outcome in report.outcomes)
+        assert capfd.readouterr().out == ""
+
+    def test_coordinator_telemetry_stays_out_of_workers(self, tmp_path):
+        specs = specs_1b1s(4)
+        store = tmp_path / "store"
+
+        def shipped_events():
+            shipped = {}
+
+            def note(shard, message):
+                if message.get("msg") == "event":
+                    event = dict(message["event"])
+                    event.pop("timestamp", None)
+                    event.pop("wall_seconds", None)
+                    shipped.setdefault(shard, []).append(event)
+
+            shutil.rmtree(store, ignore_errors=True)
+            ShardCoordinator(
+                2, transport_factory=spying_transport(note)
+            ).run(specs, store=store)
+            return shipped
+
+        outside = shipped_events()
+        with obs_tracing.collecting(), obs_metrics.collecting():
+            with obs_tracing.span("outer.probe"):
+                inside = shipped_events()
+        assert inside == outside
+        traces = [
+            event.get("trace", {})
+            for events in inside.values()
+            for event in events
+        ]
+        assert traces and not any("parent" in trace for trace in traces)
+
+    @pytest.mark.parametrize(
+        "module, name, error",
+        [
+            (os, "fork", OSError(errno.EAGAIN, "fork: no more processes")),
+            (multiprocessing, "get_context", ValueError("no fork here")),
+        ],
+        ids=["fork-fails", "no-fork-platform"],
+    )
+    def test_unstartable_worker_recovers_in_process(
+        self, tmp_path, monkeypatch, module, name, error
+    ):
         specs = specs_1b1s(4)
         serial = ExecutionEngine().run_many(
             specs, store=tmp_path / "serial"
         )
-        report = ShardCoordinator(
-            2, transport_factory=ProcessShardTransport
-        ).run(specs, store=tmp_path / "fleet")
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, name, refuse)
+        with pytest.warns(UserWarning, match="cannot start worker"):
+            report = ShardCoordinator(2).run(
+                specs, store=tmp_path / "fleet"
+            )
         assert canonical(report.results) == canonical(serial.results)
         assert (
             ResultStore(tmp_path / "serial").digest()
