@@ -667,8 +667,13 @@ class MechanisticCoreModel(CoreModel):
         start_instruction: int,
         cycles: float,
         env: MemoryEnvironment,
+        start_span: tuple["PhaseCharacteristics", int] | None = None,
     ) -> QuantumResult:
-        """Advance a profile through a cycle budget, phase by phase."""
+        """Advance a profile through a cycle budget, phase by phase.
+
+        ``start_span`` is ``app.phase_span(start_instruction)``, for a
+        caller that already looked it up.
+        """
         if cycles <= 0:
             return QuantumResult.zero()
         # Accumulate per structure column, adding each chunk's terms in
@@ -687,7 +692,11 @@ class MechanisticCoreModel(CoreModel):
         # Iterate phase chunks; each chunk is homogeneous, so the phase
         # analysis applies uniformly across it.
         while remaining > 1e-9:
-            chars, to_phase_end = app.phase_span(position)
+            if start_span is None:
+                chars, to_phase_end = app.phase_span(position)
+            else:
+                chars, to_phase_end = start_span
+                start_span = None
             analysis = self.analyze(chars, env)
             cpi = analysis.cpi
             chunk_cycles = min(remaining, to_phase_end * cpi)

@@ -2,13 +2,13 @@
 
 Times the layers the `repro.kernels` work optimizes -- trace
 generation (and the trace cache), batched cache access, the OoO and
-in-order window kernels (against their straight-line references), a
-small end-to-end sweep, and the cross-run batched engine
-(:mod:`repro.batch`) at batch sizes 1/64/1024 against the scalar
-engine (``--min-batch-speedup`` gates the 1024 point) -- and emits a
-machine-readable report
-(``BENCH_PERF.json``) so the performance trajectory is tracked
-PR-over-PR.  Run via ``repro bench`` or
+in-order window kernels (against their straight-line references), the
+cross-run batched engine (:mod:`repro.batch`) at batch sizes
+1/64/1024 against the scalar engine (``--min-batch-speedup`` gates the
+1024 point) and sharded campaigns -- and emits a machine-readable
+report (``BENCH_PERF.json``) so the performance trajectory is tracked
+PR-over-PR.  End-to-end campaign time is measured by
+``benchmarks/e2e`` (``paper_fig06``), not here.  Run via ``repro bench`` or
 ``python benchmarks/bench_perf.py``.
 
 The regression gate is the *in-process* kernel-vs-reference speedup
@@ -248,32 +248,6 @@ def run_bench(quick: bool = False) -> dict:
         ),
     }
 
-    # -- end-to-end: a small mechanistic sweep --
-    from repro.sim.experiment import sweep
-    from repro.workloads.mixes import generate_workloads
-    from repro.config import STANDARD_MACHINES
-
-    machine = STANDARD_MACHINES["1B1S"]()
-    mixes = generate_workloads(machine.num_cores)[: (1 if quick else 3)]
-    sweep_instructions = 5_000_000 if quick else 20_000_000
-    t0 = time.perf_counter()
-    sweep_results = sweep(
-        machine,
-        mixes,
-        ("random", "reliability"),
-        instructions=sweep_instructions,
-        jobs=1,
-    )
-    sweep_s = time.perf_counter() - t0
-    runs = sum(len(v) for v in sweep_results.values())
-    results["end_to_end_sweep"] = {
-        "machine": machine.name,
-        "runs": runs,
-        "instructions_per_run": sweep_instructions,
-        "wall_s": sweep_s,
-        "runs_per_s": runs / sweep_s,
-    }
-
     # -- cross-run batched sweep vs the scalar engine --
     # Throughput of repro.batch at batch sizes 1/64/1024 against a
     # scalar-engine baseline over identical requests.  Batch size 1 is
@@ -283,8 +257,10 @@ def run_bench(quick: bool = False) -> dict:
     # pays off.
     from repro.ace.counters import AceCounterMode
     from repro.batch.sweep import BatchRunRequest, run_workload_batch
+    from repro.config import STANDARD_MACHINES
     from repro.sim.multicore import MulticoreSimulation
     from repro.sim.experiment import make_scheduler
+    from repro.workloads.mixes import generate_workloads
 
     batch_machine = STANDARD_MACHINES["2B2S"]()
     batch_instructions = 300_000 if quick else 1_000_000
@@ -438,12 +414,6 @@ def format_report(report: dict) -> str:
             f"{100 * r['span_overhead']['inorder_enabled_overhead']:+.2f}"
             f"% enabled (in-order)"
         )
-    lines.append(
-        f"  end-to-end sweep   "
-        f"{r['end_to_end_sweep']['runs_per_s']:9.2f} runs/s "
-        f"({r['end_to_end_sweep']['runs']} runs, "
-        f"{r['end_to_end_sweep']['wall_s']:.2f}s)"
-    )
     if "batch" in r:
         b = r["batch"]
         lines.append(

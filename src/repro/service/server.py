@@ -30,12 +30,11 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.ace.counters import AceCounterMode, measured_abc
+from repro.ace.counters import AceCounterMode
 from repro.config.cores import CoreConfig
-from repro.config.machines import BIG, MachineConfig, MemoryConfig
+from repro.config.machines import BIG, SMALL, MachineConfig, MemoryConfig
 from repro.cores.base import MemoryEnvironment, QuantumResult
-from repro.cores.mechanistic import MechanisticCoreModel
-from repro.memory.interference import ApplicationDemand, InterferenceModel
+from repro.memory.interference import ApplicationDemand
 from repro.metrics.reliability import weighted_ser
 from repro.obs import metrics as obs_metrics
 from repro.sched.base import Observation
@@ -47,6 +46,13 @@ from repro.service.framing import FramingError, decode_line, encode_line
 from repro.service.placement import SlotPlacer
 from repro.service.queue import AdmissionQueue
 from repro.sim.isolated import ReferenceTimes
+from repro.sim.segment import (
+    NO_DEMAND,
+    SegmentStep,
+    SliceDelta,
+    mechanistic_model,
+)
+from repro.workloads.characteristics import BenchmarkProfile
 from repro.workloads.spec2006 import benchmark
 
 __all__ = [
@@ -63,13 +69,18 @@ DEFAULT_MAX_QUANTA = 2_000_000
 
 # -- worker-side slice execution ---------------------------------------------
 #
-# The slice function is module-level and pure so it can run identically
-# in-process and in ExecutionEngine worker processes: same inputs, same
-# floats, same event feed.  Models and scaled profiles are cached per
-# process keyed by hashable configs.
+# When a map is given, slices run in ExecutionEngine worker processes
+# through this module-level pure function of hashable inputs; the
+# in-process path runs the same model method on the same inputs, so the
+# floats and the event feed are the same for any worker count.  Models
+# come from the process-wide table of repro.sim.segment; scaled profiles
+# are cached per process, up to PROFILE_CACHE_CAP of them.
 
-_WORKER_MODELS: dict[tuple[CoreConfig, MemoryConfig], MechanisticCoreModel] = {}
-_WORKER_PROFILES: dict[tuple[str, int], Any] = {}
+#: Scaled profiles a worker process caches for :func:`run_slice`, and
+#: reference times an open system caches, before the cache is emptied.
+PROFILE_CACHE_CAP = 256
+
+_WORKER_PROFILES: dict[tuple[str, int], BenchmarkProfile] = {}
 
 #: (core config, memory config, benchmark, instructions, position,
 #:  exec_cycles, memory environment)
@@ -81,15 +92,15 @@ SliceTask = tuple[
 def run_slice(task: SliceTask) -> QuantumResult:
     """Execute one slot's slice of one segment (pure function)."""
     core_cfg, memory, name, instructions, position, cycles, env = task
-    model = _WORKER_MODELS.get((core_cfg, memory))
-    if model is None:
-        model = MechanisticCoreModel(core_cfg, memory)
-        _WORKER_MODELS[(core_cfg, memory)] = model
     profile = _WORKER_PROFILES.get((name, instructions))
     if profile is None:
+        if len(_WORKER_PROFILES) >= PROFILE_CACHE_CAP:
+            _WORKER_PROFILES.clear()
         profile = benchmark(name).scaled(instructions)
         _WORKER_PROFILES[(name, instructions)] = profile
-    return model.run_cycles(profile, position, cycles, env)
+    return mechanistic_model(core_cfg, memory).run_cycles(
+        profile, position, cycles, env
+    )
 
 
 @dataclass(frozen=True)
@@ -130,6 +141,8 @@ class ServiceJob:
     )
     wser: float | None = None
     slowdown: float | None = None
+    #: The scaled profile, resolved at admission, dropped at departure.
+    profile: BenchmarkProfile | None = None
 
     @property
     def job_id(self) -> int:
@@ -253,8 +266,17 @@ class OpenSystem:
         self.queue = AdmissionQueue(
             config.queue_capacity, deadline_seconds=config.deadline_seconds
         )
-        self.interference = InterferenceModel(machine.memory)
         self._map_tasks = map_tasks
+        self._step = SegmentStep(
+            machine,
+            {
+                BIG: mechanistic_model(machine.big, machine.memory),
+                SMALL: mechanistic_model(machine.small, machine.memory),
+            },
+            config.counter_mode,
+            clip=True,
+            execute=None if map_tasks is None else self._execute_slices,
+        )
         self.slots: list[ServiceJob | None] = [None] * machine.num_cores
         self.jobs: dict[int, ServiceJob] = {}
         self.pending: list[JobArrival] = []
@@ -268,7 +290,6 @@ class OpenSystem:
         self.waits: list[float] = []
         self.sser = 0.0
         self._slowdowns: list[float] = []
-        self._big_model = MechanisticCoreModel(machine.big, machine.memory)
         self._reference: dict[tuple[str, int], ReferenceTimes] = {}
 
     # -- time & intake ---------------------------------------------------
@@ -350,6 +371,7 @@ class OpenSystem:
             if job is None or not job.done:
                 continue
             reference = self._reference_times(job)
+            job.profile = None
             ref_seconds = reference.seconds_for(job.position)
             job.wser = weighted_ser(job.abc_seconds, ref_seconds)
             if job.admit_time is not None and ref_seconds > 0:
@@ -383,8 +405,12 @@ class OpenSystem:
         key = (job.benchmark, job.instructions)
         reference = self._reference.get(key)
         if reference is None:
-            profile = benchmark(job.benchmark).scaled(job.instructions)
-            reference = ReferenceTimes.from_models(profile, self._big_model)
+            reference = ReferenceTimes.from_models(
+                job.profile,
+                mechanistic_model(self.machine.big, self.machine.memory),
+            )
+            if len(self._reference) >= PROFILE_CACHE_CAP:
+                self._reference.clear()
             self._reference[key] = reference
         return reference
 
@@ -445,6 +471,7 @@ class OpenSystem:
             job.status = "running"
             job.slot = slot
             job.admit_time = now
+            job.profile = benchmark(job.benchmark).scaled(job.instructions)
             self.slots[slot] = job
             self.admitted += 1
             wait = now - queued.arrival.time_seconds
@@ -465,6 +492,22 @@ class OpenSystem:
 
     # -- quantum execution -----------------------------------------------
 
+    def _execute_slices(self, slices):
+        """Run a segment's slices over the worker map (one in-process)."""
+        if len(slices) < 2:
+            return [
+                model.run_cycles(app, position, cycles, env)
+                for model, app, position, cycles, env in slices
+            ]
+        return self._map_tasks(
+            run_slice,
+            [
+                (model.core, model.memory, app.name, app.instructions,
+                 position, cycles, env)
+                for model, app, position, cycles, env in slices
+            ],
+        )
+
     def _execute_quantum(self) -> None:
         machine = self.machine
         plans = self.placer.plan(self.slots, self.quantum)
@@ -474,74 +517,29 @@ class OpenSystem:
                 f"quantum segments cover {total_fraction}, expected 1.0"
             )
         seg_start = self.now
-        n = machine.num_cores
+        slots = self.slots
         for plan in plans:
             plan.assignment.validate(machine)
             duration = plan.fraction * machine.quantum_seconds
-            demands = [
-                self.slots[i].demand
-                if self.slots[i] is not None
-                else ApplicationDemand(0.0, 0.0)
-                for i in range(n)
-            ]
-            envs = self.interference.environments(demands)
-            tasks: list[tuple[int, SliceTask, float, int]] = []
-            for slot in range(n):
-                job = self.slots[slot]
-                if job is None:
-                    continue
-                core = plan.assignment.core_of[slot]
-                config = machine.core_config(core)
-                migrated = (
-                    job.last_core is not None and job.last_core != core
-                )
-                overhead = (
-                    min(machine.migration_overhead_seconds, duration)
-                    if migrated
-                    else 0.0
-                )
-                if migrated:
-                    job.migrations += 1
-                    self._count("service.migrations")
-                    self.feed.emit(
-                        "migrate",
-                        seg_start,
-                        job_id=job.job_id,
-                        benchmark=job.benchmark,
-                        slot=slot,
-                        from_core=job.last_core,
-                        to_core=core,
-                    )
-                exec_cycles = (duration - overhead) * config.frequency_hz
-                tasks.append(
-                    (
-                        slot,
-                        (
-                            config,
-                            machine.memory,
-                            job.benchmark,
-                            job.instructions,
-                            job.position,
-                            exec_cycles,
-                            envs[slot],
-                        ),
-                        overhead,
-                        core,
-                    )
-                )
-            payloads = [task for _, task, _, _ in tasks]
-            if self._map_tasks is not None and len(payloads) > 1:
-                results = self._map_tasks(run_slice, payloads)
-            else:
-                results = [run_slice(task) for task in payloads]
+            # An empty slot's core idles.
+            deltas, observations, demands = self._step.run(
+                plan.assignment.core_of,
+                duration,
+                [NO_DEMAND if job is None else job.demand for job in slots],
+                [None if job is None else job.profile for job in slots],
+                [0 if job is None else job.position for job in slots],
+                [None if job is None else job.last_core for job in slots],
+            )
             final = plan is plans[-1]
-            for (slot, task, overhead, core), result in zip(tasks, results):
-                self._digest_slice(
-                    slot, core, overhead, duration, seg_start, result, final
-                )
+            for slot, job in enumerate(slots):
+                if job is not None:
+                    self._digest_slice(
+                        job, deltas[slot], observations[slot], demands[slot],
+                        seg_start, final,
+                    )
             seg_start += duration
         # End of quantum: sample ages advance for every running job.
-        for job in self.slots:
+        for job in slots:
             if job is None:
                 continue
             for sample in job.samples.values():
@@ -552,44 +550,30 @@ class OpenSystem:
 
     def _digest_slice(
         self,
-        slot: int,
-        core: int,
-        overhead: float,
-        duration: float,
+        job: ServiceJob,
+        delta: SliceDelta,
+        observation: Observation,
+        demand: ApplicationDemand,
         seg_start: float,
-        result: QuantumResult,
         final_segment: bool,
     ) -> None:
-        machine = self.machine
-        job = self.slots[slot]
-        assert job is not None
-        config = machine.core_config(core)
-        core_type = machine.core_type(core)
-        freq = config.frequency_hz
-        remaining = job.instructions - job.position
-        if result.instructions > remaining:
-            # Clip at the job's end; the rest of the slice idles.
-            result = result.clipped(remaining)
-        job.abc_seconds += result.total_ace_bit_cycles / freq
-        job.position += result.instructions
-        job.demand = ApplicationDemand(
-            l3_accesses_per_second=result.l3_accesses / duration,
-            dram_accesses_per_second=result.memory_accesses / duration,
-        )
-        observation = Observation(
-            app_index=slot,
-            core_id=core,
-            core_type=core_type,
-            duration_seconds=duration - overhead,
-            instructions=result.instructions,
-            measured_abc_seconds=measured_abc(
-                result, self.config.counter_mode, config.out_of_order
+        (core, core_type, migrated, overhead, instructions, cycles,
+         abc_seconds, _, _, _) = delta
+        if migrated:
+            job.migrations += 1
+            self._count("service.migrations")
+            self.feed.emit(
+                "migrate",
+                seg_start,
+                job_id=job.job_id,
+                benchmark=job.benchmark,
+                slot=job.slot,
+                from_core=job.last_core,
+                to_core=core,
             )
-            / freq,
-            l3_accesses=result.l3_accesses,
-            dram_accesses=result.memory_accesses,
-            branch_mispredictions=result.branch_mispredictions,
-        )
+        job.abc_seconds += abc_seconds
+        job.position += instructions
+        job.demand = demand
         if observation.duration_seconds > 0 and observation.instructions > 0:
             job.samples[core_type] = CoreTypeSample(
                 instructions_per_second=observation.instructions_per_second,
@@ -601,7 +585,8 @@ class OpenSystem:
             )
         job.last_core = core
         if job.done and job.depart_time is None:
-            job.depart_time = seg_start + overhead + result.cycles / freq
+            freq = self.machine.core_config(core).frequency_hz
+            job.depart_time = seg_start + overhead + cycles / freq
         if final_segment:
             if job.last_type == core_type:
                 job.consecutive += 1

@@ -1,12 +1,12 @@
 """Quantum-driven heterogeneous multicore simulation engine.
 
 Ties every substrate together: the scheduler plans each 1 ms quantum
-(possibly split into a sampling segment and a main segment), the core
-models execute each application's slice under the shared-resource
-environment derived from the previous segment's measured demand, the
-ACE counter architecture produces the observations the scheduler sees,
-and ground-truth reliability/performance bookkeeping accumulates into
-a :class:`~repro.sim.results.RunResult`.
+(possibly split into a sampling segment and a main segment), the
+segment step (:mod:`repro.sim.segment`) executes each application's
+slice under the shared-resource environment derived from the previous
+segment's measured demand and produces the observations the scheduler
+sees, and ground-truth reliability/performance bookkeeping accumulates
+into a :class:`~repro.sim.results.RunResult`.
 
 Following the paper's methodology (Section 5): applications migrate
 with a 20 us state-transfer penalty; the experiment ends when the
@@ -19,16 +19,17 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.ace.counters import AceCounterMode, measured_abc
+from repro.ace.counters import AceCounterMode
 from repro.config.machines import BIG, MachineConfig
 from repro.cores.base import CoreModel
 from repro.cores.mechanistic import MechanisticCoreModel
-from repro.memory.interference import ApplicationDemand, InterferenceModel
+from repro.memory.interference import ApplicationDemand
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
-from repro.sched.base import PARKED, Observation, Scheduler
+from repro.sched.base import PARKED, Scheduler
 from repro.sim.isolated import ReferenceTimes, run_isolated
 from repro.sim.results import AppRunRecord, RunResult, TimelinePoint
+from repro.sim.segment import NO_DEMAND, SegmentStep, mechanistic_model
 from repro.workloads.characteristics import BenchmarkProfile
 
 #: Hard cap on simulated quanta (a guard against non-terminating runs).
@@ -36,10 +37,11 @@ DEFAULT_MAX_QUANTA = 5_000_000
 
 
 def default_models(machine: MachineConfig) -> dict[str, CoreModel]:
-    """Mechanistic big/small core models for a machine."""
+    """Mechanistic big/small core models for a machine (shared per
+    process, see :func:`repro.sim.segment.mechanistic_model`)."""
     return {
-        "big": MechanisticCoreModel(machine.big, machine.memory),
-        "small": MechanisticCoreModel(machine.small, machine.memory),
+        "big": mechanistic_model(machine.big, machine.memory),
+        "small": mechanistic_model(machine.small, machine.memory),
     }
 
 
@@ -101,7 +103,6 @@ class MulticoreSimulation:
         self.record_timeline = record_timeline
         self.max_quanta = max_quanta
         self.restart_finished = restart_finished
-        self.interference = InterferenceModel(machine.memory)
         if reference_times is None:
             big_model = self.models[BIG]
             reference_times = [
@@ -135,28 +136,24 @@ class MulticoreSimulation:
             reg.counter("sched.migrations").inc(rec.migrations)
 
     def _run(self) -> RunResult:
-        n = len(self.profiles)
-        records = [AppRunRecord(name=p.name) for p in self.profiles]
+        profiles = self.profiles
+        n = len(profiles)
+        records = [AppRunRecord(name=p.name) for p in profiles]
         positions = [0] * n
         completion_time: list[float | None] = [None] * n
         last_core: list[int | None] = [None] * n
-        demands = [ApplicationDemand(0.0, 0.0)] * n
+        demands: Sequence[ApplicationDemand] = [NO_DEMAND] * n
         timeline: list[TimelinePoint] = []
         now = 0.0
         quantum = 0
-        # Per core id: (type, model, frequency in Hz, out-of-order).
-        cores = []
-        for core in range(self.machine.num_cores):
-            core_type = self.machine.core_type(core)
-            config = self.machine.core_config(core)
-            cores.append((
-                core_type, self.models[core_type],
-                config.frequency_hz, config.out_of_order,
-            ))
+        step = SegmentStep(
+            self.machine, self.models, self.counter_mode,
+            clip=not self.restart_finished,
+        )
 
         def finished() -> bool:
             return all(
-                positions[i] >= self.profiles[i].instructions for i in range(n)
+                positions[i] >= profiles[i].instructions for i in range(n)
             )
 
         while not finished():
@@ -177,104 +174,53 @@ class MulticoreSimulation:
             for plan in plans:
                 plan.assignment.validate(self.machine)
                 duration = plan.fraction * self.machine.quantum_seconds
-                envs = self.interference.environments(demands)
-                observations = []
-                new_demands = list(demands)
-                for i in range(n):
-                    core = plan.assignment.core_of[i]
-                    if core == PARKED:
-                        # Oversubscription: the application waits this
-                        # segment.  It keeps accumulating wall-clock
-                        # (turnaround) time but no execution.
-                        observations.append(
-                            Observation(i, core, "parked", 0.0, 0, 0.0)
-                        )
-                        new_demands[i] = ApplicationDemand(0.0, 0.0)
-                        final_types[i] = "parked"
+                core_of = plan.assignment.core_of
+                apps: Sequence = profiles
+                if not self.restart_finished:
+                    # Run-to-completion mode: a finished application's
+                    # core idles.
+                    apps = [
+                        p if positions[i] < p.instructions else None
+                        for i, p in enumerate(profiles)
+                    ]
+                deltas, observations, demands = step.run(
+                    core_of, duration, demands, apps, positions, last_core
+                )
+                for i, delta in enumerate(deltas):
+                    if delta is None:
+                        # Parked (oversubscription: the application
+                        # keeps accumulating wall-clock time but no
+                        # execution), or its core idles.
+                        final_types[i] = observations[i].core_type
+                        if core_of[i] != PARKED:
+                            last_core[i] = core_of[i]
                         continue
-                    core_type, model, freq, out_of_order = cores[core]
-                    remaining = self.profiles[i].instructions - positions[i]
-                    if not self.restart_finished and remaining <= 0:
-                        # Run-to-completion mode: the core idles.
-                        observations.append(
-                            Observation(i, core, core_type, 0.0, 0, 0.0)
-                        )
-                        new_demands[i] = ApplicationDemand(0.0, 0.0)
-                        final_types[i] = core_type
-                        last_core[i] = core
-                        continue
-                    migrated = last_core[i] is not None and last_core[i] != core
-                    overhead = (
-                        min(self.machine.migration_overhead_seconds, duration)
-                        if migrated
-                        else 0.0
-                    )
-                    exec_cycles = (duration - overhead) * freq
-                    with span("sim.exec", core=core_type):
-                        result = model.run_cycles(
-                            self.profiles[i], positions[i], exec_cycles, envs[i]
-                        )
-                    if (
-                        not self.restart_finished
-                        and result.instructions > remaining
-                    ):
-                        # Clip the slice at the application's end; the
-                        # rest of the quantum idles.
-                        result = result.clipped(remaining)
-                    abc_seconds = result.total_ace_bit_cycles / freq
+                    (core, core_type, migrated, _, instructions, _,
+                     abc_seconds, occupancy_seconds, l3, dram) = delta
+                    final_types[i] = core_type
                     rec = records[i]
-                    rec.instructions += result.instructions
+                    rec.instructions += instructions
                     rec.abc_seconds += abc_seconds
-                    rec.occupancy_bit_seconds += (
-                        sum(result.occupancy_bit_cycles.values()) / freq
-                    )
-                    rec.dram_accesses += result.memory_accesses
-                    rec.l3_accesses += result.l3_accesses
+                    rec.occupancy_bit_seconds += occupancy_seconds
+                    rec.dram_accesses += dram
+                    rec.l3_accesses += l3
                     if core_type == BIG:
                         rec.time_big_seconds += duration
-                        rec.instructions_big += result.instructions
+                        rec.instructions_big += instructions
                     else:
                         rec.time_small_seconds += duration
-                        rec.instructions_small += result.instructions
+                        rec.instructions_small += instructions
                     if migrated:
                         rec.migrations += 1
-                    positions[i] += result.instructions
+                    positions[i] += instructions
                     if (
                         completion_time[i] is None
-                        and positions[i] >= self.profiles[i].instructions
+                        and positions[i] >= profiles[i].instructions
                     ):
                         completion_time[i] = now + duration
-                    new_demands[i] = ApplicationDemand(
-                        l3_accesses_per_second=result.l3_accesses / duration,
-                        dram_accesses_per_second=result.memory_accesses
-                        / duration,
-                    )
-                    # The scheduler's counters measure rates over the
-                    # time the application actually executed; the
-                    # migration dead time is invisible to them (it
-                    # still costs wall-clock time in the ground-truth
-                    # accounting above).
-                    observations.append(
-                        Observation(
-                            app_index=i,
-                            core_id=core,
-                            core_type=core_type,
-                            duration_seconds=duration - overhead,
-                            instructions=result.instructions,
-                            measured_abc_seconds=measured_abc(
-                                result, self.counter_mode, out_of_order
-                            )
-                            / freq,
-                            l3_accesses=result.l3_accesses,
-                            dram_accesses=result.memory_accesses,
-                            branch_mispredictions=result.branch_mispredictions,
-                        )
-                    )
                     quantum_abc[i] += abc_seconds
-                    quantum_instr[i] += result.instructions
-                    final_types[i] = core_type
+                    quantum_instr[i] += instructions
                     last_core[i] = core
-                demands = new_demands
                 self.scheduler.observe(plan, observations)
                 now += duration
             if self.record_timeline:
@@ -282,7 +228,7 @@ class MulticoreSimulation:
                     timeline.append(
                         TimelinePoint(
                             time_seconds=now,
-                            app_name=self.profiles[i].name,
+                            app_name=profiles[i].name,
                             core_type=final_types[i],
                             abc_per_second=quantum_abc[i]
                             / self.machine.quantum_seconds,

@@ -1,0 +1,306 @@
+"""One segment step: the only code that executes a segment of a quantum.
+
+:class:`SegmentStep` executes the segments of scheduler quanta for
+:class:`~repro.sim.multicore.MulticoreSimulation` and
+:class:`~repro.service.server.OpenSystem`.  It derives the memory
+environments from the demands the previous segment measured, charges
+migration overhead, runs each slice on its core's model, clips a slice
+at its application's end when asked to, and returns per-application
+deltas, the observations the scheduler sees and the new demands.  The
+callers keep their own bookkeeping.
+
+With mechanistic models a step replays segments it computed before.
+The key holds the assignment, the duration, the incoming demands, the
+migrated flags and the ids of the applications' phase objects; an
+entry pins those objects and a hit is confirmed by identity.  A
+segment is stored only when every slice committed an instruction and
+ended strictly inside its phase without a clip, and an entry replays
+only while each stored slice still ends inside its application's
+current phase and, when the step clips, within the application.  Then
+``MechanisticCoreModel.run_cycles`` is a pure function of (phase,
+cycles, environment), so a replay is exact; docs/performance.md
+("Segment replay") writes out the argument.  Trace-driven models carry
+cache state between slices and never replay.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Mapping, Sequence
+
+from repro.ace.counters import AceCounterMode, measured_abc
+from repro.config.cores import CoreConfig
+from repro.config.machines import MachineConfig, MemoryConfig
+from repro.cores.base import CoreModel, QuantumResult
+from repro.cores.mechanistic import MechanisticCoreModel
+from repro.memory.interference import ApplicationDemand, InterferenceModel
+from repro.obs.tracing import span
+from repro.sched.base import PARKED, Observation
+
+#: Keys one step's replay memo holds before it is emptied.  A
+#: sampling-scheduler run at paper scale has a few dozen distinct
+#: segments; a random-scheduler run repeats none (docs/performance.md).
+SEGMENT_MEMO_CAP = 256
+
+#: Models the process-wide table holds before it is emptied.
+MODEL_TABLE_CAP = 16
+
+_MODELS: dict[tuple[CoreConfig, MemoryConfig], MechanisticCoreModel] = {}
+
+#: The demand of an application that did not run.
+NO_DEMAND = ApplicationDemand(0.0, 0.0)
+
+#: Memo value of a key seen once.
+_SEEN = ()
+
+#: One running application's share of a segment, as a plain tuple:
+#: (core id, core type, migrated, overhead seconds, instructions,
+#:  cycles, ABC seconds, occupancy bit-seconds, L3 accesses,
+#:  DRAM accesses).  Non-running applications get ``None``.
+SliceDelta = tuple
+
+#: One slice to execute: (model, application, start position, cycles,
+#: memory environment).
+Slice = tuple
+
+
+def mechanistic_model(
+    core: CoreConfig, memory: MemoryConfig
+) -> MechanisticCoreModel:
+    """The process's mechanistic model of one (core, memory) pair.
+
+    One table serves every run in a process, so the models'
+    phase-analysis memos and feature tables outlive a single run.
+    """
+    key = (core, memory)
+    model = _MODELS.get(key)
+    if model is None:
+        if len(_MODELS) >= MODEL_TABLE_CAP:
+            _MODELS.clear()
+        model = MechanisticCoreModel(core, memory)
+        _MODELS[key] = model
+    return model
+
+
+class SegmentStep:
+    """Executes the segments of one simulation or one open system.
+
+    Args:
+        machine: the machine; core ids index its cores.
+        models: the core model of each core type.
+        counter_mode: the ACE counter architecture observations read.
+        clip: cut a slice back at its application's end (run to
+            completion); ``False`` lets applications run on past it
+            (restarted applications).
+        execute: optional; runs a segment's list of slices and returns
+            their results in order (a worker pool).  By default each
+            slice runs in this process as it is needed.
+    """
+
+    def __init__(
+        self,
+        machine: MachineConfig,
+        models: Mapping[str, CoreModel],
+        counter_mode: AceCounterMode,
+        *,
+        clip: bool,
+        execute: Callable[[list[Slice]], list[QuantumResult]] | None = None,
+    ):
+        self.interference = InterferenceModel(machine.memory)
+        self.counter_mode = counter_mode
+        self.clip = clip
+        self.execute = execute
+        self._overhead = machine.migration_overhead_seconds
+        # Per core id: (type, model, frequency in Hz, out-of-order).
+        self._cores = []
+        for core in range(machine.num_cores):
+            config = machine.core_config(core)
+            core_type = machine.core_type(core)
+            self._cores.append((
+                core_type, models[core_type],
+                config.frequency_hz, config.out_of_order,
+            ))
+        # Replays rest on the purity of MechanisticCoreModel.run_cycles;
+        # a subclass that overrides it does not replay.
+        replays = all(
+            isinstance(model, MechanisticCoreModel)
+            and type(model).run_cycles is MechanisticCoreModel.run_cycles
+            for _, model, _, _ in self._cores
+        )
+        self._memo: dict[tuple, tuple] | None = {} if replays else None
+        self._idle: dict[tuple[int, int], Observation] = {}
+
+    def run(
+        self,
+        core_of: tuple[int, ...],
+        duration: float,
+        demands: Sequence[ApplicationDemand],
+        apps: Sequence,
+        positions: Sequence[int],
+        last_cores: Sequence[int | None],
+    ) -> tuple[
+        Sequence[SliceDelta | None],
+        list[Observation],
+        Sequence[ApplicationDemand],
+    ]:
+        """Execute one segment.
+
+        ``core_of[i]`` is application ``i``'s core (or ``PARKED``),
+        ``apps[i]`` the application, or ``None`` when its core idles (a
+        finished application run to completion, an empty slot), and
+        ``last_cores[i]`` the core it last ran on.  Returns one
+        :data:`SliceDelta` (``None`` for parked and idle applications),
+        one observation and one new demand per application.  Replayed
+        deltas and demands are shared, immutable tuples; the
+        observation list is always fresh.
+        """
+        memo = self._memo
+        migrated = [
+            core != PARKED and app is not None
+            and last is not None and last != core
+            for core, app, last in zip(core_of, apps, last_cores)
+        ]
+        entry = None
+        if memo is not None:
+            # Each running application's (phase, instructions left in
+            # it), looked up once: the slice starts from it too.
+            spans = [
+                None if app is None or core == PARKED
+                else app.phase_span(position)
+                for core, app, position in zip(core_of, apps, positions)
+            ]
+            phases = [None if found is None else found[0] for found in spans]
+            key: list | tuple = [core_of, duration]
+            for demand, flag, chars in zip(demands, migrated, phases):
+                key += (
+                    demand.l3_accesses_per_second,
+                    demand.dram_accesses_per_second,
+                    flag,
+                    id(chars),
+                )
+            key = tuple(key)
+            entry = memo.get(key)
+            if entry and self._replays(entry, phases, spans, apps, positions):
+                return entry[2], list(entry[3]), entry[4]
+
+        envs = self.interference.environments(demands)
+        cores = self._cores
+        # The state transfer a migrated application pays.
+        transfer = min(self._overhead, duration)
+        results = None
+        if self.execute is not None:
+            slices = [
+                (cores[core][1], app, position,
+                 (duration - (transfer if flag else 0.0)) * cores[core][2],
+                 env)
+                for core, app, position, env, flag in zip(
+                    core_of, apps, positions, envs, migrated
+                )
+                if core != PARKED and app is not None
+            ]
+            if slices:
+                results = iter(self.execute(slices))
+
+        clip = self.clip
+        clipped = False
+        counter_mode = self.counter_mode
+        deltas: list[SliceDelta | None] = []
+        observations = []
+        new_demands = []
+        for i, core in enumerate(core_of):
+            app = apps[i]
+            if core == PARKED or app is None:
+                deltas.append(None)
+                observations.append(self._idle_observation(i, core))
+                new_demands.append(NO_DEMAND)
+                continue
+            core_type, model, freq, out_of_order = cores[core]
+            flag = migrated[i]
+            overhead = transfer if flag else 0.0
+            if results is not None:
+                result = next(results)
+            elif memo is None:
+                with span("sim.exec", core=core_type):
+                    result = model.run_cycles(
+                        app, positions[i], (duration - overhead) * freq,
+                        envs[i],
+                    )
+            else:
+                with span("sim.exec", core=core_type):
+                    result = model.run_cycles(
+                        app, positions[i], (duration - overhead) * freq,
+                        envs[i], spans[i],
+                    )
+            if clip and result.instructions > app.instructions - positions[i]:
+                # Clip the slice at the application's end; the rest of
+                # the segment idles.
+                result = result.clipped(app.instructions - positions[i])
+                clipped = True
+            l3 = result.l3_accesses
+            dram = result.memory_accesses
+            deltas.append((
+                core, core_type, flag, overhead, result.instructions,
+                result.cycles, result.total_ace_bit_cycles / freq,
+                sum(result.occupancy_bit_cycles.values()) / freq, l3, dram,
+            ))
+            new_demands.append(ApplicationDemand(l3 / duration, dram / duration))
+            # The counters measure rates over the time the application
+            # actually executed; the migration dead time is invisible
+            # to them (it still costs wall-clock time in the caller's
+            # ground-truth accounting).
+            observations.append(Observation(
+                i, core, core_type, duration - overhead, result.instructions,
+                measured_abc(result, counter_mode, out_of_order) / freq,
+                l3, dram, result.branch_mispredictions,
+            ))
+        if memo is not None and not clipped and SEGMENT_MEMO_CAP > 0:
+            if entry is None:
+                # First sighting: remember the key only.  A segment is
+                # stored when it recurs, so runs that never repeat one
+                # (the random scheduler) build and keep no entries.
+                if len(memo) >= SEGMENT_MEMO_CAP:
+                    memo.clear()
+                memo[key] = _SEEN
+            else:
+                self._store(
+                    key, phases, spans, deltas, observations, new_demands
+                )
+        return deltas, observations, new_demands
+
+    def _idle_observation(self, i: int, core: int) -> Observation:
+        """What the counters of a parked application (oversubscription:
+        it waits this segment) or an idle core report; built once."""
+        observation = self._idle.get((i, core))
+        if observation is None:
+            core_type = "parked" if core == PARKED else self._cores[core][0]
+            observation = Observation(i, core, core_type, 0.0, 0, 0.0)
+            self._idle[(i, core)] = observation
+        return observation
+
+    def _store(
+        self, key, phases, spans, deltas, observations, new_demands
+    ) -> None:
+        """Store a computed segment if every slice committed at least
+        one instruction and ended strictly inside its phase."""
+        counts = tuple([None if d is None else d[4] for d in deltas])
+        for count, found in zip(counts, spans):
+            if count is not None and not 0 < count < found[1]:
+                return
+        self._memo[key] = (
+            tuple(phases), counts,
+            tuple(deltas), tuple(observations), tuple(new_demands),
+        )
+
+    def _replays(self, entry, phases, spans, apps, positions) -> bool:
+        """Whether a stored segment is exactly what computing would give:
+        the same phase objects, and every stored slice still ends
+        inside its phase and, when clipping, within its application."""
+        clip = self.clip
+        for i, (stored, count) in enumerate(zip(entry[0], entry[1])):
+            if stored is not phases[i]:
+                return False
+            if count is not None and (
+                count >= spans[i][1]
+                or clip and count > apps[i].instructions - positions[i]
+            ):
+                return False
+        return True

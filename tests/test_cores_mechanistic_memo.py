@@ -34,7 +34,7 @@ from repro.service import (
     make_process,
     service_benchmark_pool,
 )
-from repro.service import server
+from repro.sim import segment
 from repro.sim.multicore import MulticoreSimulation
 from repro.workloads.characteristics import (
     BenchmarkProfile,
@@ -231,8 +231,8 @@ class TestMemoCap:
         for model in models.values():
             assert 0 < model.max_entries <= ANALYSIS_MEMO_CAP
 
-    def test_worker_models_stay_under_cap(self, monkeypatch):
-        monkeypatch.setattr(server, "_WORKER_MODELS", {})
+    def test_model_table_stays_under_cap(self, monkeypatch):
+        monkeypatch.setattr(segment, "_MODELS", {})
         misses = _count_misses(monkeypatch)
         process = make_process(
             "poisson", 800.0, service_benchmark_pool(), seed=0,
@@ -244,8 +244,8 @@ class TestMemoCap:
         system.enqueue_arrivals(process.stream(400))
         system.run()
         assert len(misses) > 2 * ANALYSIS_MEMO_CAP
-        assert server._WORKER_MODELS
-        for model in server._WORKER_MODELS.values():
+        assert segment._MODELS
+        for model in segment._MODELS.values():
             assert 0 < len(model._memo) <= ANALYSIS_MEMO_CAP
 
 

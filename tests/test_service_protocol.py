@@ -7,12 +7,14 @@ import json
 import pytest
 
 from repro.config import machine_1b1s
+from repro.cores.base import ISOLATED
 from repro.service import (
     OpenSystem,
     SchedulerService,
     ServiceConfig,
     ServiceFeed,
 )
+from repro.service import server
 
 
 def build_service(**overrides):
@@ -92,6 +94,44 @@ class TestDispatch:
         assert not response["ok"] and "bad json" in response["error"]
         response = json.loads(asyncio.run(service.handle_line("[1, 2]")))
         assert not response["ok"]
+
+
+class TestProfileCache:
+    def test_distinct_submissions_leave_no_cached_profiles(self, monkeypatch):
+        """In-process slices use the profile each job resolved at
+        admission, so the worker cache stays empty, and the reference
+        times cached per (benchmark, instructions) stay bounded."""
+        monkeypatch.setattr(server, "_WORKER_PROFILES", {})
+        service = build_service()
+
+        async def session():
+            for k in range(3000):
+                await service.handle(
+                    {"op": "submit", "benchmark": "povray",
+                     "instructions": 1_000_000 + k}
+                )
+                await service.handle({"op": "step"})
+            await service.handle({"op": "step"})
+
+        asyncio.run(session())
+        system = service.system
+        assert system.completed == 3000
+        assert not server._WORKER_PROFILES
+        assert all(job.profile is None for job in system.jobs.values())
+        assert len(system._reference) <= server.PROFILE_CACHE_CAP
+
+    def test_worker_cache_stays_under_cap(self, monkeypatch):
+        monkeypatch.setattr(server, "_WORKER_PROFILES", {})
+        machine = machine_1b1s()
+        sizes = []
+        for k in range(2 * server.PROFILE_CACHE_CAP + 3):
+            server.run_slice(
+                (machine.big, machine.memory, "povray", 1_000_000 + k, 0,
+                 5_000.0, ISOLATED)
+            )
+            sizes.append(len(server._WORKER_PROFILES))
+        assert max(sizes) == server.PROFILE_CACHE_CAP
+        assert sizes[-1] < server.PROFILE_CACHE_CAP
 
 
 class TestStdioTransport:
