@@ -20,6 +20,7 @@ recorded pre-kernel baseline.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -39,6 +40,13 @@ PRE_PR_BASELINE = {
 
 #: Benchmark/trace used by the micro-benchmarks.
 BENCH_WORKLOAD = "soplex"
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; the shard rows scale with it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _best(fn, repeats: int) -> tuple[float, object]:
@@ -322,7 +330,7 @@ def run_bench(quick: bool = False) -> dict:
     # count, so shards_1 honestly pays the worker start the others
     # amortize.  The regression gate (--min-shard-speedup) applies at
     # 2 shards; 4 is reported for the scaling curve.  Sized so the
-    # serial compute (~3.5s quick) dominates worker start (a forked
+    # serial compute (~2 s quick) dominates worker start (a forked
     # worker sends its hello ~6ms after start): on a >= 2-core host
     # the model predicts ~1.9x at 2 shards, leaving headroom over the
     # 1.6x CI floor.  On a single-core host the speedup honestly reads
@@ -364,6 +372,7 @@ def run_bench(quick: bool = False) -> dict:
         "workload": BENCH_WORKLOAD,
         "quick": quick,
         "python": platform.python_version(),
+        "usable_cpus": usable_cpus(),
         "pre_pr_baseline": PRE_PR_BASELINE,
         "results": results,
     }
@@ -374,7 +383,8 @@ def format_report(report: dict) -> str:
     r = report["results"]
     lines = [
         f"perf bench ({'quick' if report['quick'] else 'full'}, "
-        f"{report['workload']}, python {report['python']})",
+        f"{report['workload']}, python {report['python']}, "
+        f"{report.get('usable_cpus', '?')} usable CPUs)",
         (
             f"  trace generation   "
             f"{r['trace_generation']['insn_per_s'] / 1e3:9.0f}k insn/s"

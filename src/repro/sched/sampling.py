@@ -19,17 +19,33 @@ only in the per-application objective estimated from the samples:
 Subclasses implement :meth:`SamplingScheduler.objective_value`: the
 estimated per-application contribution to the (minimized) system
 objective when running on a given core type.
+
+A steady quantum replays instead of recomputing.  An observation the
+segment step replays yields the sample object it yielded before, and
+the greedy search keeps a memo keyed by the assignment, the locked
+applications and the identities of the samples it reads; a repeated
+search re-emits its candidate records and returns its stored result.
+docs/performance.md ("Decision replay") writes out why that is exact.
 """
 
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.config.machines import BIG, SMALL, MachineConfig
 from repro.obs import metrics as obs_metrics
 from repro.sched.base import Assignment, Observation, Scheduler, SegmentPlan
+
+#: Entries each of a sampling scheduler's two replay maps, the decision
+#: memo and the observation-to-sample map, holds before it is emptied
+#: (docs/performance.md, "Decision replay").
+DECISION_MEMO_CAP = 256
+
+#: Memo value of a search key seen once.
+_SEEN = ()
 
 
 @dataclass
@@ -47,6 +63,20 @@ class CoreTypeSample:
     dram_apki: float = 0.0
     branch_mpki: float = 0.0
     age_quanta: int = 0
+
+
+def observed_sample(observation: Observation) -> CoreTypeSample | None:
+    """The sample one observation yields: its rates at age 0, or
+    ``None`` when it measured no time or no instructions."""
+    if observation.duration_seconds <= 0 or observation.instructions <= 0:
+        return None
+    return CoreTypeSample(
+        instructions_per_second=observation.instructions_per_second,
+        abc_per_second=observation.abc_per_second,
+        l3_apki=observation.l3_apki,
+        dram_apki=observation.dram_apki,
+        branch_mpki=observation.branch_mpki,
+    )
 
 
 def _other(core_type: str) -> str:
@@ -94,6 +124,22 @@ class SamplingScheduler(Scheduler):
         self._sampling_fraction = (
             machine.sampling_quantum_seconds / machine.quantum_seconds
         )
+        # Whether the initial sampling phase is over: samples are
+        # replaced but never dropped, so it stays over.
+        self._sampled = False
+        # The last full-quantum regular segment, reused while the
+        # assignment object stays the same.
+        self._steady: SegmentPlan | None = None
+        # The (app, core type) keys the greedy search reads, in
+        # canonical order.
+        self._sample_keys = tuple(
+            (i, t) for i in range(num_apps) for t in (BIG, SMALL)
+        )
+        # Decision memo: search key -> (pinned samples, resulting
+        # assignment, candidate records), or _SEEN after one sighting.
+        self._decisions: dict[tuple, tuple] = {}
+        # id(observation) -> (observation, the sample it yielded).
+        self._sample_of: dict[int, tuple[Observation, CoreTypeSample]] = {}
 
     # -- objective -------------------------------------------------------
 
@@ -101,8 +147,13 @@ class SamplingScheduler(Scheduler):
     def objective_value(self, app_index: int, core_type: str) -> float:
         """Estimated contribution to the minimized objective.
 
-        Implementations read ``self._samples``; both core types are
-        guaranteed to have samples when this is called.
+        Implementations read only the rate fields of the samples in
+        ``self._samples`` and constants fixed at construction, never
+        ``age_quanta`` or other state that changes during a run, and
+        they mutate nothing.  The greedy search's decision memo relies
+        on this purity: the same sample objects give the same values.
+        Both core types are guaranteed to have samples when this is
+        called.
         """
 
     # -- mode-aware hooks ------------------------------------------------
@@ -141,7 +192,13 @@ class SamplingScheduler(Scheduler):
     def plan_quantum(self, quantum_index: int) -> list[SegmentPlan]:
         recorder = self.recorder
         before = self._assignment.core_of
-        missing = [i for i in range(self.num_apps) if not self._has_both_samples(i)]
+        missing: list[int] = []
+        if not self._sampled:
+            missing = [
+                i for i in range(self.num_apps)
+                if not self._has_both_samples(i)
+            ]
+            self._sampled = not missing
         stale: list[int] = []
         sampling_swaps: tuple[tuple[int, int], ...] = ()
         objectives: list[tuple[int, float, float]] = []
@@ -170,7 +227,11 @@ class SamplingScheduler(Scheduler):
                     ),
                 ]
             else:
-                plan = [SegmentPlan(1.0, self._assignment, False)]
+                steady = self._steady
+                if steady is None or steady.assignment is not self._assignment:
+                    steady = SegmentPlan(1.0, self._assignment, False)
+                    self._steady = steady
+                plan = [steady]
             if recorder is not None:
                 objectives = [
                     (
@@ -270,12 +331,52 @@ class SamplingScheduler(Scheduler):
         return sampling, tuple(swaps)
 
     def _optimize(self, assignment: Assignment) -> Assignment:
-        """Greedy pair-swap optimization (the core of Algorithm 1)."""
+        """Greedy pair-swap optimization (the core of Algorithm 1).
+
+        A search is a function of the assignment, the locked
+        applications and the samples it reads (see
+        :meth:`objective_value`), so a repeated search replays: the
+        memo re-emits its candidate records, in order, and returns its
+        stored result.  A key is marked on its first sighting and
+        stored on its second, so searches that never recur store
+        nothing.
+        """
+        locked = self._swap_locked()
+        if DECISION_MEMO_CAP <= 0:
+            return self._search(assignment, locked, [])
+        samples = self._samples
+        read = [samples[k] for k in self._sample_keys]
+        key = (assignment.core_of, locked, *map(id, read))
+        memo = self._decisions
+        entry = memo.get(key)
+        if entry and all(map(operator.is_, entry[0], read)):
+            for candidate in entry[2]:
+                self._emit_candidate(*candidate)
+            return entry[1]
+        candidates: list[tuple] = []
+        result = self._search(assignment, locked, candidates)
+        if entry is None:
+            if len(memo) >= DECISION_MEMO_CAP:
+                memo.clear()
+            memo[key] = _SEEN
+        else:
+            # The entry pins the samples, so no other object can take
+            # their ids while it lives.
+            memo[key] = (tuple(read), result, tuple(candidates))
+        return result
+
+    def _search(
+        self,
+        assignment: Assignment,
+        locked: frozenset[int],
+        candidates: list[tuple],
+    ) -> Assignment:
+        """The greedy loop; appends each candidate it weighs, as the
+        arguments of :meth:`_emit_candidate`, to ``candidates``."""
         type_of = {
             i: assignment.core_type_of(i, self.machine)
             for i in range(self.num_apps)
         }
-        locked = self._swap_locked()
         swapped = True
         rounds = 0
         while swapped and rounds < self.num_apps:
@@ -307,28 +408,12 @@ class SamplingScheduler(Scheduler):
             )
             threshold = self.swap_threshold * total
             accepted = deltas[mover] + deltas[partner] < -threshold
-            if self.recorder is not None:
-                self.recorder.candidate(
-                    mover=mover,
-                    partner=partner,
-                    delta_mover=deltas[mover],
-                    delta_partner=deltas[partner],
-                    delta_total=deltas[mover] + deltas[partner],
-                    objective_total=total,
-                    threshold=threshold,
-                    accepted=accepted,
-                    reason=(
-                        "net objective improvement clears swap threshold"
-                        if accepted
-                        else "net objective change within swap hysteresis"
-                    ),
-                )
-            reg = obs_metrics.ACTIVE
-            if reg is not None:
-                reg.counter(
-                    "sched.swap_candidates",
-                    outcome="accepted" if accepted else "rejected",
-                ).inc()
+            candidate = (
+                mover, partner, deltas[mover], deltas[partner], total,
+                threshold, accepted,
+            )
+            candidates.append(candidate)
+            self._emit_candidate(*candidate)
             if accepted:
                 assignment = assignment.with_swap(mover, partner)
                 type_of[mover], type_of[partner] = (
@@ -338,41 +423,81 @@ class SamplingScheduler(Scheduler):
                 swapped = True
         return assignment
 
+    def _emit_candidate(
+        self,
+        mover: int,
+        partner: int,
+        delta_mover: float,
+        delta_partner: float,
+        total: float,
+        threshold: float,
+        accepted: bool,
+    ) -> None:
+        """Report one weighed swap to the recorder and the metrics."""
+        if self.recorder is not None:
+            self.recorder.candidate(
+                mover=mover,
+                partner=partner,
+                delta_mover=delta_mover,
+                delta_partner=delta_partner,
+                delta_total=delta_mover + delta_partner,
+                objective_total=total,
+                threshold=threshold,
+                accepted=accepted,
+                reason=(
+                    "net objective improvement clears swap threshold"
+                    if accepted
+                    else "net objective change within swap hysteresis"
+                ),
+            )
+        reg = obs_metrics.ACTIVE
+        if reg is not None:
+            reg.counter(
+                "sched.swap_candidates",
+                outcome="accepted" if accepted else "rejected",
+            ).inc()
+
     # -- observation -----------------------------------------------------
 
     def observe(
         self, plan: SegmentPlan, observations: Sequence[Observation]
     ) -> None:
+        samples = self._samples
+        known = self._sample_of
         for obs in observations:
-            if obs.duration_seconds <= 0 or obs.instructions <= 0:
-                continue
-            self._samples[(obs.app_index, obs.core_type)] = CoreTypeSample(
-                instructions_per_second=obs.instructions_per_second,
-                abc_per_second=obs.abc_per_second,
-                l3_apki=obs.l3_apki,
-                dram_apki=obs.dram_apki,
-                branch_mpki=obs.branch_mpki,
-                age_quanta=0,
-            )
+            # A replayed observation yields the sample it yielded before.
+            entry = known.get(id(obs))
+            if entry is not None and entry[0] is obs:
+                sample = entry[1]
+                sample.age_quanta = 0
+            else:
+                sample = observed_sample(obs)
+                if sample is None:
+                    continue
+                if DECISION_MEMO_CAP > 0:
+                    if len(known) >= DECISION_MEMO_CAP:
+                        known.clear()
+                    known[id(obs)] = (obs, sample)
+            samples[(obs.app_index, obs.core_type)] = sample
         if plan is not self._final_segment:
             return
         # End of quantum: update consecutive-on-type counters from the
         # main segment's core types.
+        consecutive = self._consecutive
+        last_type = self._last_type
         for obs in observations:
             i = obs.app_index
-            if self._last_type.get(i) == obs.core_type:
-                self._consecutive[i] += 1
+            if last_type.get(i) == obs.core_type:
+                consecutive[i] += 1
             else:
-                self._consecutive[i] = 1
-        self._last_type = {obs.app_index: obs.core_type for obs in observations}
+                consecutive[i] = 1
+        last_type = {obs.app_index: obs.core_type for obs in observations}
+        self._last_type = last_type
         # An off-type sample taken during this quantum's sampling
         # segment (age still 0) satisfies the staleness rule: reset.
-        for i in range(self.num_apps):
-            my_type = self._last_type.get(i)
-            if my_type is None:
-                continue
-            other = self._samples.get((i, _other(my_type)))
+        for i, my_type in last_type.items():
+            other = samples.get((i, _other(my_type)))
             if other is not None and other.age_quanta == 0:
-                self._consecutive[i] = min(self._consecutive[i], 1)
-        for sample in self._samples.values():
+                consecutive[i] = min(consecutive[i], 1)
+        for sample in samples.values():
             sample.age_quanta += 1

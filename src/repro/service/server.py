@@ -38,7 +38,11 @@ from repro.memory.interference import ApplicationDemand
 from repro.metrics.reliability import weighted_ser
 from repro.obs import metrics as obs_metrics
 from repro.sched.base import Observation
-from repro.sched.sampling import DEFAULT_SWAP_THRESHOLD, CoreTypeSample
+from repro.sched.sampling import (
+    DEFAULT_SWAP_THRESHOLD,
+    CoreTypeSample,
+    observed_sample,
+)
 from repro.service.admission import make_admission
 from repro.service.arrivals import JobArrival
 from repro.service.events import ServiceFeed
@@ -574,15 +578,9 @@ class OpenSystem:
         job.abc_seconds += abc_seconds
         job.position += instructions
         job.demand = demand
-        if observation.duration_seconds > 0 and observation.instructions > 0:
-            job.samples[core_type] = CoreTypeSample(
-                instructions_per_second=observation.instructions_per_second,
-                abc_per_second=observation.abc_per_second,
-                l3_apki=observation.l3_apki,
-                dram_apki=observation.dram_apki,
-                branch_mpki=observation.branch_mpki,
-                age_quanta=0,
-            )
+        sample = observed_sample(observation)
+        if sample is not None:
+            job.samples[core_type] = sample
         job.last_core = core
         if job.done and job.depart_time is None:
             freq = self.machine.core_config(core).frequency_hz
