@@ -11,13 +11,15 @@ architecture determines *which subset the scheduler can observe*:
   (correlation 0.99, Figure 5).  Small cores always report their full
   (cheap, 67-byte) measurement.
 
-Schedulers base their decisions on :func:`measured_abc`, so the
-Figure 10 ROB-only ablation is a one-argument change.
+Schedulers base their decisions on :func:`counter_reading` (through
+:func:`measured_abc` for a :class:`~repro.cores.base.QuantumResult`),
+so the Figure 10 ROB-only ablation is a one-argument change.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Sequence
 
 from repro.config.structures import StructureKind
 from repro.cores.base import QuantumResult
@@ -30,10 +32,14 @@ class AceCounterMode(enum.Enum):
     ROB_ONLY = "rob_only"
 
 
-def measured_abc(
-    result: QuantumResult, mode: AceCounterMode, out_of_order: bool
+def counter_reading(
+    total: float,
+    structures: Sequence[StructureKind],
+    ace: Sequence[float],
+    mode: AceCounterMode,
+    out_of_order: bool,
 ) -> float:
-    """ACE bit-cycles the counter hardware reports for a quantum.
+    """ACE bit-cycles the counter hardware reports for a slice.
 
     The small in-order core's 67-byte counter measures the pipeline
     latches (fetch-to-writeback), queues and functional units but not
@@ -41,18 +47,32 @@ def measured_abc(
     excluded from its reading regardless of the mode.
 
     Args:
-        result: exact accounting from the core model.
+        total: the slice's exact ACE bit-cycles over all structures.
+        structures / ace: its per-structure ACE bit-cycles, as a
+            column of keys and a column of values.
         mode: counter implementation.
         out_of_order: whether the measuring core is a big core (the
             ROB-only optimization only applies there).
     """
-    if not out_of_order:
-        return result.total_ace_bit_cycles - result.ace_bit_cycles.get(
-            StructureKind.REGISTER_FILE, 0.0
-        )
-    if mode == AceCounterMode.FULL:
-        return result.total_ace_bit_cycles
-    return result.ace_bit_cycles.get(StructureKind.ROB, 0.0)
+    if out_of_order:
+        if mode == AceCounterMode.FULL:
+            return total
+        kind = StructureKind.ROB
+    else:
+        kind = StructureKind.REGISTER_FILE
+    value = ace[structures.index(kind)] if kind in structures else 0.0
+    return value if out_of_order else total - value
+
+
+def measured_abc(
+    result: QuantumResult, mode: AceCounterMode, out_of_order: bool
+) -> float:
+    """:func:`counter_reading` of a quantum's exact accounting."""
+    ace = result.ace_bit_cycles
+    return counter_reading(
+        result.total_ace_bit_cycles, tuple(ace), tuple(ace.values()),
+        mode, out_of_order,
+    )
 
 
 class SaturatingCounter:

@@ -39,6 +39,7 @@ from repro.check.invariants import (
     check_resume,
     check_run,
     check_schedule,
+    check_segment_paths,
     check_service,
     check_shard_partition,
     check_shard_resume_states,
@@ -74,6 +75,7 @@ __all__ = [
     "check_resume",
     "check_run",
     "check_schedule",
+    "check_segment_paths",
     "check_service",
     "check_shard_partition",
     "check_shard_resume_states",

@@ -49,6 +49,12 @@ invariants:
   including mode-change replay, and -- on fully-occupied machines --
   byte-identity of ``allowed_modes=("none",)`` with the plain
   reliability scheduler (``mode_none_equivalence``).
+* **segment cases** -- a random mix runs on a random machine under a
+  random scheduler, counter mode and completion mode twice: with the
+  mechanistic models, whose slices the segment step consumes as
+  columns and replays, and with models that override ``run_cycles``,
+  which take the generic path and never replay.  The two serialized
+  results must be byte-identical (``segment_path_equivalence``).
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from repro.check.invariants import (
     invariant,
 )
 from repro.config.machines import STANDARD_MACHINES
+from repro.cores.mechanistic import MechanisticCoreModel
 from repro.validation.crossmodel import ModelAgreement, compare_models
 from repro.workloads.spec2006 import BENCHMARK_NAMES
 
@@ -83,6 +90,20 @@ FUZZ_SCHEDULERS = ("random", "performance", "reliability")
 #: Machines the protection-mode fuzzer draws from: 1B3S leaves spare
 #: small-core slots so DMR checker allocation is reachable.
 MODE_FUZZ_MACHINES = ("1B3S", "2B2S")
+
+#: Machines and schedulers the segment-path fuzzer draws from.
+SEGMENT_FUZZ_MACHINES = ("1B1S", "2B2S", "1B3S")
+SEGMENT_FUZZ_SCHEDULERS = ("random", "performance", "reliability", "modes")
+
+
+class _GenericPathModel(MechanisticCoreModel):
+    """A mechanistic model that overrides ``run_cycles``, so the
+    segment step sends it down the generic path and never replays."""
+
+    def run_cycles(self, app, start_instruction, cycles, env, start_span=None):
+        return super().run_cycles(
+            app, start_instruction, cycles, env, start_span
+        )
 
 
 @dataclass(frozen=True)
@@ -1097,6 +1118,72 @@ def _mode_case(index: int, rng: np.random.Generator) -> CheckReport:
     return merge_reports(reports, subject=label)
 
 
+def _segment_case(index: int, rng: np.random.Generator) -> CheckReport:
+    """Fuzz the segment step's column path against its generic path.
+
+    One random (machine, mix, scheduler, counter mode, completion
+    mode) runs with the process's mechanistic models and again with
+    :class:`_GenericPathModel` models; run invariants must hold and the
+    two serialized results must be byte-identical.
+    """
+    from repro.ace.counters import AceCounterMode
+    from repro.check.invariants import check_segment_paths, merge_reports
+    from repro.sim.experiment import make_scheduler
+    from repro.sim.multicore import MulticoreSimulation
+    from repro.sim.serialize import run_result_to_dict
+    from repro.workloads.spec2006 import benchmark
+
+    machine_name = SEGMENT_FUZZ_MACHINES[
+        int(rng.integers(len(SEGMENT_FUZZ_MACHINES)))
+    ]
+    machine = STANDARD_MACHINES[machine_name]()
+    scheduler_name = SEGMENT_FUZZ_SCHEDULERS[
+        int(rng.integers(len(SEGMENT_FUZZ_SCHEDULERS)))
+    ]
+    counter_mode = (AceCounterMode.FULL, AceCounterMode.ROB_ONLY)[
+        int(rng.integers(2))
+    ]
+    restart = bool(rng.integers(2))
+    picks = rng.choice(
+        len(BENCHMARK_NAMES), size=machine.num_cores, replace=False
+    )
+    names = tuple(BENCHMARK_NAMES[i] for i in sorted(picks.tolist()))
+    instructions = int(rng.integers(100_000_000, 400_000_000))
+    label = (
+        f"segment/{index} {machine_name}/{scheduler_name}/"
+        f"{counter_mode.value}/{'restart' if restart else 'complete'}/"
+        f"{'+'.join(names)}x{instructions}"
+    )
+
+    generic = {
+        core_type: _GenericPathModel(
+            getattr(machine, core_type), machine.memory
+        )
+        for core_type in ("big", "small")
+    }
+    results = [
+        MulticoreSimulation(
+            machine,
+            [benchmark(name).scaled(instructions) for name in names],
+            make_scheduler(scheduler_name, machine, machine.num_cores),
+            models=models,
+            counter_mode=counter_mode,
+            record_timeline=True,
+            restart_finished=restart,
+        ).run()
+        for models in (None, generic)
+    ]
+    return merge_reports(
+        [
+            check_run(results[0], label=label),
+            check_segment_paths(
+                *map(run_result_to_dict, results), label=label
+            ),
+        ],
+        subject=label,
+    )
+
+
 def fuzz(
     seed: int = 0,
     *,
@@ -1110,6 +1197,7 @@ def fuzz(
     batch_cases: int = 2,
     shard_cases: int = 2,
     mode_cases: int = 2,
+    segment_cases: int = 2,
     gates: FuzzGates | None = None,
 ) -> FuzzReport:
     """Run one seeded fuzzing session.
@@ -1118,8 +1206,8 @@ def fuzz(
     :class:`numpy.random.Generator`; nothing reads the clock, so the
     findings are reproducible byte-for-byte.  Newer case kinds (kernel,
     then decision, then resume, then service, then batch, then shard,
-    then mode) draw from the rng after the older ones, so adding them
-    kept existing seeds' earlier cases identical.
+    then mode, then segment) draw from the rng after the older ones, so
+    adding them kept existing seeds' earlier cases identical.
     """
     gates = gates if gates is not None else FuzzGates()
     rng = np.random.default_rng(seed)
@@ -1144,4 +1232,6 @@ def fuzz(
         reports.append(_shard_case(index, rng))
     for index in range(mode_cases):
         reports.append(_mode_case(index, rng))
+    for index in range(segment_cases):
+        reports.append(_segment_case(index, rng))
     return FuzzReport(seed=seed, reports=tuple(reports))

@@ -977,6 +977,39 @@ def check_mode_none(
     return _apply("mode_none", label, moded_payload, baseline_payload)
 
 
+# -- segment-step invariants ------------------------------------------
+
+
+@invariant("segment_path_equivalence", subject="segment")
+def _segment_path_equivalence(
+    column_payload, generic_payload
+) -> Iterator[Finding]:
+    """The segment step's column path equals its generic path.
+
+    Unmodified mechanistic models run their slices as columns and
+    replay repeated segments; models that override ``run_cycles`` take
+    the generic ``QuantumResult`` path and never replay.  The two runs'
+    serialized results must be byte-identical.
+    """
+    if column_payload != generic_payload:
+        keys = sorted(set(column_payload) | set(generic_payload))
+        differing = [
+            k for k in keys
+            if column_payload.get(k) != generic_payload.get(k)
+        ]
+        yield (
+            f"column and generic segment paths diverge in {differing}",
+            {"differing_keys": len(differing)},
+        )
+
+
+def check_segment_paths(
+    column_payload, generic_payload, *, label: str = "segment"
+) -> CheckReport:
+    """Compare serialized runs of the column and generic segment paths."""
+    return _apply("segment", label, column_payload, generic_payload)
+
+
 # -- resume invariants ------------------------------------------------
 
 

@@ -34,7 +34,6 @@ on the missing load (the mcf/libquantum effect) -- is modelled through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.config.cores import CoreConfig
@@ -101,6 +100,14 @@ _SMALL_MLP = 1.0
 #: Live architectural-register fraction (shared model constant).
 _ARCH_REG_LIVE_FRACTION = ARCH_REG_LIVE_FRACTION
 
+#: One mechanistic slice in columns: (instructions, cycles, structure
+#: keys, ACE bit-cycles and occupied bit-cycles in key order, DRAM
+#: accesses, L3 accesses, branch mispredictions).
+SliceColumns = tuple
+
+#: The columns of a slice with no cycle budget.
+NO_COLUMNS: SliceColumns = (0, 0.0, (), (), (), 0.0, 0.0, 0.0)
+
 #: Entries a model's phase-analysis memo, and its feature table, hold
 #: before they are emptied.  Hit rates are flat from 32 entries up,
 #: while an unbounded memo grows with every new interference
@@ -108,12 +115,33 @@ _ARCH_REG_LIVE_FRACTION = ARCH_REG_LIVE_FRACTION
 ANALYSIS_MEMO_CAP = 256
 
 
-@dataclass(frozen=True)
+#: CPI-stack component names, in the order the analyzers stack them.
+_CPI_COMPONENTS = ("base", "resource", "bpred", "icache", "l2", "llc", "mem")
+
+#: The structures each core type's analyses report, in dict order.
+_BIG_STRUCTURES = (
+    StructureKind.ROB,
+    StructureKind.ISSUE_QUEUE,
+    StructureKind.LOAD_QUEUE,
+    StructureKind.STORE_QUEUE,
+    StructureKind.REGISTER_FILE,
+    StructureKind.FUNCTIONAL_UNITS,
+)
+_SMALL_STRUCTURES = (
+    StructureKind.PIPELINE_LATCHES,
+    StructureKind.ISSUE_QUEUE,
+    StructureKind.STORE_QUEUE,
+    StructureKind.REGISTER_FILE,
+    StructureKind.FUNCTIONAL_UNITS,
+)
+
+
 class PhaseAnalysis:
     """Steady-state behaviour of one phase on one core type.
 
     Attributes:
         ipc: committed instructions per cycle.
+        cpi: cycles per instruction, the sum of ``cpi_components``.
         cpi_components: CPI stack, keyed by component name
             (``base``, ``resource``, ``bpred``, ``icache``, ``l2``,
             ``llc``, ``mem``).
@@ -122,44 +150,125 @@ class PhaseAnalysis:
             keyed like ``ace_bits_per_cycle``.
         dram_accesses_per_instruction: DRAM accesses per instruction.
         l3_accesses_per_instruction: L3 accesses per instruction.
-        cpi: the sum of ``cpi_components``.
         structures: the structure keys, in dict order.
         ace_rates / occupancy_rates: the two per-structure maps' values
             in ``structures`` order.
 
-    The last four are derived once, at construction: analyses are
-    shared through the model memo, and ``run_cycles`` reads them for
-    every slice.
+    The constructor takes the three maps (the batched engine rebuilds
+    rows this way) and derives the rest.  The analyzers' environment
+    tails instead compute ``cpi`` and the rate tuples directly
+    (``_from_columns``), because ``run_columns`` reads only those; the
+    maps are then built on first read, with the same keys, order and
+    values.  Equality compares ``ipc``, the three maps and the two
+    per-instruction rates.  Analyses are shared through the model
+    memo: treat them as read-only.
     """
 
-    ipc: float
-    cpi_components: dict[str, float]
-    ace_bits_per_cycle: dict[StructureKind, float]
-    occupancy_bits_per_cycle: dict[StructureKind, float]
-    dram_accesses_per_instruction: float
-    l3_accesses_per_instruction: float
-    cpi: float = field(init=False, repr=False, compare=False)
-    structures: tuple[StructureKind, ...] = field(
-        init=False, repr=False, compare=False
-    )
-    ace_rates: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    occupancy_rates: tuple[float, ...] = field(
-        init=False, repr=False, compare=False
+    __slots__ = (
+        "ipc", "cpi", "structures", "ace_rates", "occupancy_rates",
+        "dram_accesses_per_instruction", "l3_accesses_per_instruction",
+        "_components", "_cpi_components", "_ace", "_occupancy",
     )
 
-    def __post_init__(self) -> None:
-        derive = object.__setattr__  # the dataclass is frozen
-        derive(self, "cpi", sum(self.cpi_components.values()))
-        derive(self, "structures", tuple(self.ace_bits_per_cycle))
-        derive(self, "ace_rates", tuple(self.ace_bits_per_cycle.values()))
-        derive(
-            self, "occupancy_rates",
-            tuple(self.occupancy_bits_per_cycle.values()),
+    def __init__(
+        self,
+        ipc: float,
+        cpi_components: dict[str, float],
+        ace_bits_per_cycle: dict[StructureKind, float],
+        occupancy_bits_per_cycle: dict[StructureKind, float],
+        dram_accesses_per_instruction: float,
+        l3_accesses_per_instruction: float,
+    ) -> None:
+        self.ipc = ipc
+        self.cpi = sum(cpi_components.values())
+        self.structures = tuple(ace_bits_per_cycle)
+        self.ace_rates = tuple(ace_bits_per_cycle.values())
+        self.occupancy_rates = tuple(occupancy_bits_per_cycle.values())
+        self.dram_accesses_per_instruction = dram_accesses_per_instruction
+        self.l3_accesses_per_instruction = l3_accesses_per_instruction
+        self._components = None
+        self._cpi_components = cpi_components
+        self._ace = ace_bits_per_cycle
+        self._occupancy = occupancy_bits_per_cycle
+
+    @classmethod
+    def _from_columns(
+        cls,
+        ipc: float,
+        cpi: float,
+        components: tuple[float, ...],
+        structures: tuple[StructureKind, ...],
+        ace_rates: tuple[float, ...],
+        occupancy_rates: tuple[float, ...],
+        dram_accesses_per_instruction: float,
+        l3_accesses_per_instruction: float,
+    ) -> "PhaseAnalysis":
+        """An analysis from its columns; the maps wait until read.
+        ``components`` are the CPI stack's values in stack order."""
+        analysis = object.__new__(cls)
+        analysis.ipc = ipc
+        analysis.cpi = cpi
+        analysis.structures = structures
+        analysis.ace_rates = ace_rates
+        analysis.occupancy_rates = occupancy_rates
+        analysis.dram_accesses_per_instruction = dram_accesses_per_instruction
+        analysis.l3_accesses_per_instruction = l3_accesses_per_instruction
+        analysis._components = components
+        analysis._cpi_components = analysis._ace = analysis._occupancy = None
+        return analysis
+
+    @property
+    def cpi_components(self) -> dict[str, float]:
+        components = self._cpi_components
+        if components is None:
+            components = dict(zip(_CPI_COMPONENTS, self._components))
+            self._cpi_components = components
+        return components
+
+    @property
+    def ace_bits_per_cycle(self) -> dict[StructureKind, float]:
+        ace = self._ace
+        if ace is None:
+            ace = self._ace = dict(zip(self.structures, self.ace_rates))
+        return ace
+
+    @property
+    def occupancy_bits_per_cycle(self) -> dict[StructureKind, float]:
+        occupancy = self._occupancy
+        if occupancy is None:
+            occupancy = dict(zip(self.structures, self.occupancy_rates))
+            self._occupancy = occupancy
+        return occupancy
+
+    def _fields(self) -> tuple:
+        return (
+            self.ipc, self.cpi_components, self.ace_bits_per_cycle,
+            self.occupancy_bits_per_cycle, self.dram_accesses_per_instruction,
+            self.l3_accesses_per_instruction,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]  # holds dicts
+
+    def __repr__(self) -> str:
+        return (
+            f"PhaseAnalysis(ipc={self.ipc!r}, "
+            f"cpi_components={self.cpi_components!r}, "
+            f"ace_bits_per_cycle={self.ace_bits_per_cycle!r}, "
+            f"occupancy_bits_per_cycle={self.occupancy_bits_per_cycle!r}, "
+            f"dram_accesses_per_instruction="
+            f"{self.dram_accesses_per_instruction!r}, "
+            f"l3_accesses_per_instruction="
+            f"{self.l3_accesses_per_instruction!r})"
         )
 
     @property
     def total_ace_bits_per_cycle(self) -> float:
-        return sum(self.ace_bits_per_cycle.values())
+        return sum(self.ace_rates)
 
     def avf(self, core: CoreConfig) -> float:
         return self.total_ace_bits_per_cycle / core.total_ace_capacity_bits
@@ -209,12 +318,14 @@ class PhaseFeatures:
     only for the ``kind`` of core they model.
 
     ``cpi_prefix`` is the left fold ``0.0 + base + resource + bpred +
-    icache + l2`` of the environment-independent CPI components, and
-    ``l3_mpki``/``sens_headroom`` restate ``l3_mpki_at_share``, for the
-    batched tail; the scalar tail sums the full component dict and
-    calls ``l3_mpki_at_share``.  ``pools`` carries, per functional-unit
-    pool, (mix fraction, latency, max in flight, bits) for the
-    IPC-dependent FU term.
+    icache + l2`` of the environment-independent CPI components, for
+    the batched tail; the scalar tail ``sum()``s all seven components.
+    ``l3_mpki``/``sens_headroom`` restate ``l3_mpki_at_share`` for both
+    tails.  On a big core the memory regime's ROB occupancy and
+    wrong-path share are fixed, so its per-regime terms (``mem_*``) are
+    computed here too.  ``pools`` carries, per functional-unit pool,
+    (mix fraction, latency, max in flight, bits) for the IPC-dependent
+    FU term.
     """
 
     __slots__ = (
@@ -232,6 +343,9 @@ class PhaseFeatures:
         "occ_base_fixed", "occ_base_const", "fe_events", "fill_rate",
         "refill_occ", "time_to_fill", "ramp_ttf", "occ_mem",
         "wp_mem", "run_cap", "run_cap_finite",
+        # big-core memory-regime terms
+        "mem_ace_frac", "mem_iq", "mem_lq", "mem_sq", "mem_rf_occ",
+        "mem_rf_ace",
         # small-core occupancy model
         "latch_bits", "occ_flow", "occ_stall", "occ_fe_small",
         "iq_occ_flow", "iq_occ_fe", "iq_occ_stall", "store_drain_extra",
@@ -347,6 +461,21 @@ class PhaseFeatures:
                 _CORRECT_PATH_RUN_FACTOR / br if br > 0 else math.inf
             )
             self.run_cap_finite = math.isfinite(self.run_cap)
+            # Every memory-regime term but the regime's weight, in the
+            # tail's operation order.
+            occ = self.occ_mem
+            correct_path = 1.0 - self.wp_mem
+            if occ > 0 and self.run_cap_finite:
+                correct_path = min(correct_path, self.run_cap / occ)
+            self.mem_ace_frac = self.non_nop * correct_path
+            self.mem_iq = min(self.iq_size, occ * _IQ_FRACTION["mem"])
+            self.mem_lq = min(self.lq_size, occ * self.load)
+            self.mem_sq = min(
+                self.sq_size, occ * self.store * _STORE_RESIDENCY
+            )
+            live_regs = occ * self.writer_frac * _REG_LIVE_FRACTION["mem"]
+            self.mem_rf_occ = live_regs * self.reg_bits_per_writer
+            self.mem_rf_ace = self.mem_rf_occ * self.mem_ace_frac
         else:
             assert core.pipeline_latches is not None
             # Stall cycles keep the pipeline latches fully occupied;
@@ -384,8 +513,13 @@ class PhaseFeatures:
 def _environment_terms(
     f: PhaseFeatures, env: MemoryEnvironment
 ) -> tuple[float, float]:
-    """(L3 misses per instruction, full L3-miss-to-data latency)."""
-    m3 = f.chars.l3_mpki_at_share(env.l3_share_fraction) / 1000.0
+    """(L3 misses per instruction, full L3-miss-to-data latency).
+
+    The L3 MPKI is ``chars.l3_mpki_at_share(share)`` restated on the
+    features, with the same operations.
+    """
+    share = min(max(env.l3_share_fraction, 0.0), 1.0)
+    m3 = (f.l3_mpki + f.sens_headroom * (1.0 - share)) / 1000.0
     dram_lat = f.l3_lat + f.dram_base * env.dram_latency_multiplier
     return min(m3, f.m2), dram_lat
 
@@ -403,27 +537,35 @@ def _fu_occupied(f: PhaseFeatures, ipc: float) -> float:
     return occupied
 
 
+#: Per-regime issue-queue and live-register fractions, unrolled for
+#: the tails.
+_IQ_BASE, _IQ_FE, _IQ_LLC = (_IQ_FRACTION[r] for r in ("base", "fe", "llc"))
+_REG_BASE, _REG_FE, _REG_LLC = (
+    _REG_LIVE_FRACTION[r] for r in ("base", "fe", "llc")
+)
+
+
 def _big_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
-    """The environment-dependent part of a big-core analysis."""
+    """The environment-dependent part of a big-core analysis.
+
+    The regime loop is unrolled (base, fe, llc, mem): each regime adds
+    its terms to the running totals in the loop's order, skipping a
+    regime that takes no cycles (``not t <= 0.0``, the loop's test).
+    """
     m2 = f.m2
     m3, dram_lat = _environment_terms(f, env)
-    components = {
-        "base": f.comp_base,
-        "resource": f.comp_resource,
-        "bpred": f.comp_bpred,
-        "icache": f.comp_icache,
-        "l2": f.comp_l2,
-        "llc": (m2 - m3) * f.l3_lat * _L3_EXPOSED_BIG,
-        "mem": m3 * dram_lat / f.mlp,
-    }
-    cpi = sum(components.values())
+    llc = (m2 - m3) * f.l3_lat * _L3_EXPOSED_BIG
+    mem = m3 * dram_lat / f.mlp
+    components = (
+        f.comp_base, f.comp_resource, f.comp_bpred, f.comp_icache,
+        f.comp_l2, llc, mem,
+    )
+    cpi = sum(components)
     ipc = 1.0 / cpi
 
     # -- Regime decomposition (cycles per instruction in each regime) --
-    t_mem = components["mem"]
     t_fe = f.t_fe
-    t_llc = components["llc"]
-    t_base = cpi - t_mem - t_fe - t_llc
+    t_base = cpi - mem - t_fe - llc
 
     rob_size = f.rob_size
     if f.occ_base_fixed:
@@ -439,108 +581,154 @@ def _big_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
     occ_llc = (occ_base + rob_size) / 2.0
     occ_fe = occ_base * _FE_OCCUPANCY_FACTOR
 
-    # (regime, cycles per instruction, ROB occupancy, wrong-path share)
-    regimes = (
-        ("base", t_base, occ_base, 0.0),
-        ("fe", t_fe, occ_fe, 0.0),
-        ("llc", t_llc, occ_llc, 0.0),
-        ("mem", t_mem, f.occ_mem, f.wp_mem),
-    )
-    non_nop = f.non_nop
+    non_nop, load, store = f.non_nop, f.load, f.store
+    writer_frac, reg_bits_per_writer = f.writer_frac, f.reg_bits_per_writer
+    capped, run_cap = f.run_cap_finite, f.run_cap
     rob_bits, iq_size, iq_bits = f.rob_bits, f.iq_size, f.iq_bits
     lq_size, lq_bits = f.lq_size, f.lq_bits
     sq_size, sq_bits = f.sq_size, f.sq_bits
-    reg_bits_per_writer = f.reg_bits_per_writer
     ace_rob = ace_iq = ace_lq = ace_sq = ace_rf = 0.0
     occ_rob = occ_iq_bits = occ_lq_bits = occ_sq_bits = occ_rf = 0.0
-    for regime, t_ci, occ, wrong_path in regimes:
-        if t_ci <= 0.0:
-            continue
-        weight = t_ci / cpi  # fraction of cycles spent in this regime
-        correct_path = 1.0 - wrong_path
-        if occ > 0 and f.run_cap_finite:
-            correct_path = min(correct_path, f.run_cap / occ)
+    # Base, front-end and LLC regimes: no wrong-path share, so the
+    # correct-path fraction starts at 1.0 (``1.0 - 0.0``).
+    if not t_base <= 0.0:
+        weight = t_base / cpi  # fraction of cycles spent in this regime
+        correct_path = 1.0
+        if occ_base > 0 and capped:
+            correct_path = min(correct_path, run_cap / occ_base)
         ace_frac = non_nop * correct_path
-        occ_iq = min(iq_size, occ * _IQ_FRACTION[regime])
-        occ_lq = min(lq_size, occ * f.load)
-        occ_sq = min(sq_size, occ * f.store * _STORE_RESIDENCY)
-        live_regs = occ * f.writer_frac * _REG_LIVE_FRACTION[regime]
-
-        occ_rob += weight * occ * rob_bits
+        occ_iq = min(iq_size, occ_base * _IQ_BASE)
+        occ_lq = min(lq_size, occ_base * load)
+        occ_sq = min(sq_size, occ_base * store * _STORE_RESIDENCY)
+        live_regs = occ_base * writer_frac * _REG_BASE
+        occ_rob += weight * occ_base * rob_bits
         occ_iq_bits += weight * occ_iq * iq_bits
         occ_lq_bits += weight * occ_lq * lq_bits
         occ_sq_bits += weight * occ_sq * sq_bits
         occ_rf += weight * (live_regs * reg_bits_per_writer)
-
-        ace_rob += weight * occ * rob_bits * ace_frac
+        ace_rob += weight * occ_base * rob_bits * ace_frac
         ace_iq += weight * occ_iq * iq_bits * ace_frac
         ace_lq += weight * occ_lq * lq_bits * ace_frac
         ace_sq += weight * occ_sq * sq_bits * ace_frac
         ace_rf += weight * (live_regs * reg_bits_per_writer * ace_frac)
+    if not t_fe <= 0.0:
+        weight = t_fe / cpi
+        correct_path = 1.0
+        if occ_fe > 0 and capped:
+            correct_path = min(correct_path, run_cap / occ_fe)
+        ace_frac = non_nop * correct_path
+        occ_iq = min(iq_size, occ_fe * _IQ_FE)
+        occ_lq = min(lq_size, occ_fe * load)
+        occ_sq = min(sq_size, occ_fe * store * _STORE_RESIDENCY)
+        live_regs = occ_fe * writer_frac * _REG_FE
+        occ_rob += weight * occ_fe * rob_bits
+        occ_iq_bits += weight * occ_iq * iq_bits
+        occ_lq_bits += weight * occ_lq * lq_bits
+        occ_sq_bits += weight * occ_sq * sq_bits
+        occ_rf += weight * (live_regs * reg_bits_per_writer)
+        ace_rob += weight * occ_fe * rob_bits * ace_frac
+        ace_iq += weight * occ_iq * iq_bits * ace_frac
+        ace_lq += weight * occ_lq * lq_bits * ace_frac
+        ace_sq += weight * occ_sq * sq_bits * ace_frac
+        ace_rf += weight * (live_regs * reg_bits_per_writer * ace_frac)
+    if not llc <= 0.0:
+        weight = llc / cpi
+        correct_path = 1.0
+        if occ_llc > 0 and capped:
+            correct_path = min(correct_path, run_cap / occ_llc)
+        ace_frac = non_nop * correct_path
+        occ_iq = min(iq_size, occ_llc * _IQ_LLC)
+        occ_lq = min(lq_size, occ_llc * load)
+        occ_sq = min(sq_size, occ_llc * store * _STORE_RESIDENCY)
+        live_regs = occ_llc * writer_frac * _REG_LLC
+        occ_rob += weight * occ_llc * rob_bits
+        occ_iq_bits += weight * occ_iq * iq_bits
+        occ_lq_bits += weight * occ_lq * lq_bits
+        occ_sq_bits += weight * occ_sq * sq_bits
+        occ_rf += weight * (live_regs * reg_bits_per_writer)
+        ace_rob += weight * occ_llc * rob_bits * ace_frac
+        ace_iq += weight * occ_iq * iq_bits * ace_frac
+        ace_lq += weight * occ_lq * lq_bits * ace_frac
+        ace_sq += weight * occ_sq * sq_bits * ace_frac
+        ace_rf += weight * (live_regs * reg_bits_per_writer * ace_frac)
+    # Memory regime: every term but the weight is a feature.
+    if not mem <= 0.0:
+        weight = mem / cpi
+        occ_mem, ace_frac = f.occ_mem, f.mem_ace_frac
+        occ_iq, occ_lq, occ_sq = f.mem_iq, f.mem_lq, f.mem_sq
+        occ_rob += weight * occ_mem * rob_bits
+        occ_iq_bits += weight * occ_iq * iq_bits
+        occ_lq_bits += weight * occ_lq * lq_bits
+        occ_sq_bits += weight * occ_sq * sq_bits
+        occ_rf += weight * f.mem_rf_occ
+        ace_rob += weight * occ_mem * rob_bits * ace_frac
+        ace_iq += weight * occ_iq * iq_bits * ace_frac
+        ace_lq += weight * occ_lq * lq_bits * ace_frac
+        ace_sq += weight * occ_sq * sq_bits * ace_frac
+        ace_rf += weight * f.mem_rf_ace
 
     fu = _fu_occupied(f, ipc)
-    return PhaseAnalysis(
-        ipc=ipc,
-        cpi_components=components,
-        ace_bits_per_cycle={
-            StructureKind.ROB: ace_rob,
-            StructureKind.ISSUE_QUEUE: ace_iq,
-            StructureKind.LOAD_QUEUE: ace_lq,
-            StructureKind.STORE_QUEUE: ace_sq,
-            StructureKind.REGISTER_FILE: ace_rf + f.arch_add,
-            StructureKind.FUNCTIONAL_UNITS: fu,
-        },
-        occupancy_bits_per_cycle={
-            StructureKind.ROB: occ_rob,
-            StructureKind.ISSUE_QUEUE: occ_iq_bits,
-            StructureKind.LOAD_QUEUE: occ_lq_bits,
-            StructureKind.STORE_QUEUE: occ_sq_bits,
-            StructureKind.REGISTER_FILE: occ_rf + f.arch_add,
-            StructureKind.FUNCTIONAL_UNITS: fu,
-        },
-        dram_accesses_per_instruction=m3,
-        l3_accesses_per_instruction=m2,
+    arch_add = f.arch_add
+    return PhaseAnalysis._from_columns(
+        ipc, cpi, components, _BIG_STRUCTURES,
+        (ace_rob, ace_iq, ace_lq, ace_sq, ace_rf + arch_add, fu),
+        (occ_rob, occ_iq_bits, occ_lq_bits, occ_sq_bits, occ_rf + arch_add,
+         fu),
+        m3, m2,
     )
 
 
 def _small_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
-    """The environment-dependent part of a small-core analysis."""
+    """The environment-dependent part of a small-core analysis.
+
+    The regime loop is unrolled (flowing, front-end stall, memory
+    stall) like the big core's.
+    """
     m2 = f.m2
     m3, dram_lat = _environment_terms(f, env)
-    components = {
-        "base": f.comp_base,
-        "resource": f.comp_resource,
-        "bpred": f.comp_bpred,
-        "icache": f.comp_icache,
-        "l2": f.comp_l2,
-        "llc": (m2 - m3) * f.l3_lat,
-        "mem": m3 * dram_lat / f.mlp,
-    }
-    cpi = sum(components.values())
+    l2 = f.comp_l2
+    llc = (m2 - m3) * f.l3_lat
+    mem = m3 * dram_lat / f.mlp
+    components = (
+        f.comp_base, f.comp_resource, f.comp_bpred, f.comp_icache,
+        l2, llc, mem,
+    )
+    cpi = sum(components)
     ipc = 1.0 / cpi
 
-    t_stall = components["l2"] + components["llc"] + components["mem"]
+    t_stall = l2 + llc + mem
     t_fe = f.t_fe
     t_flow = cpi - t_stall - t_fe
 
     sq_size = f.sq_size
     sq_base = min(sq_size, ipc * f.store * _SMALL_STORE_DRAIN)
-    # (cycles per instruction, latch, issue-queue and store-queue
-    # occupancy) per regime: flowing, front-end stall, memory stall.
-    regimes = (
-        (t_flow, f.occ_flow, f.iq_occ_flow, sq_base),
-        (t_fe, f.occ_fe_small, f.iq_occ_fe, sq_base * 0.5),
-        (t_stall, f.occ_stall, f.iq_occ_stall,
-         min(sq_size, sq_base + f.store_drain_extra)),
-    )
     non_nop = f.non_nop
     latch_bits, iq_bits, sq_bits = f.latch_bits, f.iq_bits, f.sq_bits
     ace_pl = ace_iq = ace_sq = 0.0
     occ_pl = occ_iq = occ_sq = 0.0
-    for t_ci, occ, iq_occ, sq_occ in regimes:
-        if t_ci <= 0.0:
-            continue
-        weight = t_ci / cpi
+    # Per regime: latch, issue-queue and store-queue occupancy.
+    if not t_flow <= 0.0:
+        weight = t_flow / cpi
+        occ, iq_occ, sq_occ = f.occ_flow, f.iq_occ_flow, sq_base
+        occ_pl += weight * occ * latch_bits
+        occ_iq += weight * iq_occ * iq_bits
+        occ_sq += weight * sq_occ * sq_bits
+        ace_pl += weight * occ * latch_bits * non_nop
+        ace_iq += weight * iq_occ * iq_bits * non_nop
+        ace_sq += weight * sq_occ * sq_bits * non_nop
+    if not t_fe <= 0.0:
+        weight = t_fe / cpi
+        occ, iq_occ, sq_occ = f.occ_fe_small, f.iq_occ_fe, sq_base * 0.5
+        occ_pl += weight * occ * latch_bits
+        occ_iq += weight * iq_occ * iq_bits
+        occ_sq += weight * sq_occ * sq_bits
+        ace_pl += weight * occ * latch_bits * non_nop
+        ace_iq += weight * iq_occ * iq_bits * non_nop
+        ace_sq += weight * sq_occ * sq_bits * non_nop
+    if not t_stall <= 0.0:
+        weight = t_stall / cpi
+        occ, iq_occ = f.occ_stall, f.iq_occ_stall
+        sq_occ = min(sq_size, sq_base + f.store_drain_extra)
         occ_pl += weight * occ * latch_bits
         occ_iq += weight * iq_occ * iq_bits
         occ_sq += weight * sq_occ * sq_bits
@@ -549,25 +737,12 @@ def _small_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
         ace_sq += weight * sq_occ * sq_bits * non_nop
 
     fu = _fu_occupied(f, ipc)
-    return PhaseAnalysis(
-        ipc=ipc,
-        cpi_components=components,
-        ace_bits_per_cycle={
-            StructureKind.PIPELINE_LATCHES: ace_pl,
-            StructureKind.ISSUE_QUEUE: ace_iq,
-            StructureKind.STORE_QUEUE: ace_sq,
-            StructureKind.REGISTER_FILE: f.arch_add,
-            StructureKind.FUNCTIONAL_UNITS: fu,
-        },
-        occupancy_bits_per_cycle={
-            StructureKind.PIPELINE_LATCHES: occ_pl,
-            StructureKind.ISSUE_QUEUE: occ_iq,
-            StructureKind.STORE_QUEUE: occ_sq,
-            StructureKind.REGISTER_FILE: f.arch_add,
-            StructureKind.FUNCTIONAL_UNITS: fu,
-        },
-        dram_accesses_per_instruction=m3,
-        l3_accesses_per_instruction=m2,
+    arch_add = f.arch_add
+    return PhaseAnalysis._from_columns(
+        ipc, cpi, components, _SMALL_STRUCTURES,
+        (ace_pl, ace_iq, ace_sq, arch_add, fu),
+        (occ_pl, occ_iq, occ_sq, arch_add, fu),
+        m3, m2,
     )
 
 
@@ -661,21 +836,25 @@ class MechanisticCoreModel(CoreModel):
         self._memo[key] = (chars, analysis)
         return analysis
 
-    def run_cycles(
+    def run_columns(
         self,
         app: "BenchmarkProfile",
         start_instruction: int,
         cycles: float,
         env: MemoryEnvironment,
         start_span: tuple["PhaseCharacteristics", int] | None = None,
-    ) -> QuantumResult:
+    ) -> SliceColumns:
         """Advance a profile through a cycle budget, phase by phase.
 
-        ``start_span`` is ``app.phase_span(start_instruction)``, for a
-        caller that already looked it up.
+        The one implementation of a mechanistic slice; returns it as
+        :data:`SliceColumns`.  ``start_span`` is
+        ``app.phase_span(start_instruction)``, for a caller that
+        already looked it up.  The current phase and its analysis are
+        kept while the position stays inside that phase, so the idle
+        remainder after a chunk looks nothing up.
         """
         if cycles <= 0:
-            return QuantumResult.zero()
+            return NO_COLUMNS
         # Accumulate per structure column, adding each chunk's terms in
         # the order ``QuantumResult.merged_with`` would, so the totals
         # are bit-identical to merging one result per chunk.  Every
@@ -689,16 +868,18 @@ class MechanisticCoreModel(CoreModel):
         dram = l3 = mispredictions = 0.0
         position = start_instruction
         remaining = float(cycles)
+        to_phase_end = 0
         # Iterate phase chunks; each chunk is homogeneous, so the phase
         # analysis applies uniformly across it.
         while remaining > 1e-9:
-            if start_span is None:
-                chars, to_phase_end = app.phase_span(position)
-            else:
-                chars, to_phase_end = start_span
-                start_span = None
-            analysis = self.analyze(chars, env)
-            cpi = analysis.cpi
+            if to_phase_end == 0:
+                if start_span is None:
+                    chars, to_phase_end = app.phase_span(position)
+                else:
+                    chars, to_phase_end = start_span
+                    start_span = None
+                analysis = self.analyze(chars, env)
+                cpi = analysis.cpi
             chunk_cycles = min(remaining, to_phase_end * cpi)
             instructions = int(round(chunk_cycles / cpi))
             if instructions <= 0:
@@ -734,9 +915,32 @@ class MechanisticCoreModel(CoreModel):
             l3 += analysis.l3_accesses_per_instruction * instructions
             mispredictions += chars.branch_mpki / 1000.0 * instructions
             position += instructions
+            to_phase_end -= instructions
             remaining -= chunk_cycles
+        return (
+            committed, elapsed, structures, ace, occupancy,
+            dram, l3, mispredictions,
+        )
+
+    def run_cycles(
+        self,
+        app: "BenchmarkProfile",
+        start_instruction: int,
+        cycles: float,
+        env: MemoryEnvironment,
+        start_span: tuple["PhaseCharacteristics", int] | None = None,
+    ) -> QuantumResult:
+        """:meth:`run_columns` as a :class:`QuantumResult`, for callers
+        other than the segment step (isolated runs, the service's
+        worker map, validation).  The segment step reads the columns
+        directly; a subclass that overrides this method is run through
+        it instead, and never replays."""
+        (instructions, elapsed, structures, ace, occupancy,
+         dram, l3, mispredictions) = self.run_columns(
+            app, start_instruction, cycles, env, start_span
+        )
         return QuantumResult(
-            instructions=committed,
+            instructions=instructions,
             cycles=elapsed,
             ace_bit_cycles=dict(zip(structures, ace)),
             occupancy_bit_cycles=dict(zip(structures, occupancy)),

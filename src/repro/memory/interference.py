@@ -113,16 +113,11 @@ class InterferenceModel:
         if not demands:
             return []
         shares = llc_shares([d.l3_accesses_per_second for d in demands])
-        traffic = sum(d.dram_accesses_per_second for d in demands) * LINE_BYTES
+        traffic = sum([d.dram_accesses_per_second for d in demands]) * LINE_BYTES
         multiplier = bandwidth_multiplier(
             traffic, self.memory.dram_bandwidth_gbps * 1e9
         )
-        return [
-            MemoryEnvironment(
-                l3_share_fraction=share, dram_latency_multiplier=multiplier
-            )
-            for share in shares
-        ]
+        return [MemoryEnvironment(share, multiplier) for share in shares]
 
     def solve(
         self,

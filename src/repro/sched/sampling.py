@@ -39,9 +39,9 @@ from repro.config.machines import BIG, SMALL, MachineConfig
 from repro.obs import metrics as obs_metrics
 from repro.sched.base import Assignment, Observation, Scheduler, SegmentPlan
 
-#: Entries each of a sampling scheduler's two replay maps, the decision
-#: memo and the observation-to-sample map, holds before it is emptied
-#: (docs/performance.md, "Decision replay").
+#: Entries each of a sampling scheduler's two replay maps holds: the
+#: decision memo is emptied when full, the observation-to-sample map
+#: cut to half the cap (docs/performance.md, "Decision replay").
 DECISION_MEMO_CAP = 256
 
 #: Memo value of a search key seen once.
@@ -77,6 +77,11 @@ def observed_sample(observation: Observation) -> CoreTypeSample | None:
         dram_apki=observation.dram_apki,
         branch_mpki=observation.branch_mpki,
     )
+
+
+def _replay_rank(item: tuple[int, list]) -> tuple[bool, int]:
+    """Sort key of an observation-to-sample entry: (replayed, last use)."""
+    return item[1][3], item[1][2]
 
 
 def _other(core_type: str) -> str:
@@ -138,8 +143,11 @@ class SamplingScheduler(Scheduler):
         # Decision memo: search key -> (pinned samples, resulting
         # assignment, candidate records), or _SEEN after one sighting.
         self._decisions: dict[tuple, tuple] = {}
-        # id(observation) -> (observation, the sample it yielded).
-        self._sample_of: dict[int, tuple[Observation, CoreTypeSample]] = {}
+        # id(observation) -> [observation, the sample it yielded, the
+        # observe call that last inserted or replayed it, whether it
+        # replayed]; _observed counts the calls.
+        self._sample_of: dict[int, list] = {}
+        self._observed = 0
 
     # -- objective -------------------------------------------------------
 
@@ -459,25 +467,45 @@ class SamplingScheduler(Scheduler):
 
     # -- observation -----------------------------------------------------
 
+    def _trim_samples(self) -> dict[int, list]:
+        """Cut the full observation-to-sample map to half its cap and
+        return it.
+
+        Most entries hold observations of computed segments that never
+        recur, so entries that never replayed go first, least recently
+        inserted first, then replayed ones, least recently replayed
+        first.  Emptying the map instead would drop the samples of
+        steady segments too, and the samples rebuilt for them would
+        turn their decision keys into misses.
+        """
+        ranked = sorted(self._sample_of.items(), key=_replay_rank)
+        kept = ranked[len(ranked) - DECISION_MEMO_CAP // 2:]
+        self._sample_of = dict(kept)
+        return self._sample_of
+
     def observe(
         self, plan: SegmentPlan, observations: Sequence[Observation]
     ) -> None:
         samples = self._samples
         known = self._sample_of
+        self._observed += 1
+        now = self._observed
         for obs in observations:
             # A replayed observation yields the sample it yielded before.
             entry = known.get(id(obs))
             if entry is not None and entry[0] is obs:
                 sample = entry[1]
                 sample.age_quanta = 0
+                entry[2] = now
+                entry[3] = True
             else:
                 sample = observed_sample(obs)
                 if sample is None:
                     continue
                 if DECISION_MEMO_CAP > 0:
                     if len(known) >= DECISION_MEMO_CAP:
-                        known.clear()
-                    known[id(obs)] = (obs, sample)
+                        known = self._trim_samples()
+                    known[id(obs)] = [obs, sample, now, False]
             samples[(obs.app_index, obs.core_type)] = sample
         if plan is not self._final_segment:
             return

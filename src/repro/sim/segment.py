@@ -9,31 +9,44 @@ at its application's end when asked to, and returns per-application
 deltas, the observations the scheduler sees and the new demands.  The
 callers keep their own bookkeeping.
 
-With mechanistic models a step replays segments it computed before.
-The key holds the assignment, the duration, the incoming demands, the
-migrated flags and the ids of the applications' phase objects; an
-entry pins those objects and a hit is confirmed by identity.  A
-segment is stored only when every slice committed an instruction and
-ended strictly inside its phase without a clip, and an entry replays
-only while each stored slice still ends inside its application's
-current phase and, when the step clips, within the application.  Then
-``MechanisticCoreModel.run_cycles`` is a pure function of (phase,
-cycles, environment), so a replay is exact; docs/performance.md
-("Segment replay") writes out the argument.  Trace-driven models carry
-cache state between slices and never replay.
+Every slice reaches the step as :data:`SliceColumns`.  Unmodified
+mechanistic models hand them over from
+``MechanisticCoreModel.run_columns`` directly, so a computed segment
+builds no per-structure dict and no ``QuantumResult``; every other
+model, and a worker map (``execute``), returns a ``QuantumResult``
+that is turned into columns.  The step clips and sums the columns with
+the operations of ``QuantumResult.clipped`` and
+``QuantumResult.total_ace_bit_cycles``, and reads the counters through
+:func:`~repro.ace.counters.counter_reading`, the rule
+:func:`~repro.ace.counters.measured_abc` applies to a result.
+
+With unmodified mechanistic models a step also replays segments it
+computed before.  The key holds the assignment, the duration, the
+incoming demands, the migrated flags and the ids of the applications'
+phase objects; an entry pins those objects and a hit is confirmed by
+identity.  A segment is stored only when every slice committed an
+instruction and ended strictly inside its phase without a clip, and an
+entry replays only while each stored slice still ends inside its
+application's current phase and, when the step clips, within the
+application.  Then ``MechanisticCoreModel.run_columns`` is a pure
+function of (phase, cycles, environment), so a replay is exact;
+docs/performance.md ("Segment replay") writes out the argument.  A
+model that overrides ``run_cycles`` or ``run_columns`` takes the
+generic path and never replays; trace-driven models carry cache state
+between slices.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from repro.ace.counters import AceCounterMode, measured_abc
+from repro.ace.counters import AceCounterMode, counter_reading
 from repro.config.cores import CoreConfig
 from repro.config.machines import MachineConfig, MemoryConfig
 from repro.cores.base import CoreModel, QuantumResult
-from repro.cores.mechanistic import MechanisticCoreModel
+from repro.cores.mechanistic import MechanisticCoreModel, SliceColumns
 from repro.memory.interference import ApplicationDemand, InterferenceModel
-from repro.obs.tracing import span
+from repro.obs import tracing
 from repro.sched.base import PARKED, Observation
 
 #: Keys one step's replay memo holds before it is emptied.  A
@@ -63,6 +76,23 @@ SliceDelta = tuple
 Slice = tuple
 
 
+def _result_columns(result: QuantumResult) -> SliceColumns:
+    """A core model's result as :data:`SliceColumns`; the occupancy
+    column keeps only the values, which the step sums."""
+    ace = result.ace_bit_cycles
+    return (
+        result.instructions, result.cycles, tuple(ace), tuple(ace.values()),
+        tuple(result.occupancy_bit_cycles.values()), result.memory_accesses,
+        result.l3_accesses, result.branch_mispredictions,
+    )
+
+
+def _generic_slice(model, app, position, cycles, env, start_span):
+    """Run a slice through ``run_cycles``, the path of every model but
+    an unmodified :class:`MechanisticCoreModel`."""
+    return _result_columns(model.run_cycles(app, position, cycles, env))
+
+
 def mechanistic_model(
     core: CoreConfig, memory: MemoryConfig
 ) -> MechanisticCoreModel:
@@ -84,6 +114,10 @@ def mechanistic_model(
 class SegmentStep:
     """Executes the segments of one simulation or one open system.
 
+    When every model is an unmodified :class:`MechanisticCoreModel`,
+    slices run through ``run_columns`` and segments replay; otherwise
+    every slice runs through ``run_cycles`` and nothing replays.
+
     Args:
         machine: the machine; core ids index its cores.
         models: the core model of each core type.
@@ -92,8 +126,8 @@ class SegmentStep:
             completion); ``False`` lets applications run on past it
             (restarted applications).
         execute: optional; runs a segment's list of slices and returns
-            their results in order (a worker pool).  By default each
-            slice runs in this process as it is needed.
+            their ``QuantumResult``s in order (a worker pool).  By
+            default each slice runs in this process as it is needed.
     """
 
     def __init__(
@@ -119,14 +153,19 @@ class SegmentStep:
                 core_type, models[core_type],
                 config.frequency_hz, config.out_of_order,
             ))
-        # Replays rest on the purity of MechanisticCoreModel.run_cycles;
-        # a subclass that overrides it does not replay.
+        # Replays and columns rest on the purity of
+        # MechanisticCoreModel.run_columns; a subclass that overrides it
+        # or run_cycles takes the generic path and does not replay.
         replays = all(
             isinstance(model, MechanisticCoreModel)
             and type(model).run_cycles is MechanisticCoreModel.run_cycles
+            and type(model).run_columns is MechanisticCoreModel.run_columns
             for _, model, _, _ in self._cores
         )
         self._memo: dict[tuple, tuple] | None = {} if replays else None
+        self._run_slice = (
+            MechanisticCoreModel.run_columns if replays else _generic_slice
+        )
         self._idle: dict[tuple[int, int], Observation] = {}
 
     def run(
@@ -154,6 +193,7 @@ class SegmentStep:
         observation list is always fresh.
         """
         memo = self._memo
+        spans = None
         migrated = [
             core != PARKED and app is not None
             and last is not None and last != core
@@ -199,6 +239,10 @@ class SegmentStep:
             ]
             if slices:
                 results = iter(self.execute(slices))
+        run_slice = self._run_slice
+        if spans is None:
+            spans = [None] * len(core_of)
+        traced = tracing.ACTIVE is not None
 
         clip = self.clip
         clipped = False
@@ -217,30 +261,38 @@ class SegmentStep:
             flag = migrated[i]
             overhead = transfer if flag else 0.0
             if results is not None:
-                result = next(results)
-            elif memo is None:
-                with span("sim.exec", core=core_type):
-                    result = model.run_cycles(
-                        app, positions[i], (duration - overhead) * freq,
-                        envs[i],
-                    )
-            else:
-                with span("sim.exec", core=core_type):
-                    result = model.run_cycles(
-                        app, positions[i], (duration - overhead) * freq,
+                columns = _result_columns(next(results))
+            elif traced:
+                with tracing.span("sim.exec", core=core_type):
+                    columns = run_slice(
+                        model, app, positions[i], (duration - overhead) * freq,
                         envs[i], spans[i],
                     )
-            if clip and result.instructions > app.instructions - positions[i]:
-                # Clip the slice at the application's end; the rest of
+            else:
+                columns = run_slice(
+                    model, app, positions[i], (duration - overhead) * freq,
+                    envs[i], spans[i],
+                )
+            (count, cycles, structures, ace, occupancy,
+             dram, l3, mispredictions) = columns
+            if clip and count > app.instructions - positions[i]:
+                # Clip the slice at the application's end with the
+                # operations of ``QuantumResult.clipped``; the rest of
                 # the segment idles.
-                result = result.clipped(app.instructions - positions[i])
+                left = app.instructions - positions[i]
+                scale = left / count
+                count = left
+                cycles = cycles * scale
+                ace = [value * scale for value in ace]
+                occupancy = [value * scale for value in occupancy]
+                dram = dram * scale
+                l3 = l3 * scale
+                mispredictions = mispredictions * scale
                 clipped = True
-            l3 = result.l3_accesses
-            dram = result.memory_accesses
+            total = sum(ace)
             deltas.append((
-                core, core_type, flag, overhead, result.instructions,
-                result.cycles, result.total_ace_bit_cycles / freq,
-                sum(result.occupancy_bit_cycles.values()) / freq, l3, dram,
+                core, core_type, flag, overhead, count, cycles,
+                total / freq, sum(occupancy) / freq, l3, dram,
             ))
             new_demands.append(ApplicationDemand(l3 / duration, dram / duration))
             # The counters measure rates over the time the application
@@ -248,9 +300,11 @@ class SegmentStep:
             # to them (it still costs wall-clock time in the caller's
             # ground-truth accounting).
             observations.append(Observation(
-                i, core, core_type, duration - overhead, result.instructions,
-                measured_abc(result, counter_mode, out_of_order) / freq,
-                l3, dram, result.branch_mispredictions,
+                i, core, core_type, duration - overhead, count,
+                counter_reading(
+                    total, structures, ace, counter_mode, out_of_order
+                ) / freq,
+                l3, dram, mispredictions,
             ))
         if memo is not None and not clipped and SEGMENT_MEMO_CAP > 0:
             if entry is None:

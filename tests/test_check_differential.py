@@ -114,8 +114,9 @@ class TestFuzz:
         assert isinstance(session, FuzzReport)
         assert session.ok, session.format()
         # + default kernel_cases=2, decision_cases=2, resume_cases=2,
-        # service_cases=2, batch_cases=2, shard_cases=2, mode_cases=2
-        assert len(session.reports) == 18
+        # service_cases=2, batch_cases=2, shard_cases=2, mode_cases=2,
+        # segment_cases=2
+        assert len(session.reports) == 20
 
     def test_same_seed_reproduces_byte_identical_findings(self, session):
         again = fuzz(0, model_cases=1, run_cases=2, stack_cases=1)
@@ -132,7 +133,8 @@ class TestFuzz:
         for prefix in ("model/0", "run/0", "run/1", "stack/0", "kernel/0",
                        "kernel/1", "decision/0", "decision/1", "resume/0",
                        "resume/1", "service/0", "service/1", "batch/0",
-                       "batch/1", "mode/0", "mode/1"):
+                       "batch/1", "mode/0", "mode/1", "segment/0",
+                       "segment/1"):
             assert prefix in text
 
     def test_decision_cases_validate_traces(self, session):
@@ -166,10 +168,18 @@ class TestFuzz:
             assert "open_system_conservation" in report.checked
             assert "decision_trace_consistency" in report.checked
 
+    def test_segment_cases_compare_both_paths(self, session):
+        segments = [r for r in session.reports
+                    if r.subject.startswith("segment/")]
+        assert len(segments) == 2
+        for report in segments:
+            assert "segment_path_equivalence" in report.checked
+            assert "wser_definition" in report.checked
+
     def test_case_counts_respected(self):
         tiny = fuzz(5, model_cases=0, run_cases=1, stack_cases=0,
                     kernel_cases=0, decision_cases=0, resume_cases=0,
                     service_cases=0, batch_cases=0, shard_cases=0,
-                    mode_cases=0)
+                    mode_cases=0, segment_cases=0)
         assert len(tiny.reports) == 1
         assert tiny.reports[0].subject.startswith("run/0")

@@ -1,11 +1,13 @@
 """The shared phase-feature table and the scalar environment tail.
 
 ``analyze_big_phase``/``analyze_small_phase`` are now
-``PhaseFeatures(chars, core, memory)`` plus an environment tail, and a
-``MechanisticCoreModel`` keeps a per-model feature table so a memo miss
-runs only the tail.  The monolithic analyzers they replaced are kept
-below verbatim (renamed ``parent_*``) and every result must equal
-theirs with ``==``, dict key order included: the goldens and the
+``PhaseFeatures(chars, core, memory)`` plus an environment tail with
+its regime loop unrolled, and a ``MechanisticCoreModel`` keeps a
+per-model feature table so a memo miss runs only the tail.  The tail
+returns ``cpi`` and the rate columns and builds the analysis's three
+maps when they are first read.  The monolithic analyzers they replaced
+are kept below verbatim (renamed ``parent_*``) and every result must
+equal theirs with ``==``, dict key order included: the goldens and the
 benchmark digests pin outputs byte for byte.
 """
 
@@ -531,6 +533,58 @@ class TestParentEquality:
         assert analysis.occupancy_rates == tuple(
             analysis.occupancy_bits_per_cycle.values()
         )
+
+
+class TestLazyMaps:
+    """The tails compute ``cpi`` and the rate columns directly and
+    build the three maps only when read; every value, and the maps'
+    key order, must still be the parent's."""
+
+    def test_columns_and_maps_match_the_parent(self):
+        for _, _, core, memory in CORES:
+            for chars in SUITE_PHASES[::3]:
+                for env in ENVIRONMENTS[::7]:
+                    parent = parent_analyze(chars, core, memory, env)
+                    fresh = analyze_phase(chars, core, memory, env)
+                    assert fresh._cpi_components is None
+                    assert fresh._ace is None and fresh._occupancy is None
+                    assert fresh.ipc == parent.ipc
+                    assert fresh.cpi == parent.cpi
+                    assert fresh.structures == parent.structures
+                    assert fresh.ace_rates == parent.ace_rates
+                    assert fresh.occupancy_rates == parent.occupancy_rates
+                    assert fresh.total_ace_bits_per_cycle == (
+                        sum(parent.ace_bits_per_cycle.values())
+                    )
+                    # Built on first read, in any order, then kept.
+                    occupancy = fresh.occupancy_bits_per_cycle
+                    assert list(occupancy.items()) == list(
+                        parent.occupancy_bits_per_cycle.items()
+                    )
+                    assert list(fresh.ace_bits_per_cycle.items()) == list(
+                        parent.ace_bits_per_cycle.items()
+                    )
+                    assert list(fresh.cpi_components.items()) == list(
+                        parent.cpi_components.items()
+                    )
+                    assert fresh.occupancy_bits_per_cycle is occupancy
+                    assert fresh.cpi == sum(fresh.cpi_components.values())
+
+    def test_equality_hash_and_repr(self):
+        _, _, core, memory = CORES[1]
+        chars = SUITE_PHASES[4]
+        parent = parent_analyze(chars, core, memory, ENVIRONMENTS[9])
+        fresh = analyze_phase(chars, core, memory, ENVIRONMENTS[9])
+        other = analyze_phase(chars, core, memory, ENVIRONMENTS[10])
+        assert fresh == parent and parent == fresh
+        assert fresh != other
+        assert fresh != _analysis_fields(fresh)
+        assert repr(fresh) == repr(parent)
+        assert repr(fresh).startswith(
+            f"PhaseAnalysis(ipc={fresh.ipc!r}, cpi_components={{'base': "
+        )
+        with pytest.raises(TypeError):
+            hash(fresh)
 
 
 class _CappedFeatureModel(MechanisticCoreModel):

@@ -252,18 +252,25 @@ class TestMemoCap:
 def _reference_run_cycles(model, app, start_instruction, cycles, env):
     """The chunk-and-merge loop ``run_cycles`` replaced, on the old lookup.
 
-    Returns the result and the number of phase analyses it needed.
+    Returns the result, the number of phase analyses it needed and the
+    number of phases it entered: the first, and one more each time a
+    chunk reaches its phase's end.  This loop analyzes every chunk;
+    ``run_columns`` analyzes once per phase entered and keeps the
+    analysis for the idle remainder.
     """
     if cycles <= 0:
-        return QuantumResult.zero(), 0
+        return QuantumResult.zero(), 0, 0
     result = QuantumResult.zero()
     position = start_instruction
     remaining = float(cycles)
-    lookups = 0
+    lookups = entered = 0
+    left_in_phase = 0
     while remaining > 1e-9:
         chars, to_phase_end = _reference_lookup(app, position)
         analysis = analyze_phase(chars, model.core, model.memory, env)
         lookups += 1
+        if left_in_phase == 0:
+            entered += 1
         chunk_cycles = min(remaining, to_phase_end * analysis.cpi)
         instructions = int(round(chunk_cycles / analysis.cpi))
         if instructions <= 0:
@@ -289,8 +296,9 @@ def _reference_run_cycles(model, app, start_instruction, cycles, env):
         )
         result = result.merged_with(chunk)
         position += instructions
+        left_in_phase = to_phase_end - instructions
         remaining -= chunk_cycles
-    return result, lookups
+    return result, lookups, entered
 
 
 def _count_lookups(model):
@@ -329,13 +337,13 @@ class TestRunCycles:
         kind, value = budget
         cycles = value if kind == "cycles" else value * instructions
         lookups = _count_lookups(model)
-        expected, expected_lookups = _reference_run_cycles(
+        expected, _, entered = _reference_run_cycles(
             model, app, position, cycles, env
         )
         got = model.run_cycles(app, position, cycles, env)
         assert _result_fields(got) == _result_fields(expected)
-        # Every phase lookup still goes through ``analyze``.
-        assert len(lookups) == expected_lookups
+        # Every phase entered is analyzed once, through ``analyze``.
+        assert len(lookups) == entered
 
     def _multi_phase(self, instructions):
         return next(
@@ -349,7 +357,7 @@ class TestRunCycles:
         model = _model("big")
         env = MemoryEnvironment(0.6, 1.3)
         start = app.phase_boundaries()[-2] - 10
-        expected, lookups = _reference_run_cycles(
+        expected, lookups, _ = _reference_run_cycles(
             model, app, start, 2e6, env
         )
         got = model.run_cycles(app, start, 2e6, env)
@@ -385,7 +393,9 @@ class TestRunCycles:
 
         model.analyze = recording
         got = model.run_cycles(app, start, budget, env)
-        expected, _ = _reference_run_cycles(model, app, start, budget, env)
+        expected, _, _ = _reference_run_cycles(
+            model, app, start, budget, env
+        )
         assert sum(a is not b for a, b in zip(visited, visited[1:])) == (
             crossings
         )
@@ -400,7 +410,7 @@ class TestRunCycles:
             model = _model(core_type)
             cpi = model.analyze(app.phase_at(0), ISOLATED).cpi
             got = model.run_cycles(app, 0, 0.4 * cpi, ISOLATED)
-            expected, _ = _reference_run_cycles(
+            expected, _, _ = _reference_run_cycles(
                 model, app, 0, 0.4 * cpi, ISOLATED
             )
             assert got.instructions == 0
@@ -414,11 +424,14 @@ class TestRunCycles:
         model = _model("big")
         cpi = model.analyze(app.phase_at(0), ISOLATED).cpi
         budget = 100.4 * cpi
+        visited = _count_lookups(model)
         got = model.run_cycles(app, 0, budget, ISOLATED)
-        expected, lookups = _reference_run_cycles(
+        expected, lookups, entered = _reference_run_cycles(
             model, app, 0, budget, ISOLATED
         )
         assert lookups == 2 and got.instructions == 100
+        # The idle remainder reuses the phase's analysis.
+        assert entered == 1 and len(visited) == 1
         assert _result_fields(got) == _result_fields(expected)
 
 

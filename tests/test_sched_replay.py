@@ -224,6 +224,41 @@ class TestBounds:
         # More distinct observations than the map holds: it was emptied.
         assert any(a[1] > b[1] for a, b in zip(sizes, sizes[1:]))
 
+    def test_trimming_keeps_the_samples_that_still_replay(
+        self, monkeypatch, searches
+    ):
+        """Observations of computed segments that never recur fill the
+        observation-to-sample map; trimming it must keep the samples of
+        steady segments, so a long run computes no more searches than
+        with unbounded maps (emptying it computed 214 against 168)."""
+        sizes = []
+        observe = sampling.SamplingScheduler.observe
+
+        def measuring(self, *args):
+            observe(self, *args)
+            sizes.append(len(self._sample_of))
+
+        monkeypatch.setattr(sampling.SamplingScheduler, "observe", measuring)
+        machine = machine_2b2s()
+
+        def computed_searches():
+            """(computed searches, whether the map ever shrank)."""
+            sizes.clear()
+            before = searches[1]
+            _simulate(
+                machine, make_scheduler("reliability", machine, 4),
+                instructions=1_000_000_000, mix=4,
+            )
+            shrank = any(a > b for a, b in zip(sizes, sizes[1:]))
+            return searches[1] - before, shrank
+
+        capped, trimmed = computed_searches()
+        assert trimmed
+        monkeypatch.setattr(sampling, "DECISION_MEMO_CAP", 10**9)
+        unbounded, trimmed = computed_searches()
+        assert not trimmed
+        assert capped <= unbounded
+
     def test_a_small_cap_is_emptied_and_stays_exact(
         self, monkeypatch, searches
     ):

@@ -201,12 +201,12 @@ class TestPhaseBoundaries:
             for i in range(4)
         ]
         ends = []
-        original = MechanisticCoreModel.run_cycles
+        original = MechanisticCoreModel.run_columns
 
         def spying(model, app, start, cycles, env, *rest):
-            result = original(model, app, start, cycles, env, *rest)
-            ends.append(result.instructions - app.phase_span(start)[1])
-            return result
+            columns = original(model, app, start, cycles, env, *rest)
+            ends.append(columns[0] - app.phase_span(start)[1])
+            return columns
 
         def run():
             return MulticoreSimulation(
@@ -214,7 +214,7 @@ class TestPhaseBoundaries:
                 models=default_models(machine), record_timeline=True,
             ).run()
 
-        monkeypatch.setattr(MechanisticCoreModel, "run_cycles", spying)
+        monkeypatch.setattr(MechanisticCoreModel, "run_columns", spying)
         replayed = run()
         hits = sum(replays)
         # Slices ended inside, exactly at and past their phase's end.
