@@ -2,9 +2,9 @@
 
 Unlike the figure benches, this bench measures the *simulator itself*:
 trace generation, the trace cache, batched cache access, the OoO and
-in-order window kernels against their straight-line references, and a
-small end-to-end sweep.  It writes ``BENCH_PERF.json`` next to the
-repository root (override with ``--output``) so the performance
+in-order window kernels against their straight-line references, and
+sharded campaigns at 1/2/4 shards.  It writes ``BENCH_PERF.json`` next
+to the repository root (override with ``--output``) so the performance
 trajectory is tracked PR-over-PR; see docs/performance.md.
 
 Usage::

@@ -15,10 +15,6 @@ obey the paper's own math:
 * :mod:`repro.check.golden` -- a golden regression corpus freezing
   small-workload outputs of the figure pipelines and comparing new
   runs field-by-field with explicit tolerances.
-* :mod:`repro.check.batcheq` -- the batched-vs-scalar equivalence
-  contract: results of the cross-run batched engine
-  (:mod:`repro.batch`) are diffed field-by-field against the scalar
-  reference engine's (``repro check --batch-cases``).
 
 The :class:`~repro.runtime.engine.ExecutionEngine` accepts the
 :func:`default_run_checks` hook (``checks=``) to validate every job's
@@ -48,7 +44,6 @@ from repro.check.invariants import (
     merge_reports,
     registered_invariants,
 )
-from repro.check.batcheq import BATCH_REL_TOL, check_batch
 from repro.check.differential import FuzzReport, fuzz
 from repro.check.golden import (
     DEFAULT_GOLDEN_DIR,
@@ -58,7 +53,6 @@ from repro.check.golden import (
 )
 
 __all__ = [
-    "BATCH_REL_TOL",
     "CheckReport",
     "DEFAULT_GOLDEN_DIR",
     "FuzzReport",
@@ -66,7 +60,6 @@ __all__ = [
     "Invariant",
     "Severity",
     "Violation",
-    "check_batch",
     "check_decision_trace",
     "check_mode_none",
     "check_mode_outcome",

@@ -29,12 +29,6 @@ invariants:
   event feeds must match byte-for-byte, both results must conserve
   jobs (``open_system_conservation``), and both decision traces must
   chain-validate.
-* **batch cases** -- a random batch of (workload mix x machine x
-  scheduler) requests runs through the scalar engine and through one
-  cross-run :class:`~repro.batch.sweep.BatchedSweep`, twice (in
-  request order and in a permuted order); both batched passes must
-  reproduce the scalar results field-for-field
-  (``batched_sweep_equivalence``).
 * **shard cases** -- a random campaign runs across a random shard
   fleet; the keyspace partition must be a disjoint cover
   (``shard_partition_cover``), randomly-cut per-shard logs must
@@ -818,78 +812,6 @@ def _service_case(index: int, rng: np.random.Generator) -> CheckReport:
     )
 
 
-def _batch_case(index: int, rng: np.random.Generator) -> CheckReport:
-    """Run one request batch through the scalar engine and through a
-    :class:`~repro.batch.sweep.BatchedSweep` (in request order and in
-    a permuted order) and demand field-identical results."""
-    from repro.ace.counters import AceCounterMode
-    from repro.batch.sweep import BatchRunRequest, run_workload_batch
-    from repro.check.batcheq import check_batch
-    from repro.check.invariants import merge_reports
-    from repro.sim.experiment import make_scheduler
-    from repro.sim.multicore import MulticoreSimulation
-    from repro.workloads.spec2006 import benchmark
-
-    count = int(rng.integers(3, 7))
-    requests = []
-    for _ in range(count):
-        machine_name = FUZZ_MACHINES[int(rng.integers(len(FUZZ_MACHINES)))]
-        machine = STANDARD_MACHINES[machine_name]()
-        scheduler = FUZZ_SCHEDULERS[int(rng.integers(len(FUZZ_SCHEDULERS)))]
-        picks = rng.choice(
-            len(BENCHMARK_NAMES), size=machine.num_cores, replace=False
-        )
-        names = tuple(BENCHMARK_NAMES[i] for i in sorted(picks.tolist()))
-        mode = (
-            AceCounterMode.FULL
-            if int(rng.integers(2))
-            else AceCounterMode.ROB_ONLY
-        )
-        requests.append(
-            BatchRunRequest(
-                machine=machine,
-                benchmarks=names,
-                scheduler=scheduler,
-                instructions=int(rng.integers(150_000, 350_000)),
-                seed=int(rng.integers(0, 2**16)),
-                counter_mode=mode,
-            )
-        )
-    label = f"batch/{index} x{count}"
-
-    scalar = []
-    for req in requests:
-        profiles = [
-            benchmark(name).scaled(req.instructions)
-            for name in req.benchmarks
-        ]
-        scheduler = make_scheduler(
-            req.scheduler, req.machine, len(profiles), req.seed
-        )
-        result = MulticoreSimulation(
-            req.machine,
-            profiles,
-            scheduler,
-            counter_mode=req.counter_mode,
-        ).run()
-        result.scheduler_name = req.scheduler
-        scalar.append(result)
-
-    batched = run_workload_batch(requests)
-    order = rng.permutation(count)
-    permuted = run_workload_batch([requests[i] for i in order])
-    unpermuted: list = [None] * count
-    for slot, original in enumerate(order.tolist()):
-        unpermuted[original] = permuted[slot]
-    return merge_reports(
-        [
-            check_batch(scalar, batched, label=label),
-            check_batch(scalar, unpermuted, label=f"{label} permuted"),
-        ],
-        subject=label,
-    )
-
-
 def _shard_case(index: int, rng: np.random.Generator) -> CheckReport:
     """Shard a campaign, kill it at random per-shard log cuts, and
     demand the partition covers the keyspace, the replayed resume
@@ -1194,7 +1116,6 @@ def fuzz(
     decision_cases: int = 2,
     resume_cases: int = 2,
     service_cases: int = 2,
-    batch_cases: int = 2,
     shard_cases: int = 2,
     mode_cases: int = 2,
     segment_cases: int = 2,
@@ -1205,9 +1126,10 @@ def fuzz(
     All randomness derives from ``seed`` through one
     :class:`numpy.random.Generator`; nothing reads the clock, so the
     findings are reproducible byte-for-byte.  Newer case kinds (kernel,
-    then decision, then resume, then service, then batch, then shard,
-    then mode, then segment) draw from the rng after the older ones, so
-    adding them kept existing seeds' earlier cases identical.
+    then decision, then resume, then service, then shard, then mode,
+    then segment) draw from the rng after the older ones, so adding them
+    kept existing seeds' earlier cases identical; removing a kind shifts
+    the inputs of every kind after it.
     """
     gates = gates if gates is not None else FuzzGates()
     rng = np.random.default_rng(seed)
@@ -1226,8 +1148,6 @@ def fuzz(
         reports.append(_resume_case(index, rng))
     for index in range(service_cases):
         reports.append(_service_case(index, rng))
-    for index in range(batch_cases):
-        reports.append(_batch_case(index, rng))
     for index in range(shard_cases):
         reports.append(_shard_case(index, rng))
     for index in range(mode_cases):

@@ -115,67 +115,13 @@ def _sweep_payload(
 
 def _pipeline_fig06_1b1s(runs: list[RunResult]) -> dict[str, Any]:
     """Figure 6 shape at toy scale: three two-program mixes on 1B1S."""
-    payload, _ = _sweep_payload("1B1S", _FIG06_MIXES, runs)
+    mixes = [
+        ("HM", ("milc", "povray")),
+        ("HL", ("zeusmp", "mcf")),
+        ("ML", ("gobmk", "libquantum")),
+    ]
+    payload, _ = _sweep_payload("1B1S", mixes, runs)
     return payload
-
-
-def _sweep_payload_batched(
-    machine_name: str,
-    mixes: list[tuple[str, tuple[str, ...]]],
-    runs: list[RunResult],
-) -> dict[str, Any]:
-    """`_sweep_payload` computed through the cross-run batched engine.
-
-    Same grid, same seeds (the mix index), same payload shape -- the
-    only difference is that every run advances inside one
-    :class:`~repro.batch.sweep.BatchedSweep`.  Its golden must agree
-    with the scalar pipeline's (pinned by ``tests/test_batch_properties``).
-    """
-    from repro.batch.sweep import run_workloads_batched
-    from repro.config.machines import STANDARD_MACHINES
-
-    machine = STANDARD_MACHINES[machine_name]()
-    by_scheduler = run_workloads_batched(
-        machine,
-        [names for _, names in mixes],
-        _SCHEDULERS,
-        instructions=_GOLDEN_INSTRUCTIONS,
-    )
-    payload: dict[str, Any] = {"machine": machine_name, "runs": {}}
-    for scheduler in _SCHEDULERS:
-        rows = []
-        for (category, _), result in zip(mixes, by_scheduler[scheduler]):
-            runs.append(result)
-            entry = _run_payload(result)
-            entry["category"] = category
-            rows.append(entry)
-        payload["runs"][scheduler] = rows
-    base = by_scheduler["random"]
-    payload["normalized"] = {
-        scheduler: {
-            "sser": sorted(
-                r.sser / b.sser for r, b in zip(by_scheduler[scheduler], base)
-            ),
-            "stp": sorted(
-                r.stp / b.stp for r, b in zip(by_scheduler[scheduler], base)
-            ),
-        }
-        for scheduler in ("performance", "reliability")
-    }
-    return payload
-
-
-#: The Figure 6 toy mixes, shared by the scalar and batched goldens.
-_FIG06_MIXES = [
-    ("HM", ("milc", "povray")),
-    ("HL", ("zeusmp", "mcf")),
-    ("ML", ("gobmk", "libquantum")),
-]
-
-
-def _pipeline_fig06_batched(runs: list[RunResult]) -> dict[str, Any]:
-    """The fig06 pipeline replayed through the batched engine."""
-    return _sweep_payload_batched("1B1S", _FIG06_MIXES, runs)
 
 
 def _pipeline_fig07_2b2s(runs: list[RunResult]) -> dict[str, Any]:
@@ -237,7 +183,6 @@ def _pipeline_oracle_fig03(runs: list[RunResult]) -> dict[str, Any]:
 #: The frozen pipelines: name -> builder(runs_out) -> payload.
 GOLDEN_PIPELINES: dict[str, Callable[[list[RunResult]], dict[str, Any]]] = {
     "fig06_1b1s": _pipeline_fig06_1b1s,
-    "fig06_batched": _pipeline_fig06_batched,
     "fig07_2b2s": _pipeline_fig07_2b2s,
     "oracle_fig03": _pipeline_oracle_fig03,
 }

@@ -210,8 +210,7 @@ def cmd_sweep(args) -> int:
                         jobs=_jobs(args), sinks=sinks,
                         checks=_checks(args),
                         metrics=getattr(args, "metrics", False),
-                        store=getattr(args, "store", None),
-                        batched=getattr(args, "batched", False))
+                        store=getattr(args, "store", None))
     except CampaignError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -494,7 +493,6 @@ def cmd_shard(args) -> int:
     coordinator = ShardCoordinator(
         args.shards,
         transport_factory=transport,
-        batched=getattr(args, "batched", False),
         metrics=getattr(args, "metrics", False),
         spans=getattr(args, "spans", False),
         checks=bool(_checks(args)),
@@ -980,7 +978,6 @@ def cmd_check(args) -> int:
             decision_cases=args.decision_cases,
             resume_cases=args.resume_cases,
             service_cases=args.service_cases,
-            batch_cases=args.batch_cases,
             shard_cases=args.shard_cases,
             mode_cases=args.mode_cases,
         )
@@ -1031,18 +1028,6 @@ def cmd_bench(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-    if args.min_batch_speedup is not None:
-        speedup = report["results"]["batch"]["batch_1024"][
-            "speedup_vs_scalar"
-        ]
-        if speedup < args.min_batch_speedup:
-            print(
-                f"error: batched-sweep speedup {speedup:.2f}x at batch "
-                f"size 1024 is below the {args.min_batch_speedup:.2f}x "
-                f"floor",
-                file=sys.stderr,
-            )
-            return 1
     if args.min_shard_speedup is not None:
         speedup = report["results"]["shard"]["shards_2"]["speedup_vs_1"]
         if speedup < args.min_shard_speedup:

@@ -130,10 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "atomically-written file per run); with "
                             "--event-log, an interrupted sweep can be "
                             "finished with `repro resume`")
-    sweep.add_argument("--batched", action="store_true",
-                       help="advance the whole sweep as one cross-run "
-                            "numpy batch (repro.batch); results are "
-                            "byte-identical to the scalar engine")
     sweep.add_argument("--modes", action="store_true",
                        help="also run the protection-mode-aware "
                             "scheduler (placement x none/DMR/checkpoint "
@@ -160,9 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared content-addressed result store; "
                             "with --event-log, a killed fleet can be "
                             "finished with `repro resume`")
-    shard.add_argument("--batched", action="store_true",
-                       help="each shard advances its runs as one "
-                            "cross-run numpy batch (repro.batch)")
     shard.add_argument("--shard-logs", action="store_true",
                        help="also write each shard's raw stream to "
                             "EVENT_LOG.shardN.jsonl (merge them back "
@@ -298,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--service-cases", type=int, default=2,
                        help="open-system serial-vs-parallel feed "
                             "equivalence cases")
-    check.add_argument("--batch-cases", type=int, default=2,
-                       help="batched-vs-scalar sweep equivalence cases "
-                            "(repro.batch differential fuzzing)")
     check.add_argument("--shard-cases", type=int, default=2,
                        help="sharded-campaign partition/resume "
                             "equivalence cases (random per-shard log "
@@ -338,10 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fail if dormant observability hooks cost "
                             "more than this fraction on the OoO kernel "
                             "path (e.g. 0.03 = 3%%)")
-    bench.add_argument("--min-batch-speedup", type=float, default=None,
-                       help="fail unless the batched sweep beats the "
-                            "scalar engine by this factor at batch "
-                            "size 1024")
     bench.add_argument("--min-shard-speedup", type=float, default=None,
                        help="fail unless `repro shard` at 2 shards "
                             "beats 1 shard by this factor in runs/s")

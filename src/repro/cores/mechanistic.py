@@ -13,8 +13,7 @@ for either core type, in O(1) per phase.  The multicore simulator uses
 it to run paper-scale experiments (1 B-instruction applications, 1 ms
 quanta) directly.  An analysis splits into :class:`PhaseFeatures`, the
 part fixed by (phase, core, memory), and a short tail that depends on
-the memory environment; the scalar and the batched engines
-(:mod:`repro.batch.analysis`) share the features.
+the memory environment.
 
 The ACE accounting mirrors the paper's counter architecture exactly:
 
@@ -154,14 +153,13 @@ class PhaseAnalysis:
         ace_rates / occupancy_rates: the two per-structure maps' values
             in ``structures`` order.
 
-    The constructor takes the three maps (the batched engine rebuilds
-    rows this way) and derives the rest.  The analyzers' environment
-    tails instead compute ``cpi`` and the rate tuples directly
-    (``_from_columns``), because ``run_columns`` reads only those; the
-    maps are then built on first read, with the same keys, order and
-    values.  Equality compares ``ipc``, the three maps and the two
-    per-instruction rates.  Analyses are shared through the model
-    memo: treat them as read-only.
+    The constructor takes the three maps and derives the rest.  The
+    analyzers' environment tails instead compute ``cpi`` and the rate
+    tuples directly (``_from_columns``), because ``run_columns`` reads
+    only those; the maps are then built on first read, with the same
+    keys, order and values.  Equality compares ``ipc``, the three maps
+    and the two per-instruction rates.  Analyses are shared through the
+    model memo: treat them as read-only.
     """
 
     __slots__ = (
@@ -313,15 +311,11 @@ class PhaseFeatures:
     :class:`~repro.cores.base.MemoryEnvironment`.  Everything else an
     analysis needs is computed here once, as plain Python floats in
     the analyzers' exact operation order; :func:`analyze_features`
-    (scalar) and :mod:`repro.batch.analysis` (numpy) evaluate the
-    environment tail from these values.  Occupancy attributes exist
-    only for the ``kind`` of core they model.
+    evaluates the environment tail from these values.  Occupancy
+    attributes exist only for the ``kind`` of core they model.
 
-    ``cpi_prefix`` is the left fold ``0.0 + base + resource + bpred +
-    icache + l2`` of the environment-independent CPI components, for
-    the batched tail; the scalar tail ``sum()``s all seven components.
-    ``l3_mpki``/``sens_headroom`` restate ``l3_mpki_at_share`` for both
-    tails.  On a big core the memory regime's ROB occupancy and
+    ``l3_mpki``/``sens_headroom`` restate ``l3_mpki_at_share`` for the
+    tail.  On a big core the memory regime's ROB occupancy and
     wrong-path share are fixed, so its per-regime terms (``mem_*``) are
     computed here too.  ``pools`` carries, per functional-unit pool,
     (mix fraction, latency, max in flight, bits) for the IPC-dependent
@@ -334,7 +328,7 @@ class PhaseFeatures:
         "m2", "l3_mpki", "sens_headroom", "mlp", "l3_lat", "dram_base",
         # CPI stack
         "comp_base", "comp_resource", "comp_bpred", "comp_icache",
-        "comp_l2", "cpi_prefix", "t_fe",
+        "comp_l2", "t_fe",
         # mix-derived
         "non_nop", "load", "store", "writer_frac", "reg_bits_per_writer",
         "arch_add", "iq_size", "iq_bits", "sq_size", "sq_bits",
@@ -399,10 +393,6 @@ class PhaseFeatures:
             # Stall-on-use: fully exposed.
             self.comp_l2 = (m1 - self.m2) * l2_lat
         self.comp_icache = ic * (l2_lat + _ICACHE_EXTRA)
-        self.cpi_prefix = (
-            0.0 + self.comp_base + self.comp_resource + self.comp_bpred
-            + self.comp_icache + self.comp_l2
-        )
         self.t_fe = self.comp_bpred + self.comp_icache
 
         self.non_nop = 1.0 - chars.mix.nop

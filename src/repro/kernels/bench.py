@@ -2,14 +2,12 @@
 
 Times the layers the `repro.kernels` work optimizes -- trace
 generation (and the trace cache), batched cache access, the OoO and
-in-order window kernels (against their straight-line references), the
-cross-run batched engine (:mod:`repro.batch`) at batch sizes
-1/64/1024 against the scalar engine (``--min-batch-speedup`` gates the
-1024 point) and sharded campaigns -- and emits a machine-readable
-report (``BENCH_PERF.json``) so the performance trajectory is tracked
+in-order window kernels (against their straight-line references) and
+sharded campaigns -- and emits a machine-readable report
+(``BENCH_PERF.json``) so the performance trajectory is tracked
 PR-over-PR.  End-to-end campaign time is measured by
-``benchmarks/e2e`` (``paper_fig06``), not here.  Run via ``repro bench`` or
-``python benchmarks/bench_perf.py``.
+``benchmarks/e2e`` (``paper_fig06``), not here.  Run via ``repro bench``
+or ``python benchmarks/bench_perf.py``.
 
 The regression gate is the *in-process* kernel-vs-reference speedup
 (``--min-ooo-speedup``), which is machine-independent; absolute
@@ -256,75 +254,6 @@ def run_bench(quick: bool = False) -> dict:
         ),
     }
 
-    # -- cross-run batched sweep vs the scalar engine --
-    # Throughput of repro.batch at batch sizes 1/64/1024 against a
-    # scalar-engine baseline over identical requests.  Batch size 1 is
-    # expected to be *slower* (array setup dominates one run) and is
-    # reported for honesty; the regression gate (--min-batch-speedup)
-    # applies at batch size 1024, where the cross-run amortization
-    # pays off.
-    from repro.ace.counters import AceCounterMode
-    from repro.batch.sweep import BatchRunRequest, run_workload_batch
-    from repro.config import STANDARD_MACHINES
-    from repro.sim.multicore import MulticoreSimulation
-    from repro.sim.experiment import make_scheduler
-    from repro.workloads.mixes import generate_workloads
-
-    batch_machine = STANDARD_MACHINES["2B2S"]()
-    batch_instructions = 300_000 if quick else 1_000_000
-    batch_mixes = generate_workloads(batch_machine.num_cores)
-    batch_schedulers = ("random", "performance", "reliability")
-
-    def batch_request(i: int) -> BatchRunRequest:
-        mix = batch_mixes[i % len(batch_mixes)]
-        return BatchRunRequest(
-            machine=batch_machine,
-            benchmarks=mix.benchmarks,
-            scheduler=batch_schedulers[i % len(batch_schedulers)],
-            instructions=batch_instructions,
-            seed=i,
-            counter_mode=AceCounterMode.FULL,
-        )
-
-    def scalar_run(req: BatchRunRequest):
-        profiles = [
-            benchmark(name).scaled(req.instructions)
-            for name in req.benchmarks
-        ]
-        scheduler = make_scheduler(
-            req.scheduler, req.machine, len(profiles), req.seed
-        )
-        return MulticoreSimulation(
-            req.machine, profiles, scheduler, counter_mode=req.counter_mode
-        ).run()
-
-    scalar_count = 4 if quick else 8
-    t0 = time.perf_counter()
-    for i in range(scalar_count):
-        scalar_run(batch_request(i))
-    scalar_s = time.perf_counter() - t0
-    scalar_runs_per_s = scalar_count / scalar_s
-    results["batch"] = {
-        "machine": batch_machine.name,
-        "instructions_per_run": batch_instructions,
-        "scalar": {
-            "runs": scalar_count,
-            "wall_s": scalar_s,
-            "runs_per_s": scalar_runs_per_s,
-        },
-    }
-    for size in (1, 64, 1024):
-        requests = [batch_request(i) for i in range(size)]
-        t0 = time.perf_counter()
-        run_workload_batch(requests)
-        wall = time.perf_counter() - t0
-        results["batch"][f"batch_{size}"] = {
-            "runs": size,
-            "wall_s": wall,
-            "runs_per_s": size / wall,
-            "speedup_vs_scalar": (size / wall) / scalar_runs_per_s,
-        }
-
     # -- sharded campaign at 1/2/4 worker processes --
     # The same harness (coordinator + forked pipe workers) at every
     # count, so shards_1 honestly pays the worker start the others
@@ -336,8 +265,10 @@ def run_bench(quick: bool = False) -> dict:
     # 1.6x CI floor.  On a single-core host the speedup honestly reads
     # <= 1.0 (workers time-slice one CPU) -- apply the gate only where
     # cores exist.
+    from repro.config import STANDARD_MACHINES
     from repro.runtime.shard import ShardCoordinator
     from repro.sim.experiment import sweep_specs
+    from repro.workloads.mixes import generate_workloads
 
     shard_machine = STANDARD_MACHINES["1B1S"]()
     shard_instructions = 500_000_000 if quick else 1_000_000_000
@@ -423,15 +354,6 @@ def format_report(report: dict) -> str:
             f"% disabled, "
             f"{100 * r['span_overhead']['inorder_enabled_overhead']:+.2f}"
             f"% enabled (in-order)"
-        )
-    if "batch" in r:
-        b = r["batch"]
-        lines.append(
-            f"  batched sweep      "
-            f"{b['batch_1024']['runs_per_s']:9.0f} runs/s @1024 "
-            f"({b['batch_1024']['speedup_vs_scalar']:.1f}x scalar; "
-            f"64: {b['batch_64']['speedup_vs_scalar']:.1f}x, "
-            f"1: {b['batch_1']['speedup_vs_scalar']:.2f}x)"
         )
     if "shard" in r:
         s = r["shard"]

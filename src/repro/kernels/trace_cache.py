@@ -9,18 +9,15 @@ comparisons, cross-model validation) regenerate the identical
 frozen (hashable) dataclass, and generation is deterministic in the
 key, so a cache hit is exact.
 
-The cache is LRU-bounded by *total cached instructions* (not entry
-count) so a sweep over many benchmarks cannot grow memory without
-bound; override the default budget with the
-``REPRO_TRACE_CACHE_INSTRUCTIONS`` environment variable (``0``
-disables caching).  Cached traces are shared between callers, so
-traces must be treated as read-only -- which the core models and
-:meth:`repro.isa.trace.Trace.slice` already guarantee.
+The cache is LRU-bounded by *total cached instructions*, not entry
+count (:data:`DEFAULT_CACHE_INSTRUCTIONS`), so a sweep over many
+benchmarks cannot grow memory without bound.  Cached traces are shared
+between callers, so traces must be treated as read-only -- which the
+core models and :meth:`repro.isa.trace.Trace.slice` already guarantee.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 from repro.isa.trace import Trace
@@ -32,22 +29,10 @@ from repro.workloads.generator import generate_trace
 #: standard 200k-instruction trace length).
 DEFAULT_CACHE_INSTRUCTIONS = 4_000_000
 
-_ENV_VAR = "REPRO_TRACE_CACHE_INSTRUCTIONS"
-
 _cache: OrderedDict[tuple, Trace] = OrderedDict()
 _cached_instructions = 0
 _hits = 0
 _misses = 0
-
-
-def _budget() -> int:
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CACHE_INSTRUCTIONS
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return DEFAULT_CACHE_INSTRUCTIONS
 
 
 def cached_generate_trace(
@@ -62,9 +47,6 @@ def cached_generate_trace(
     as read-only.
     """
     global _cached_instructions, _hits, _misses
-    budget = _budget()
-    if budget <= 0:
-        return generate_trace(profile, instructions, seed=seed)
     key = (profile, instructions, seed)
     trace = _cache.get(key)
     if trace is not None:
@@ -75,7 +57,9 @@ def cached_generate_trace(
     trace = generate_trace(profile, instructions, seed=seed)
     _cache[key] = trace
     _cached_instructions += len(trace)
-    while _cached_instructions > budget and len(_cache) > 1:
+    while (
+        _cached_instructions > DEFAULT_CACHE_INSTRUCTIONS and len(_cache) > 1
+    ):
         _, evicted = _cache.popitem(last=False)
         _cached_instructions -= len(evicted)
     return trace

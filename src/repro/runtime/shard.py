@@ -153,7 +153,6 @@ class ShardPlan:
     labels: tuple[str, ...]
     store: str | None = None
     machine: dict | None = None  # engine machine-override descriptor
-    batched: bool = False
     metrics: bool = False
     checks: bool = False
     max_attempts: int = 1
@@ -176,7 +175,6 @@ class ShardPlan:
             "labels": list(self.labels),
             "store": self.store,
             "machine": self.machine,
-            "batched": self.batched,
             "metrics": self.metrics,
             "checks": self.checks,
             "max_attempts": self.max_attempts,
@@ -218,7 +216,6 @@ class ShardPlan:
             labels=tuple(message["labels"]),
             store=message.get("store"),
             machine=message.get("machine"),
-            batched=bool(message.get("batched", False)),
             metrics=bool(message.get("metrics", False)),
             checks=bool(message.get("checks", False)),
             max_attempts=int(message.get("max_attempts", 1)),
@@ -246,14 +243,12 @@ class ShardPlan:
 def run_worker(plan: ShardPlan, send: Callable[[dict], None]) -> None:
     """Execute one shard plan, streaming protocol messages via ``send``.
 
-    The worker is a thin shell around the existing engines: a scalar
-    :class:`ExecutionEngine` (or :class:`~repro.batch.sweep.
-    BatchedExecutionEngine` when the plan says ``batched``) runs the
-    shard's specs against the shared result store, its event stream is
-    remapped from shard-local job indices to global campaign indices
-    and forwarded line by line, and every terminal outcome ships back
-    whole so the coordinator can rebuild the campaign report without
-    re-reading the store.
+    The worker is a thin shell around the existing engine: an
+    :class:`ExecutionEngine` runs the shard's specs against the shared
+    result store, its event stream is remapped from shard-local job
+    indices to global campaign indices and forwarded line by line, and
+    every terminal outcome ships back whole so the coordinator can
+    rebuild the campaign report without re-reading the store.
     """
     send(
         {
@@ -289,34 +284,26 @@ def run_worker(plan: ShardPlan, send: Callable[[dict], None]) -> None:
 
         checks = default_run_checks
     machine = ExecutionEngine.machine_from_descriptor(plan.machine)
-    kwargs = dict(
+    fault = None
+    if plan.fail_attempts or plan.sleep_seconds:
+        fault = FaultPlan(
+            fail_attempts=dict(plan.fail_attempts or {}),
+            sleep_seconds=dict(plan.sleep_seconds or {}),
+        )
+    engine = ExecutionEngine(
         jobs=1,
+        retry=RetryPolicy(
+            max_attempts=plan.max_attempts, base_delay_seconds=0.0
+        ),
         failure_policy=FailurePolicy.COLLECT,
+        fault_plan=fault,
+        timeout_seconds=plan.timeout_seconds,
         sinks=[CallbackSink(ship)],
         checks=checks,
         metrics=plan.metrics,
         spans=plan.spans,
         checkpoint_every=plan.checkpoint_every,
     )
-    if plan.batched:
-        from repro.batch.sweep import BatchedExecutionEngine
-
-        engine = BatchedExecutionEngine(**kwargs)
-    else:
-        fault = None
-        if plan.fail_attempts or plan.sleep_seconds:
-            fault = FaultPlan(
-                fail_attempts=dict(plan.fail_attempts or {}),
-                sleep_seconds=dict(plan.sleep_seconds or {}),
-            )
-        engine = ExecutionEngine(
-            retry=RetryPolicy(
-                max_attempts=plan.max_attempts, base_delay_seconds=0.0
-            ),
-            fault_plan=fault,
-            timeout_seconds=plan.timeout_seconds,
-            **kwargs,
-        )
     # Events this worker emits carry the *fleet's* trace context (the
     # coordinator's campaign id, this shard's index), not a locally
     # re-derived one; with an old coordinator the engine mints its own.
@@ -796,7 +783,6 @@ class ShardCoordinator:
         transport_factory: zero-arg callable building one
             :class:`ShardTransport` per shard; defaults to forked
             local workers on pipes (:class:`ProcessShardTransport`).
-        batched: workers use the cross-run batched engine.
         metrics: workers collect metrics; per-shard snapshots fold
             into the report's fleet total.
         checks: workers validate results against the paper invariants.
@@ -825,7 +811,6 @@ class ShardCoordinator:
         shards: int,
         *,
         transport_factory: Callable[[], ShardTransport] | None = None,
-        batched: bool = False,
         metrics: bool = False,
         spans: bool = False,
         checks: bool = False,
@@ -847,7 +832,6 @@ class ShardCoordinator:
             if transport_factory is not None
             else ProcessShardTransport
         )
-        self.batched = batched
         self.metrics = metrics
         self.spans = spans
         self.checks = checks
@@ -930,7 +914,6 @@ class ShardCoordinator:
                     str(store.directory) if store is not None else None
                 ),
                 machine=machine_descriptor,
-                batched=self.batched,
                 metrics=self.metrics,
                 checks=self.checks,
                 max_attempts=self.max_attempts,
@@ -1263,47 +1246,37 @@ class ShardCoordinator:
             from repro.check import default_run_checks
 
             checks = default_run_checks
-        kwargs = dict(
+        fault = None
+        if plan.fail_attempts or plan.sleep_seconds:
+            remnant = {g: i for i, g in enumerate(missing)}
+            fault = FaultPlan(
+                fail_attempts={
+                    remnant[g]: n
+                    for l, n in (plan.fail_attempts or {}).items()
+                    for g in [plan.indices[l]]
+                    if g in remnant
+                },
+                sleep_seconds={
+                    remnant[g]: s
+                    for l, s in (plan.sleep_seconds or {}).items()
+                    for g in [plan.indices[l]]
+                    if g in remnant
+                },
+            )
+        engine = ExecutionEngine(
             jobs=1,
+            retry=RetryPolicy(
+                max_attempts=self.max_attempts, base_delay_seconds=0.0
+            ),
             failure_policy=FailurePolicy.COLLECT,
+            fault_plan=fault,
+            timeout_seconds=self.timeout_seconds,
             sinks=[CallbackSink(absorb)],
             checks=checks,
             metrics=self.metrics,
             spans=self.spans,
             checkpoint_every=self.checkpoint_every,
         )
-        if self.batched:
-            from repro.batch.sweep import BatchedExecutionEngine
-
-            engine = BatchedExecutionEngine(**kwargs)
-        else:
-            fault = None
-            if plan.fail_attempts or plan.sleep_seconds:
-                local = {g: i for i, g in enumerate(plan.indices)}
-                remnant = {g: i for i, g in enumerate(missing)}
-                fault = FaultPlan(
-                    fail_attempts={
-                        remnant[g]: n
-                        for l, n in (plan.fail_attempts or {}).items()
-                        for g in [plan.indices[l]]
-                        if g in remnant
-                    },
-                    sleep_seconds={
-                        remnant[g]: s
-                        for l, s in (plan.sleep_seconds or {}).items()
-                        for g in [plan.indices[l]]
-                        if g in remnant
-                    },
-                )
-                del local
-            engine = ExecutionEngine(
-                retry=RetryPolicy(
-                    max_attempts=self.max_attempts, base_delay_seconds=0.0
-                ),
-                fault_plan=fault,
-                timeout_seconds=self.timeout_seconds,
-                **kwargs,
-            )
         # The remnant runs under the dead shard's trace context so its
         # events and postmortems still attribute to that shard.
         recovery_trace = (

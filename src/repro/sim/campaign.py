@@ -166,7 +166,6 @@ class Campaign:
         engine: "ExecutionEngine | None" = None,
         machines: MachineConfig | Sequence[MachineConfig | None] | None = None,
         checks=None,
-        batched: bool = False,
     ) -> list[RunResult]:
         """Execute a batch of specs through the runtime engine.
 
@@ -178,22 +177,12 @@ class Campaign:
 
         ``checks`` is the engine's opt-in per-result invariant hook
         (see :func:`repro.check.default_run_checks`); it validates
-        cached and freshly executed results alike.  ``batched``
-        executes cache misses through one cross-run
-        :class:`~repro.batch.sweep.BatchedSweep` instead of per-job
-        scalar simulations (byte-identical results, see
-        ``docs/batching.md``); it is ignored when an explicit
-        ``engine`` is supplied.
+        cached and freshly executed results alike.
         """
         from repro.runtime.engine import ExecutionEngine
 
         if engine is None:
-            if batched:
-                from repro.batch.sweep import BatchedExecutionEngine
-
-                engine = BatchedExecutionEngine(jobs=jobs, checks=checks)
-            else:
-                engine = ExecutionEngine(jobs=jobs, checks=checks)
+            engine = ExecutionEngine(jobs=jobs, checks=checks)
         elif checks is not None and engine.checks is None:
             engine.checks = checks
         report = engine.run_many(specs, machines=machines, store=self.store)
@@ -211,17 +200,14 @@ class Campaign:
         jobs: int = 1,
         engine: "ExecutionEngine | None" = None,
         checks=None,
-        batched: bool = False,
         **overrides,
     ) -> dict[str, list[RunResult]]:
         """Cached equivalent of :func:`repro.sim.experiment.sweep`.
 
         Extra keyword ``overrides`` become :class:`RunSpec` fields
         (e.g. ``counter_mode``, ``small_frequency_ghz``); ``jobs`` and
-        ``engine`` control parallel execution, ``checks`` runs the
-        per-result invariant hook on every run, and ``batched``
-        executes the misses through one cross-run
-        :class:`~repro.batch.sweep.BatchedSweep`.
+        ``engine`` control parallel execution, and ``checks`` runs the
+        per-result invariant hook on every run.
         """
         specs = []
         for index, mix in enumerate(workloads):
@@ -239,9 +225,7 @@ class Campaign:
                         **overrides,
                     )
                 )
-        flat = self.run_all(
-            specs, jobs=jobs, engine=engine, checks=checks, batched=batched
-        )
+        flat = self.run_all(specs, jobs=jobs, engine=engine, checks=checks)
         results: dict[str, list[RunResult]] = {s: [] for s in schedulers}
         for spec, result in zip(specs, flat):
             results[spec.scheduler].append(result)

@@ -101,9 +101,9 @@ def sweep_specs(
 
     This is the single definition of how a sweep turns into
     :class:`~repro.sim.campaign.RunSpec`s, shared by the serial/
-    parallel/batched engine path (:func:`sweep`) and the shard
-    coordinator (``repro shard``), so every execution mode runs the
-    byte-identical campaign.
+    parallel engine path (:func:`sweep`) and the shard coordinator
+    (``repro shard``), so every execution mode runs the byte-identical
+    campaign.
     """
     from repro.sim.campaign import RunSpec
 
@@ -140,7 +140,6 @@ def sweep(
     checks=None,
     metrics: bool = False,
     store=None,
-    batched: bool = False,
 ) -> dict[str, list[RunResult]]:
     """Run a workload list under several schedulers.
 
@@ -161,11 +160,6 @@ def sweep(
     interrupted sweep to be finished with ``repro resume``.  Results
     are deterministic: the same specs in the same order regardless of
     ``jobs``.
-
-    ``batched`` executes the whole sweep through one
-    :class:`~repro.batch.sweep.BatchedSweep` (cross-run numpy arrays)
-    instead of per-job scalar simulations; results are byte-identical
-    to the scalar engine's (see ``docs/batching.md``).
 
     Returns ``{scheduler_name: [RunResult per workload, in order]}``.
     """
@@ -190,16 +184,9 @@ def sweep(
 
         sinks.append(CallbackSink(_legacy_line))
 
-    if batched:
-        from repro.batch.sweep import BatchedExecutionEngine
-
-        engine = BatchedExecutionEngine(
-            jobs=jobs, sinks=sinks, checks=checks, metrics=metrics
-        )
-    else:
-        engine = ExecutionEngine(
-            jobs=jobs, sinks=sinks, checks=checks, metrics=metrics
-        )
+    engine = ExecutionEngine(
+        jobs=jobs, sinks=sinks, checks=checks, metrics=metrics
+    )
     report = engine.run_many(
         specs, machines=machine, labels=labels, store=store
     )

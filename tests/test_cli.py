@@ -425,11 +425,11 @@ class TestShard:
 
     def test_parser_flags(self):
         args = build_parser().parse_args(
-            ["shard", "--shards", "4", "--batched",
+            ["shard", "--shards", "4",
              "--transport", "inprocess", "--event-log", "ev.jsonl",
              "--shard-logs", "--status-socket", "fleet.sock"]
         )
-        assert args.shards == 4 and args.batched
+        assert args.shards == 4
         assert args.transport == "inprocess" and args.shard_logs
         assert args.status_socket == "fleet.sock"
         args = build_parser().parse_args(["shard"])

@@ -39,7 +39,7 @@ def test_distinct_keys_do_not_collide():
 
 
 def test_instruction_budget_evicts_lru(monkeypatch):
-    monkeypatch.setenv(trace_cache._ENV_VAR, "5000")
+    monkeypatch.setattr(trace_cache, "DEFAULT_CACHE_INSTRUCTIONS", 5000)
     profile = benchmark("soplex")
     first = cached_generate_trace(profile, 3_000, seed=1)
     cached_generate_trace(profile, 3_000, seed=2)  # evicts seed=1
@@ -47,19 +47,3 @@ def test_instruction_budget_evicts_lru(monkeypatch):
     again = cached_generate_trace(profile, 3_000, seed=1)
     assert again is not first  # was evicted, regenerated
     assert np.array_equal(again.classes, first.classes)
-
-
-def test_zero_budget_disables_caching(monkeypatch):
-    monkeypatch.setenv(trace_cache._ENV_VAR, "0")
-    profile = benchmark("soplex")
-    a = cached_generate_trace(profile, 2_000, seed=3)
-    b = cached_generate_trace(profile, 2_000, seed=3)
-    assert a is not b
-    assert cache_stats()["entries"] == 0
-
-
-def test_invalid_budget_falls_back_to_default(monkeypatch):
-    monkeypatch.setenv(trace_cache._ENV_VAR, "not-a-number")
-    profile = benchmark("soplex")
-    a = cached_generate_trace(profile, 2_000, seed=4)
-    assert cached_generate_trace(profile, 2_000, seed=4) is a

@@ -129,9 +129,8 @@ class TestReplayErrors:
             replay_trace([])
 
     def test_broken_chain(self):
-        records = record_run().recorder.records
-        if len(records) < 2:
-            pytest.skip("need two quanta")
+        records = record_run(instructions=5_000_000).recorder.records
+        assert len(records) >= 2
         tampered = [
             records[0],
             QuantumRecord.from_dict(

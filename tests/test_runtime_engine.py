@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.config.machines import STANDARD_MACHINES
 from repro.runtime.engine import (
     ExecutionEngine,
     FaultPlan,
@@ -567,6 +568,64 @@ class TestExperimentSweepJobs:
               ("random",), instructions=500_000, progress=lines.append)
         assert len(lines) == 1
         assert lines[0].startswith("MH/0 random: sser=")
+
+
+#: Short runs for the seed-handoff tests.
+INSTRUCTIONS = 150_000
+
+
+def _dicts(results) -> list[dict]:
+    return [run_result_to_dict(result) for result in results]
+
+
+class TestSeedHandoff:
+    """Per-run RNG streams follow spec content, not queue position.
+
+    The random scheduler is the seed-sensitive one: if any stream were
+    derived from a run's position in the job queue, dropping or
+    reordering neighbors would change its decisions.
+    """
+
+    def test_scalar_engine_results_follow_spec_not_queue_position(self):
+        from repro.runtime.engine import ExecutionEngine
+        from repro.sim.campaign import RunSpec
+
+        specs = [
+            RunSpec("1B1S", ("milc", "povray"), "random",
+                    INSTRUCTIONS, seed=7),
+            RunSpec("1B1S", ("zeusmp", "mcf"), "random",
+                    INSTRUCTIONS, seed=3),
+            RunSpec("1B1S", ("gobmk", "libquantum"), "reliability",
+                    INSTRUCTIONS, seed=0),
+        ]
+        baseline = _dicts(ExecutionEngine(jobs=1).run_many(specs).results)
+        reordered = _dicts(
+            ExecutionEngine(jobs=1).run_many(specs[::-1]).results
+        )
+        assert reordered == baseline[::-1]
+        filtered = _dicts(
+            ExecutionEngine(jobs=1).run_many([specs[1]]).results
+        )
+        assert filtered == [baseline[1]]
+
+    def test_scalar_sweep_seeds_follow_workload_index(self):
+        """`experiment.sweep` derives each run's seed from the workload's
+        index in the list -- never from the flat job position -- so
+        filtering the *scheduler* list cannot shift any seeds."""
+        from repro.sim.experiment import sweep
+
+        machine = STANDARD_MACHINES["1B1S"]()
+        workloads = [("milc", "povray"), ("zeusmp", "mcf")]
+        full = sweep(
+            machine,
+            workloads,
+            ("random", "reliability"),
+            instructions=INSTRUCTIONS,
+        )
+        only_random = sweep(
+            machine, workloads, ("random",), instructions=INSTRUCTIONS
+        )
+        assert _dicts(only_random["random"]) == _dicts(full["random"])
 
 
 def _cube(x):

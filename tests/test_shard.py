@@ -118,7 +118,6 @@ class TestProtocol:
             labels=("a", "b", "c"),
             store="/tmp/store",
             machine=None,
-            batched=False,
             metrics=True,
             checks=False,
             max_attempts=2,
