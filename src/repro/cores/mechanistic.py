@@ -107,11 +107,11 @@ SliceColumns = tuple
 #: The columns of a slice with no cycle budget.
 NO_COLUMNS: SliceColumns = (0, 0.0, (), (), (), 0.0, 0.0, 0.0)
 
-#: Entries a model's phase-analysis memo, and its feature table, hold
-#: before they are emptied.  Hit rates are flat from 32 entries up,
-#: while an unbounded memo grows with every new interference
-#: environment (docs/performance.md).
-ANALYSIS_MEMO_CAP = 256
+#: Phases a model's feature table holds before it is emptied.  A
+#: campaign's profiles have a few dozen phases, so a table refills
+#: only when phase objects are created faster than they repeat
+#: (docs/performance.md).
+FEATURE_TABLE_CAP = 256
 
 
 #: CPI-stack component names, in the order the analyzers stack them.
@@ -158,8 +158,7 @@ class PhaseAnalysis:
     tuples directly (``_from_columns``), because ``run_columns`` reads
     only those; the maps are then built on first read, with the same
     keys, order and values.  Equality compares ``ipc``, the three maps
-    and the two per-instruction rates.  Analyses are shared through the
-    model memo: treat them as read-only.
+    and the two per-instruction rates.  Treat analyses as read-only.
     """
 
     __slots__ = (
@@ -501,17 +500,24 @@ class PhaseFeatures:
 
 
 def _environment_terms(
-    f: PhaseFeatures, env: MemoryEnvironment
+    f: PhaseFeatures, share: float, multiplier: float
 ) -> tuple[float, float]:
-    """(L3 misses per instruction, full L3-miss-to-data latency).
+    """(L3 misses per instruction, full L3-miss-to-data latency) under
+    an LLC share and a DRAM latency multiplier.
 
     The L3 MPKI is ``chars.l3_mpki_at_share(share)`` restated on the
-    features, with the same operations.
+    features, with the same operations.  Each clamp is the comparison
+    a two-argument builtin makes: ``min(a, b)`` is ``b if b < a else
+    a`` and ``max(a, b)`` is ``b if b > a else a``.
     """
-    share = min(max(env.l3_share_fraction, 0.0), 1.0)
+    if 0.0 > share:  # max(share, 0.0)
+        share = 0.0
+    if 1.0 < share:  # min(share, 1.0)
+        share = 1.0
     m3 = (f.l3_mpki + f.sens_headroom * (1.0 - share)) / 1000.0
-    dram_lat = f.l3_lat + f.dram_base * env.dram_latency_multiplier
-    return min(m3, f.m2), dram_lat
+    dram_lat = f.l3_lat + f.dram_base * multiplier
+    m2 = f.m2
+    return (m2 if m2 < m3 else m3), dram_lat
 
 
 def _fu_occupied(f: PhaseFeatures, ipc: float) -> float:
@@ -521,9 +527,13 @@ def _fu_occupied(f: PhaseFeatures, ipc: float) -> float:
     """
     occupied = 0.0
     for frac, latency, max_in_flight, bits in f.pools:
-        busy_units = min(ipc * frac * latency, max_in_flight)
+        busy_units = ipc * frac * latency
+        if max_in_flight < busy_units:
+            busy_units = max_in_flight
         occupied += busy_units * bits
-    occupied += min(ipc * f.extra_frac, f.alu_count) * f.alu_bits
+    alu_busy = ipc * f.extra_frac
+    alu_count = f.alu_count
+    occupied += (alu_count if alu_count < alu_busy else alu_busy) * f.alu_bits
     return occupied
 
 
@@ -535,15 +545,18 @@ _REG_BASE, _REG_FE, _REG_LLC = (
 )
 
 
-def _big_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
+def _big_tail(
+    f: PhaseFeatures, share: float, multiplier: float
+) -> PhaseAnalysis:
     """The environment-dependent part of a big-core analysis.
 
     The regime loop is unrolled (base, fe, llc, mem): each regime adds
     its terms to the running totals in the loop's order, skipping a
     regime that takes no cycles (``not t <= 0.0``, the loop's test).
+    Clamps are written as comparisons (:func:`_environment_terms`).
     """
     m2 = f.m2
-    m3, dram_lat = _environment_terms(f, env)
+    m3, dram_lat = _environment_terms(f, share, multiplier)
     llc = (m2 - m3) * f.l3_lat * _L3_EXPOSED_BIG
     mem = m3 * dram_lat / f.mlp
     components = (
@@ -585,11 +598,16 @@ def _big_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
         weight = t_base / cpi  # fraction of cycles spent in this regime
         correct_path = 1.0
         if occ_base > 0 and capped:
-            correct_path = min(correct_path, run_cap / occ_base)
+            path_cap = run_cap / occ_base
+            if path_cap < 1.0:
+                correct_path = path_cap
         ace_frac = non_nop * correct_path
-        occ_iq = min(iq_size, occ_base * _IQ_BASE)
-        occ_lq = min(lq_size, occ_base * load)
-        occ_sq = min(sq_size, occ_base * store * _STORE_RESIDENCY)
+        occ_iq = occ_base * _IQ_BASE
+        occ_iq = occ_iq if occ_iq < iq_size else iq_size
+        occ_lq = occ_base * load
+        occ_lq = occ_lq if occ_lq < lq_size else lq_size
+        occ_sq = occ_base * store * _STORE_RESIDENCY
+        occ_sq = occ_sq if occ_sq < sq_size else sq_size
         live_regs = occ_base * writer_frac * _REG_BASE
         occ_rob += weight * occ_base * rob_bits
         occ_iq_bits += weight * occ_iq * iq_bits
@@ -605,11 +623,16 @@ def _big_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
         weight = t_fe / cpi
         correct_path = 1.0
         if occ_fe > 0 and capped:
-            correct_path = min(correct_path, run_cap / occ_fe)
+            path_cap = run_cap / occ_fe
+            if path_cap < 1.0:
+                correct_path = path_cap
         ace_frac = non_nop * correct_path
-        occ_iq = min(iq_size, occ_fe * _IQ_FE)
-        occ_lq = min(lq_size, occ_fe * load)
-        occ_sq = min(sq_size, occ_fe * store * _STORE_RESIDENCY)
+        occ_iq = occ_fe * _IQ_FE
+        occ_iq = occ_iq if occ_iq < iq_size else iq_size
+        occ_lq = occ_fe * load
+        occ_lq = occ_lq if occ_lq < lq_size else lq_size
+        occ_sq = occ_fe * store * _STORE_RESIDENCY
+        occ_sq = occ_sq if occ_sq < sq_size else sq_size
         live_regs = occ_fe * writer_frac * _REG_FE
         occ_rob += weight * occ_fe * rob_bits
         occ_iq_bits += weight * occ_iq * iq_bits
@@ -625,11 +648,16 @@ def _big_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
         weight = llc / cpi
         correct_path = 1.0
         if occ_llc > 0 and capped:
-            correct_path = min(correct_path, run_cap / occ_llc)
+            path_cap = run_cap / occ_llc
+            if path_cap < 1.0:
+                correct_path = path_cap
         ace_frac = non_nop * correct_path
-        occ_iq = min(iq_size, occ_llc * _IQ_LLC)
-        occ_lq = min(lq_size, occ_llc * load)
-        occ_sq = min(sq_size, occ_llc * store * _STORE_RESIDENCY)
+        occ_iq = occ_llc * _IQ_LLC
+        occ_iq = occ_iq if occ_iq < iq_size else iq_size
+        occ_lq = occ_llc * load
+        occ_lq = occ_lq if occ_lq < lq_size else lq_size
+        occ_sq = occ_llc * store * _STORE_RESIDENCY
+        occ_sq = occ_sq if occ_sq < sq_size else sq_size
         live_regs = occ_llc * writer_frac * _REG_LLC
         occ_rob += weight * occ_llc * rob_bits
         occ_iq_bits += weight * occ_iq * iq_bits
@@ -668,14 +696,16 @@ def _big_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
     )
 
 
-def _small_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
+def _small_tail(
+    f: PhaseFeatures, share: float, multiplier: float
+) -> PhaseAnalysis:
     """The environment-dependent part of a small-core analysis.
 
     The regime loop is unrolled (flowing, front-end stall, memory
-    stall) like the big core's.
+    stall) like the big core's, and the clamps are comparisons.
     """
     m2 = f.m2
-    m3, dram_lat = _environment_terms(f, env)
+    m3, dram_lat = _environment_terms(f, share, multiplier)
     l2 = f.comp_l2
     llc = (m2 - m3) * f.l3_lat
     mem = m3 * dram_lat / f.mlp
@@ -691,7 +721,8 @@ def _small_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
     t_flow = cpi - t_stall - t_fe
 
     sq_size = f.sq_size
-    sq_base = min(sq_size, ipc * f.store * _SMALL_STORE_DRAIN)
+    sq_base = ipc * f.store * _SMALL_STORE_DRAIN
+    sq_base = sq_base if sq_base < sq_size else sq_size
     non_nop = f.non_nop
     latch_bits, iq_bits, sq_bits = f.latch_bits, f.iq_bits, f.sq_bits
     ace_pl = ace_iq = ace_sq = 0.0
@@ -718,7 +749,8 @@ def _small_tail(f: PhaseFeatures, env: MemoryEnvironment) -> PhaseAnalysis:
     if not t_stall <= 0.0:
         weight = t_stall / cpi
         occ, iq_occ = f.occ_stall, f.iq_occ_stall
-        sq_occ = min(sq_size, sq_base + f.store_drain_extra)
+        sq_occ = sq_base + f.store_drain_extra
+        sq_occ = sq_occ if sq_occ < sq_size else sq_size
         occ_pl += weight * occ * latch_bits
         occ_iq += weight * iq_occ * iq_bits
         occ_sq += weight * sq_occ * sq_bits
@@ -740,9 +772,8 @@ def analyze_features(
     features: PhaseFeatures, env: MemoryEnvironment
 ) -> PhaseAnalysis:
     """Analyze a phase from its features under one environment."""
-    if features.kind == "big":
-        return _big_tail(features, env)
-    return _small_tail(features, env)
+    tail = _big_tail if features.kind == "big" else _small_tail
+    return tail(features, env.l3_share_fraction, env.dram_latency_multiplier)
 
 
 def analyze_big_phase(
@@ -754,7 +785,7 @@ def analyze_big_phase(
     """Analyze one phase on the big out-of-order core."""
     if not core.out_of_order:
         raise ValueError("analyze_big_phase requires an out-of-order core")
-    return _big_tail(PhaseFeatures(chars, core, memory), env)
+    return analyze_features(PhaseFeatures(chars, core, memory), env)
 
 
 def analyze_small_phase(
@@ -766,7 +797,7 @@ def analyze_small_phase(
     """Analyze one phase on the small in-order core."""
     if core.out_of_order:
         raise ValueError("analyze_small_phase requires an in-order core")
-    return _small_tail(PhaseFeatures(chars, core, memory), env)
+    return analyze_features(PhaseFeatures(chars, core, memory), env)
 
 
 def analyze_phase(
@@ -782,32 +813,28 @@ def analyze_phase(
 class MechanisticCoreModel(CoreModel):
     """O(1)-per-quantum core model driven by benchmark profiles.
 
-    ``analyze`` is memoized per model: the analysis is a pure function
-    of (phase, memory environment) for a fixed core and memory, and
-    interference settles at bitwise-repeating environments.  A miss
-    looks the phase's :class:`PhaseFeatures` up in a second per-model
-    table and evaluates only the environment tail.  Both tables are
-    keyed by the phase's ``id`` and pin the phase object, so a key is
-    never reused by a different live object; a hit is confirmed by
-    identity.  Each table is emptied whenever it reaches
-    :data:`ANALYSIS_MEMO_CAP` entries.  Callers share the returned
-    analyses, so treat them as read-only.
+    An analysis is a pure function of (phase, memory environment) for
+    a fixed core and memory.  The model keeps each phase's
+    :class:`PhaseFeatures` in a per-model table, so an analysis
+    evaluates only the environment tail.  The table is keyed by the
+    phase's ``id`` and pins the phase object, so a key is never reused
+    by a different live object; a hit is confirmed by identity.  It is
+    emptied whenever it reaches :data:`FEATURE_TABLE_CAP` entries.
+    Environments rarely repeat outside segments the segment step
+    replays, so analyses themselves are not kept (docs/performance.md,
+    "The random baseline").
     """
 
     def __init__(self, core: CoreConfig, memory: MemoryConfig | None = None):
         super().__init__(core)
         self.memory = memory if memory is not None else MemoryConfig()
-        self._memo: dict[
-            tuple[int, float, float],
-            tuple["PhaseCharacteristics", PhaseAnalysis],
-        ] = {}
         self._features: dict[int, PhaseFeatures] = {}
 
     def features(self, chars: "PhaseCharacteristics") -> PhaseFeatures:
         """The environment-independent features of a phase on this core."""
         feat = self._features.get(id(chars))
         if feat is None or feat.chars is not chars:
-            if len(self._features) >= ANALYSIS_MEMO_CAP:
+            if len(self._features) >= FEATURE_TABLE_CAP:
                 self._features.clear()
             feat = PhaseFeatures(chars, self.core, self.memory)
             self._features[id(chars)] = feat
@@ -816,35 +843,34 @@ class MechanisticCoreModel(CoreModel):
     def analyze(
         self, chars: "PhaseCharacteristics", env: MemoryEnvironment
     ) -> PhaseAnalysis:
-        key = (id(chars), env.l3_share_fraction, env.dram_latency_multiplier)
-        entry = self._memo.get(key)
-        if entry is not None and entry[0] is chars:
-            return entry[1]
-        analysis = analyze_features(self.features(chars), env)
-        if len(self._memo) >= ANALYSIS_MEMO_CAP:
-            self._memo.clear()
-        self._memo[key] = (chars, analysis)
-        return analysis
+        return analyze_features(self.features(chars), env)
 
     def run_columns(
         self,
         app: "BenchmarkProfile",
         start_instruction: int,
         cycles: float,
-        env: MemoryEnvironment,
+        share: float,
+        multiplier: float,
         start_span: tuple["PhaseCharacteristics", int] | None = None,
     ) -> SliceColumns:
-        """Advance a profile through a cycle budget, phase by phase.
+        """Advance a profile through a cycle budget, phase by phase,
+        under an LLC share and a DRAM latency multiplier (the fields of
+        a :class:`~repro.cores.base.MemoryEnvironment`, which the caller
+        has checked).
 
         The one implementation of a mechanistic slice; returns it as
         :data:`SliceColumns`.  ``start_span`` is
         ``app.phase_span(start_instruction)``, for a caller that
-        already looked it up.  The current phase and its analysis are
-        kept while the position stays inside that phase, so the idle
-        remainder after a chunk looks nothing up.
+        already looked it up.  Each phase entered is analyzed once,
+        through its features and the environment tail; the current
+        phase and its analysis are kept while the position stays
+        inside that phase, so the idle remainder after a chunk looks
+        nothing up.
         """
         if cycles <= 0:
             return NO_COLUMNS
+        tail = _big_tail if self.core.out_of_order else _small_tail
         # Accumulate per structure column, adding each chunk's terms in
         # the order ``QuantumResult.merged_with`` would, so the totals
         # are bit-identical to merging one result per chunk.  Every
@@ -868,7 +894,7 @@ class MechanisticCoreModel(CoreModel):
                 else:
                     chars, to_phase_end = start_span
                     start_span = None
-                analysis = self.analyze(chars, env)
+                analysis = tail(self.features(chars), share, multiplier)
                 cpi = analysis.cpi
             chunk_cycles = min(remaining, to_phase_end * cpi)
             instructions = int(round(chunk_cycles / cpi))
@@ -927,7 +953,8 @@ class MechanisticCoreModel(CoreModel):
         it instead, and never replays."""
         (instructions, elapsed, structures, ace, occupancy,
          dram, l3, mispredictions) = self.run_columns(
-            app, start_instruction, cycles, env, start_span
+            app, start_instruction, cycles, env.l3_share_fraction,
+            env.dram_latency_multiplier, start_span,
         )
         return QuantumResult(
             instructions=instructions,

@@ -17,6 +17,13 @@ sees:
 Demands depend on the environments (fewer cache hits mean more DRAM
 traffic), so :meth:`InterferenceModel.solve` iterates to a fixed
 point; a couple of iterations suffice in practice.
+
+:func:`contention` is the one routine behind every environment: it
+takes plain (L3 rate, DRAM rate) pairs and returns the LLC shares and
+the bus multiplier, checked as :class:`ApplicationDemand` and
+:class:`~repro.cores.base.MemoryEnvironment` check them.  The segment
+step calls it directly; :meth:`InterferenceModel.environments` wraps
+its result in ``MemoryEnvironment`` objects.
 """
 
 from __future__ import annotations
@@ -100,6 +107,36 @@ def bandwidth_multiplier(
     return 1.0 + QUEUE_DELAY_WEIGHT * rho / (1.0 - rho)
 
 
+def contention(
+    demands: Sequence[tuple[float, float]], capacity_bytes_per_second: float
+) -> tuple[list[float], float]:
+    """(LLC share per application, DRAM latency multiplier) of a set of
+    co-running demands.
+
+    ``demands`` holds one (L3 accesses per second, DRAM accesses per
+    second) pair per application.  A negative demand raises
+    ``ValueError``, as constructing an :class:`ApplicationDemand` does,
+    and so does a share outside (0, 1] or a multiplier below 1, as
+    constructing a ``MemoryEnvironment`` does (a NaN L3 demand yields
+    NaN shares).
+    """
+    l3_rates = [l3 for l3, _ in demands]
+    dram_rates = [dram for _, dram in demands]
+    for rate in dram_rates:  # llc_shares checks the L3 rates
+        if rate < 0:
+            raise ValueError("demands must be non-negative")
+    shares = llc_shares(l3_rates)
+    multiplier = bandwidth_multiplier(
+        sum(dram_rates) * LINE_BYTES, capacity_bytes_per_second
+    )
+    for share in shares:
+        if not 0.0 < share <= 1.0:
+            raise ValueError("l3_share_fraction must be in (0, 1]")
+    if multiplier < 1.0:
+        raise ValueError("dram_latency_multiplier must be >= 1")
+    return shares, multiplier
+
+
 class InterferenceModel:
     """Fixed-point solver for shared-resource environments."""
 
@@ -112,10 +149,12 @@ class InterferenceModel:
         """Environments implied by a set of per-application demands."""
         if not demands:
             return []
-        shares = llc_shares([d.l3_accesses_per_second for d in demands])
-        traffic = sum([d.dram_accesses_per_second for d in demands]) * LINE_BYTES
-        multiplier = bandwidth_multiplier(
-            traffic, self.memory.dram_bandwidth_gbps * 1e9
+        shares, multiplier = contention(
+            [
+                (d.l3_accesses_per_second, d.dram_accesses_per_second)
+                for d in demands
+            ],
+            self.memory.dram_bandwidth_gbps * 1e9,
         )
         return [MemoryEnvironment(share, multiplier) for share in shares]
 

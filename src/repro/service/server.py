@@ -34,7 +34,6 @@ from repro.ace.counters import AceCounterMode
 from repro.config.cores import CoreConfig
 from repro.config.machines import BIG, SMALL, MachineConfig, MemoryConfig
 from repro.cores.base import MemoryEnvironment, QuantumResult
-from repro.memory.interference import ApplicationDemand
 from repro.metrics.reliability import weighted_ser
 from repro.obs import metrics as obs_metrics
 from repro.sched.base import Observation
@@ -140,9 +139,9 @@ class ServiceJob:
     consecutive: int = 0
     last_type: str | None = None
     last_core: int | None = None
-    demand: ApplicationDemand = field(
-        default_factory=lambda: ApplicationDemand(0.0, 0.0)
-    )
+    #: (L3 accesses per second, DRAM accesses per second) measured in
+    #: the job's last segment.
+    demand: tuple[float, float] = NO_DEMAND
     wser: float | None = None
     slowdown: float | None = None
     #: The scaled profile, resolved at admission, dropped at departure.
@@ -557,7 +556,7 @@ class OpenSystem:
         job: ServiceJob,
         delta: SliceDelta,
         observation: Observation,
-        demand: ApplicationDemand,
+        demand: tuple[float, float],
         seg_start: float,
         final_segment: bool,
     ) -> None:

@@ -23,7 +23,6 @@ from repro.ace.counters import AceCounterMode
 from repro.config.machines import BIG, MachineConfig
 from repro.cores.base import CoreModel
 from repro.cores.mechanistic import MechanisticCoreModel
-from repro.memory.interference import ApplicationDemand
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.sched.base import PARKED, Scheduler
@@ -142,13 +141,17 @@ class MulticoreSimulation:
         positions = [0] * n
         completion_time: list[float | None] = [None] * n
         last_core: list[int | None] = [None] * n
-        demands: Sequence[ApplicationDemand] = [NO_DEMAND] * n
+        demands: Sequence[tuple[float, float]] = [NO_DEMAND] * n
         timeline: list[TimelinePoint] = []
         now = 0.0
         quantum = 0
+        # A scheduler that keeps the base class's no-op ``observe``
+        # reads no counters, so the step builds no observations for it.
+        # Looked up on the class at run time, as the step tests models.
+        observes = type(self.scheduler).observe is not Scheduler.observe
         step = SegmentStep(
             self.machine, self.models, self.counter_mode,
-            clip=not self.restart_finished,
+            clip=not self.restart_finished, observe=observes,
         )
 
         def finished() -> bool:
@@ -191,9 +194,12 @@ class MulticoreSimulation:
                         # Parked (oversubscription: the application
                         # keeps accumulating wall-clock time but no
                         # execution), or its core idles.
-                        final_types[i] = observations[i].core_type
-                        if core_of[i] != PARKED:
-                            last_core[i] = core_of[i]
+                        core = core_of[i]
+                        if core == PARKED:
+                            final_types[i] = "parked"
+                        else:
+                            final_types[i] = self.machine.core_type(core)
+                            last_core[i] = core
                         continue
                     (core, core_type, migrated, _, instructions, _,
                      abc_seconds, occupancy_seconds, l3, dram) = delta
@@ -221,7 +227,8 @@ class MulticoreSimulation:
                     quantum_abc[i] += abc_seconds
                     quantum_instr[i] += instructions
                     last_core[i] = core
-                self.scheduler.observe(plan, observations)
+                if observes:
+                    self.scheduler.observe(plan, observations)
                 now += duration
             if self.record_timeline:
                 for i in range(n):

@@ -9,6 +9,16 @@ at its application's end when asked to, and returns per-application
 deltas, the observations the scheduler sees and the new demands.  The
 callers keep their own bookkeeping.
 
+Inside the step a demand is a plain (L3 accesses per second, DRAM
+accesses per second) pair, and the environments are the LLC shares
+and the bus multiplier that
+:func:`~repro.memory.interference.contention` derives from the pairs,
+with every check ``ApplicationDemand`` and ``MemoryEnvironment`` make.
+Slices get those plain values; the dataclasses stay at the API edge
+(``InterferenceModel.environments``, ``run_cycles``).  A step built
+with ``observe=False`` builds no ``Observation``: its caller's
+scheduler keeps the base class's no-op ``observe``.
+
 Every slice reaches the step as :data:`SliceColumns`.  Unmodified
 mechanistic models hand them over from
 ``MechanisticCoreModel.run_columns`` directly, so a computed segment
@@ -43,9 +53,9 @@ from typing import Callable, Mapping, Sequence
 from repro.ace.counters import AceCounterMode, counter_reading
 from repro.config.cores import CoreConfig
 from repro.config.machines import MachineConfig, MemoryConfig
-from repro.cores.base import CoreModel, QuantumResult
+from repro.cores.base import CoreModel, MemoryEnvironment, QuantumResult
 from repro.cores.mechanistic import MechanisticCoreModel, SliceColumns
-from repro.memory.interference import ApplicationDemand, InterferenceModel
+from repro.memory.interference import contention
 from repro.obs import tracing
 from repro.sched.base import PARKED, Observation
 
@@ -59,8 +69,9 @@ MODEL_TABLE_CAP = 16
 
 _MODELS: dict[tuple[CoreConfig, MemoryConfig], MechanisticCoreModel] = {}
 
-#: The demand of an application that did not run.
-NO_DEMAND = ApplicationDemand(0.0, 0.0)
+#: The demand of an application that did not run: (L3 accesses per
+#: second, DRAM accesses per second).
+NO_DEMAND = (0.0, 0.0)
 
 #: Memo value of a key seen once.
 _SEEN = ()
@@ -71,8 +82,8 @@ _SEEN = ()
 #:  DRAM accesses).  Non-running applications get ``None``.
 SliceDelta = tuple
 
-#: One slice to execute: (model, application, start position, cycles,
-#: memory environment).
+#: One slice to execute on a worker map: (model, application, start
+#: position, cycles, memory environment).
 Slice = tuple
 
 
@@ -87,10 +98,13 @@ def _result_columns(result: QuantumResult) -> SliceColumns:
     )
 
 
-def _generic_slice(model, app, position, cycles, env, start_span):
+def _generic_slice(model, app, position, cycles, share, multiplier,
+                   start_span):
     """Run a slice through ``run_cycles``, the path of every model but
     an unmodified :class:`MechanisticCoreModel`."""
-    return _result_columns(model.run_cycles(app, position, cycles, env))
+    return _result_columns(model.run_cycles(
+        app, position, cycles, MemoryEnvironment(share, multiplier)
+    ))
 
 
 def mechanistic_model(
@@ -98,8 +112,8 @@ def mechanistic_model(
 ) -> MechanisticCoreModel:
     """The process's mechanistic model of one (core, memory) pair.
 
-    One table serves every run in a process, so the models'
-    phase-analysis memos and feature tables outlive a single run.
+    One table serves every run in a process, so the models' phase
+    feature tables outlive a single run.
     """
     key = (core, memory)
     model = _MODELS.get(key)
@@ -117,6 +131,9 @@ class SegmentStep:
     When every model is an unmodified :class:`MechanisticCoreModel`,
     slices run through ``run_columns`` and segments replay; otherwise
     every slice runs through ``run_cycles`` and nothing replays.
+    Demands in and out are (L3 accesses per second, DRAM accesses per
+    second) pairs; a segment that measures a negative one raises
+    ``ValueError``, as constructing an ``ApplicationDemand`` did.
 
     Args:
         machine: the machine; core ids index its cores.
@@ -128,6 +145,9 @@ class SegmentStep:
         execute: optional; runs a segment's list of slices and returns
             their ``QuantumResult``s in order (a worker pool).  By
             default each slice runs in this process as it is needed.
+        observe: build the observations a scheduler reads; ``False``
+            returns ``None`` in their place (a scheduler that keeps
+            the base class's no-op ``observe``).
     """
 
     def __init__(
@@ -138,11 +158,13 @@ class SegmentStep:
         *,
         clip: bool,
         execute: Callable[[list[Slice]], list[QuantumResult]] | None = None,
+        observe: bool = True,
     ):
-        self.interference = InterferenceModel(machine.memory)
         self.counter_mode = counter_mode
         self.clip = clip
         self.execute = execute
+        self.observe = observe
+        self._bandwidth = machine.memory.dram_bandwidth_gbps * 1e9
         self._overhead = machine.migration_overhead_seconds
         # Per core id: (type, model, frequency in Hz, out-of-order).
         self._cores = []
@@ -172,25 +194,27 @@ class SegmentStep:
         self,
         core_of: tuple[int, ...],
         duration: float,
-        demands: Sequence[ApplicationDemand],
+        demands: Sequence[tuple[float, float]],
         apps: Sequence,
         positions: Sequence[int],
         last_cores: Sequence[int | None],
     ) -> tuple[
         Sequence[SliceDelta | None],
-        list[Observation],
-        Sequence[ApplicationDemand],
+        list[Observation] | None,
+        Sequence[tuple[float, float]],
     ]:
         """Execute one segment.
 
         ``core_of[i]`` is application ``i``'s core (or ``PARKED``),
-        ``apps[i]`` the application, or ``None`` when its core idles (a
-        finished application run to completion, an empty slot), and
-        ``last_cores[i]`` the core it last ran on.  Returns one
-        :data:`SliceDelta` (``None`` for parked and idle applications),
-        one observation and one new demand per application.  Replayed
-        deltas and demands are shared, immutable tuples; the
-        observation list is always fresh.
+        ``demands[i]`` its (L3 rate, DRAM rate) pair from the previous
+        segment, ``apps[i]`` the application, or ``None`` when its core
+        idles (a finished application run to completion, an empty
+        slot), and ``last_cores[i]`` the core it last ran on.  Returns
+        one :data:`SliceDelta` (``None`` for parked and idle
+        applications), one observation (or ``None`` for the whole list
+        when the step does not observe) and one new demand pair per
+        application.  Replayed deltas and demands are shared, immutable
+        tuples; the observation list is always fresh.
         """
         memo = self._memo
         spans = None
@@ -211,18 +235,17 @@ class SegmentStep:
             phases = [None if found is None else found[0] for found in spans]
             key: list | tuple = [core_of, duration]
             for demand, flag, chars in zip(demands, migrated, phases):
-                key += (
-                    demand.l3_accesses_per_second,
-                    demand.dram_accesses_per_second,
-                    flag,
-                    id(chars),
-                )
+                key += (demand, flag, id(chars))
             key = tuple(key)
             entry = memo.get(key)
             if entry and self._replays(entry, phases, spans, apps, positions):
-                return entry[2], list(entry[3]), entry[4]
+                stored = entry[3]
+                return (
+                    entry[2], None if stored is None else list(stored),
+                    entry[4],
+                )
 
-        envs = self.interference.environments(demands)
+        shares, multiplier = contention(demands, self._bandwidth)
         cores = self._cores
         # The state transfer a migrated application pays.
         transfer = min(self._overhead, duration)
@@ -231,9 +254,9 @@ class SegmentStep:
             slices = [
                 (cores[core][1], app, position,
                  (duration - (transfer if flag else 0.0)) * cores[core][2],
-                 env)
-                for core, app, position, env, flag in zip(
-                    core_of, apps, positions, envs, migrated
+                 MemoryEnvironment(share, multiplier))
+                for core, app, position, share, flag in zip(
+                    core_of, apps, positions, shares, migrated
                 )
                 if core != PARKED and app is not None
             ]
@@ -248,13 +271,14 @@ class SegmentStep:
         clipped = False
         counter_mode = self.counter_mode
         deltas: list[SliceDelta | None] = []
-        observations = []
+        observations: list[Observation] | None = [] if self.observe else None
         new_demands = []
         for i, core in enumerate(core_of):
             app = apps[i]
             if core == PARKED or app is None:
                 deltas.append(None)
-                observations.append(self._idle_observation(i, core))
+                if observations is not None:
+                    observations.append(self._idle_observation(i, core))
                 new_demands.append(NO_DEMAND)
                 continue
             core_type, model, freq, out_of_order = cores[core]
@@ -266,12 +290,12 @@ class SegmentStep:
                 with tracing.span("sim.exec", core=core_type):
                     columns = run_slice(
                         model, app, positions[i], (duration - overhead) * freq,
-                        envs[i], spans[i],
+                        shares[i], multiplier, spans[i],
                     )
             else:
                 columns = run_slice(
                     model, app, positions[i], (duration - overhead) * freq,
-                    envs[i], spans[i],
+                    shares[i], multiplier, spans[i],
                 )
             (count, cycles, structures, ace, occupancy,
              dram, l3, mispredictions) = columns
@@ -294,18 +318,23 @@ class SegmentStep:
                 core, core_type, flag, overhead, count, cycles,
                 total / freq, sum(occupancy) / freq, l3, dram,
             ))
-            new_demands.append(ApplicationDemand(l3 / duration, dram / duration))
-            # The counters measure rates over the time the application
-            # actually executed; the migration dead time is invisible
-            # to them (it still costs wall-clock time in the caller's
-            # ground-truth accounting).
-            observations.append(Observation(
-                i, core, core_type, duration - overhead, count,
-                counter_reading(
-                    total, structures, ace, counter_mode, out_of_order
-                ) / freq,
-                l3, dram, mispredictions,
-            ))
+            l3_rate = l3 / duration
+            dram_rate = dram / duration
+            if l3_rate < 0 or dram_rate < 0:  # as ApplicationDemand checks
+                raise ValueError("demands must be non-negative")
+            new_demands.append((l3_rate, dram_rate))
+            if observations is not None:
+                # The counters measure rates over the time the
+                # application actually executed; the migration dead
+                # time is invisible to them (it still costs wall-clock
+                # time in the caller's ground-truth accounting).
+                observations.append(Observation(
+                    i, core, core_type, duration - overhead, count,
+                    counter_reading(
+                        total, structures, ace, counter_mode, out_of_order
+                    ) / freq,
+                    l3, dram, mispredictions,
+                ))
         if memo is not None and not clipped and SEGMENT_MEMO_CAP > 0:
             if entry is None:
                 # First sighting: remember the key only.  A segment is
@@ -340,8 +369,9 @@ class SegmentStep:
             if count is not None and not 0 < count < found[1]:
                 return
         self._memo[key] = (
-            tuple(phases), counts,
-            tuple(deltas), tuple(observations), tuple(new_demands),
+            tuple(phases), counts, tuple(deltas),
+            None if observations is None else tuple(observations),
+            tuple(new_demands),
         )
 
     def _replays(self, entry, phases, spans, apps, positions) -> bool:

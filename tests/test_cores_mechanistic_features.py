@@ -3,7 +3,7 @@
 ``analyze_big_phase``/``analyze_small_phase`` are now
 ``PhaseFeatures(chars, core, memory)`` plus an environment tail with
 its regime loop unrolled, and a ``MechanisticCoreModel`` keeps a
-per-model feature table so a memo miss runs only the tail.  The tail
+per-model feature table so an analysis runs only the tail.  The tail
 returns ``cpi`` and the rate columns and builds the analysis's three
 maps when they are first read.  The monolithic analyzers they replaced
 are kept below verbatim (renamed ``parent_*``) and every result must
@@ -13,7 +13,11 @@ benchmark digests pin outputs byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
+import linecache
 import math
+import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import machine_1b3s, machine_2b2s, machine_4b4s
 from repro.config.cores import CoreConfig
 from repro.config.machines import MemoryConfig
-from repro.config.structures import StructureKind
+from repro.config.structures import StructureConfig, StructureKind
 from repro.cores.base import MemoryEnvironment
 from repro.cores.mechanistic import (
     _ARCH_REG_LIVE_FRACTION,
@@ -41,17 +45,18 @@ from repro.cores.mechanistic import (
     _SMALL_STORE_DRAIN,
     _STORE_RESIDENCY,
     _WRONG_PATH_WINDOW_FRACTION,
-    ANALYSIS_MEMO_CAP,
+    FEATURE_TABLE_CAP,
     MechanisticCoreModel,
     PhaseAnalysis,
     PhaseFeatures,
+    _environment_terms,
     analyze_big_phase,
     analyze_features,
     analyze_phase,
     analyze_small_phase,
 )
 from repro.isa.instruction import FP_WRITERS, INT_WRITERS, InstructionClass
-from repro.workloads.characteristics import PhaseCharacteristics
+from repro.workloads.characteristics import InstructionMix, PhaseCharacteristics
 from repro.workloads.spec2006 import SUITE
 
 # -- The parent's monolithic analyzers, kept verbatim ------------------
@@ -605,7 +610,7 @@ class TestFeatureTable:
         env = ENVIRONMENTS[4]
         phases = [
             PhaseCharacteristics(dep_distance_mean=1.0 + i)
-            for i in range(2 * ANALYSIS_MEMO_CAP + 7)
+            for i in range(2 * FEATURE_TABLE_CAP + 7)
         ]
         for chars in phases:
             assert _analysis_fields(model.analyze(chars, env)) == (
@@ -613,7 +618,7 @@ class TestFeatureTable:
                     parent_analyze(chars, model.core, model.memory, env)
                 )
             )
-        assert model.max_features == ANALYSIS_MEMO_CAP
+        assert model.max_features == FEATURE_TABLE_CAP
         # Emptied twice, then refilled by the last seven phases.
         assert len(model._features) == 7
 
@@ -622,7 +627,7 @@ class TestFeatureTable:
         chars = SUITE_PHASES[5]
         feat = model.features(chars)
         assert model.features(chars) is feat
-        # A memo miss on a new environment reuses the features.
+        # An analysis under a new environment reuses the features.
         model.analyze(chars, ENVIRONMENTS[1])
         model.analyze(chars, ENVIRONMENTS[2])
         assert model._features == {id(chars): feat}
@@ -666,7 +671,6 @@ class TestFeatureTable:
             app = app.scaled(3_000_000)
             position = 0
             for env in ENVIRONMENTS[::3]:
-                cleared._memo.clear()
                 cleared._features.clear()
                 expected = cleared.run_cycles(app, position, 4e5, env)
                 got = warm.run_cycles(app, position, 4e5, env)
@@ -675,7 +679,195 @@ class TestFeatureTable:
                     expected.ace_bit_cycles
                 )
                 position += got.instructions
-        assert warm._features and len(warm._memo) > len(warm._features)
+        assert warm._features
+
+
+# -- Inlined clamps ----------------------------------------------------
+
+#: The parent analyzers' two-argument clamps that the environment tails
+#: write as comparisons, by source line.  The big core's regime loop is
+#: unrolled, so its clamps count once per regime, except the memory
+#: regime's, which are features.
+_TAIL_CLAMPS = {
+    ("return m1, m2, min(m3, m2)", None),
+    ("busy_units = min(ipc * frac * pool.latency, "
+     "float(pool.max_in_flight))", None),
+    ("occupied += min(ipc * extra_frac, float(alu.count)) * alu.bits", None),
+    *(
+        (line, regime)
+        for line in (
+            "correct_path = min(correct_path, run_cap / occ)",
+            "occ_iq = min(iq_size, occ * _IQ_FRACTION[regime])",
+            "occ_lq = min(lq_size, occ * chars.mix.load)",
+            "occ_sq = min(sq_size, occ * chars.mix.store * _STORE_RESIDENCY)",
+        )
+        for regime in ("base", "fe", "llc")
+    ),
+    ("sq_base = min(sq_size, ipc * chars.mix.store * _SMALL_STORE_DRAIN)",
+     None),
+    ('"stall": min(sq_size, sq_base + 2.0 * chars.mix.store * 10.0)}', None),
+}
+
+
+def _record_clamps(monkeypatch):
+    """Shadow ``min``/``max`` in this module, so the parent analyzers'
+    two-argument calls record which side won, per call site (source
+    line, and the big core's regime): ``"first"`` when the first
+    argument is strictly the result, ``"second"`` when the second is,
+    ``"tie"`` otherwise."""
+    outcomes: dict[tuple[str, str | None], set[str]] = {}
+
+    def recording(builtin, second_wins, first_wins):
+        def clamp(*args):
+            if len(args) == 2:
+                a, b = args
+                frame = sys._getframe(1)
+                line = linecache.getline(
+                    frame.f_code.co_filename, frame.f_lineno
+                ).strip()
+                regime = None
+                if frame.f_code.co_name == "parent_analyze_big_phase":
+                    regime = frame.f_locals.get("regime")
+                side = (
+                    "second" if second_wins(a, b)
+                    else "first" if first_wins(a, b) else "tie"
+                )
+                outcomes.setdefault((line, regime), set()).add(side)
+            return builtin(*args)
+        return clamp
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(
+        module, "min",
+        recording(min, lambda a, b: b < a, lambda a, b: a < b),
+        raising=False,
+    )
+    monkeypatch.setattr(
+        module, "max",
+        recording(max, lambda a, b: b > a, lambda a, b: a > b),
+        raising=False,
+    )
+    return outcomes
+
+
+def _tight(core: CoreConfig, entries: int) -> CoreConfig:
+    """A core whose queues hold ``entries`` each (and, on the small
+    core, with one integer ALU), so occupancy reaches their sizes."""
+    queues = {
+        "issue_queue": StructureConfig(
+            StructureKind.ISSUE_QUEUE, entries, core.issue_queue.bits_per_entry
+        ),
+        "store_queue": StructureConfig(
+            StructureKind.STORE_QUEUE, entries, core.store_queue.bits_per_entry
+        ),
+    }
+    if core.out_of_order:
+        queues["load_queue"] = StructureConfig(
+            StructureKind.LOAD_QUEUE, entries, core.load_queue.bits_per_entry
+        )
+    else:
+        queues["functional_units"] = tuple(
+            dataclasses.replace(pool, count=1)
+            if pool.instruction_class is InstructionClass.INT_ALU else pool
+            for pool in core.functional_units
+        )
+    return dataclasses.replace(core, **queues)
+
+
+#: An L3 miss rate a hair above the L2 one (the characteristics allow
+#: 1e-9 MPKI of slack): the L3 misses clamp at the L2 misses.
+L3_OVER_L2 = PhaseCharacteristics(l2_mpki=3.0, l3_mpki=3.0 + 5e-10)
+
+#: Phases beyond the suite that reach the other side of a clamp.
+CLAMP_PHASES = SUITE_PHASES + [
+    L3_OVER_L2,
+    # Throughput-bound on the divider: its busy units reach the pool's
+    # max in flight.
+    PhaseCharacteristics(
+        mix=InstructionMix(
+            nop=0.0, int_alu=0.0, int_mul=0.0, int_div=0.5, load=0.3,
+            store=0.2, branch=0.0,
+        ),
+        branch_mpki=0.0, icache_mpki=0.0, l1d_mpki=0.0, l2_mpki=0.0,
+        l3_mpki=0.0, dep_distance_mean=64.0,
+    ),
+    # A misprediction every four instructions: the run cap binds in
+    # the front-end regime.
+    PhaseCharacteristics(
+        mix=InstructionMix(
+            nop=0.0, int_alu=0.3, int_mul=0.0, load=0.2, store=0.2,
+            branch=0.3,
+        ),
+        branch_mpki=250.0, icache_mpki=0.0, l1d_mpki=1.0, l2_mpki=0.5,
+        l3_mpki=0.1, dep_distance_mean=2.0,
+    ),
+    # Loads and stores at full width: queues fill and the integer ALUs
+    # saturate with address work.
+    PhaseCharacteristics(
+        mix=InstructionMix(
+            nop=0.0, int_alu=0.1, int_mul=0.0, load=0.4, store=0.4,
+            branch=0.1,
+        ),
+        branch_mpki=0.5, icache_mpki=0.0, l1d_mpki=0.0, l2_mpki=0.0,
+        l3_mpki=0.0, dep_distance_mean=64.0,
+    ),
+]
+
+#: LLC shares near 0 and at 1, with and without bus contention.
+CLAMP_ENVIRONMENTS = [
+    MemoryEnvironment(share, multiplier)
+    for share in (1e-9, 0.3, 1.0)
+    for multiplier in (1.0, 3.0)
+]
+
+
+class TestInlinedClamps:
+    """The tails write each two-argument ``min``/``max`` as the
+    comparison the builtin makes (``min(a, b)`` is ``b if b < a else
+    a``, ``max(a, b)`` is ``b if b > a else a``), so ties keep the
+    first argument and NaN compares false.  Every such clamp of the
+    parent analyzers is driven to both sides here, and every analysis
+    must equal the parent's by ``repr``."""
+
+    def test_every_clamp_both_sides(self, monkeypatch):
+        memory = MACHINES["2B2S"].memory
+        base = MACHINES["2B2S"]
+        cores = [base.big, base.small, _tight(base.big, 2), _tight(base.small, 1)]
+        outcomes = _record_clamps(monkeypatch)
+        for core in cores:
+            model = MechanisticCoreModel(core, memory)
+            for chars in CLAMP_PHASES:
+                for env in CLAMP_ENVIRONMENTS:
+                    expected = repr(parent_analyze(chars, core, memory, env))
+                    assert repr(analyze_phase(chars, core, memory, env)) == (
+                        expected
+                    )
+                    assert repr(model.analyze(chars, env)) == expected
+        for site in sorted(_TAIL_CLAMPS, key=str):
+            seen = outcomes.get(site, set())
+            if site[0].startswith("busy_units"):
+                # A pool's throughput limit caps its busy units at its
+                # max in flight, so this clamp binds only at a tie.
+                assert {"first", "tie"} <= seen, site
+            else:
+                assert {"first", "second"} <= seen, site
+
+    @pytest.mark.parametrize(
+        "share",
+        [-0.5, -0.0, 0.0, 1e-300, 1e-9, 0.5, 1.0, 1.5, math.inf, math.nan],
+    )
+    def test_share_clamp(self, share):
+        """Out-of-range shares cannot reach the tail through a checked
+        environment; the clamp still matches ``l3_mpki_at_share``."""
+        for _, _, core, memory in CORES[:2]:
+            for chars in (SUITE_PHASES[3], L3_OVER_L2):
+                features = PhaseFeatures(chars, core, memory)
+                env = SimpleNamespace(
+                    l3_share_fraction=share, dram_latency_multiplier=2.5
+                )
+                m3, dram_lat = _environment_terms(features, share, 2.5)
+                assert repr(m3) == repr(_miss_rates(chars, env)[2])
+                assert repr(dram_lat) == repr(_dram_latency(core, memory, env))
 
 
 class TestStructureHash:

@@ -1,41 +1,34 @@
-"""The mechanistic quantum loop: analysis memo, slice accumulation, lookup.
+"""The mechanistic quantum loop: slice accumulation and phase lookup.
 
-``MechanisticCoreModel.analyze`` memoizes phase analyses per model,
-``run_cycles`` accumulates a slice in fixed structure columns, and
-``BenchmarkProfile.phase_span`` finds a phase with one bisect.  Each is
-checked here against the plain computation it replaces: every result
-must be exactly equal, dict key order included, because the goldens
-and the benchmark digests pin outputs byte for byte.
+``run_cycles`` accumulates a slice in fixed structure columns and
+analyzes each phase it enters once, and ``BenchmarkProfile.phase_span``
+finds a phase with one bisect.  Each is checked here against the plain
+computation it replaces: every result must be exactly equal, dict key
+order included, because the goldens and the benchmark digests pin
+outputs byte for byte.  The per-model phase-analysis memo these tests
+also covered is gone; the feature table it sat on is tested in
+``tests/test_cores_mechanistic_features.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli.main import build_parser
-from repro.config import MemoryConfig, big_core_config, machine_2b2s
+from repro.config import MemoryConfig, big_core_config
 from repro.config import small_core_config
 from repro.cores import mechanistic
 from repro.cores.base import ISOLATED, MemoryEnvironment, QuantumResult
 from repro.cores.mechanistic import (
-    ANALYSIS_MEMO_CAP,
+    FEATURE_TABLE_CAP,
     MechanisticCoreModel,
     analyze_phase,
 )
-from repro.sched.random_sched import RandomScheduler
-from repro.service import (
-    OpenSystem,
-    ServiceConfig,
-    ServiceFeed,
-    make_process,
-    service_benchmark_pool,
-)
-from repro.sim import segment
-from repro.sim.multicore import MulticoreSimulation
 from repro.workloads.characteristics import (
     BenchmarkProfile,
     PhaseCharacteristics,
@@ -81,75 +74,7 @@ def _model(core_type):
     return MechanisticCoreModel(CORES[core_type], MEMORY)
 
 
-def _count_misses(monkeypatch):
-    """Record every call the memo passes through to ``analyze_features``."""
-    misses = []
-    original = mechanistic.analyze_features
-
-    def counting(*args):
-        misses.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(mechanistic, "analyze_features", counting)
-    return misses
-
-
-class _CappedModel(MechanisticCoreModel):
-    """Records the largest memo size seen after any ``analyze`` call."""
-
-    max_entries = 0
-
-    def analyze(self, chars, env):
-        analysis = super().analyze(chars, env)
-        self.max_entries = max(self.max_entries, len(self._memo))
-        return analysis
-
-
 class TestAnalysisMemo:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        phase=st.sampled_from(SUITE_PHASES),
-        core_type=st.sampled_from(sorted(CORES)),
-        env=environments,
-    )
-    def test_hit_equals_fresh_analysis(self, phase, core_type, env):
-        model = _model(core_type)
-        expected = _analysis_fields(
-            analyze_phase(phase, CORES[core_type], MEMORY, env)
-        )
-        miss = model.analyze(phase, env)
-        # An equal environment, not the same object, finds the entry.
-        hit = model.analyze(
-            phase,
-            MemoryEnvironment(
-                env.l3_share_fraction, env.dram_latency_multiplier
-            ),
-        )
-        assert hit is miss
-        assert _analysis_fields(hit) == expected
-        assert len(model._memo) == 1
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        phase=st.sampled_from(SUITE_PHASES),
-        core_type=st.sampled_from(sorted(CORES)),
-        env=environments,
-    )
-    def test_exact_after_cap_empties_memo(self, phase, core_type, env):
-        model = _model(core_type)
-        first = model.analyze(phase, env)
-        # Distinct environments fill the memo to the cap; the next
-        # new key empties it.
-        for i in range(ANALYSIS_MEMO_CAP):
-            model.analyze(phase, MemoryEnvironment(0.01 + i * 1e-4, 5.0))
-        assert len(model._memo) == 1
-        again = model.analyze(phase, env)
-        assert again is not first
-        assert _analysis_fields(again) == _analysis_fields(
-            analyze_phase(phase, CORES[core_type], MEMORY, env)
-        )
-        assert model.analyze(phase, env) is again
-
     def test_models_keep_separate_memos(self):
         phase = SUITE_PHASES[0]
         big, small = _model("big"), _model("small")
@@ -162,22 +87,6 @@ class TestAnalysisMemo:
 
 
 class TestPinnedKeys:
-    def test_reused_id_is_not_served_a_stale_entry(self):
-        model = _model("big")
-        dead = PhaseCharacteristics(branch_mpki=1.0)
-        live = PhaseCharacteristics(branch_mpki=9.0, l3_mpki=2.0)
-        env = MemoryEnvironment(0.5, 2.0)
-        # The state an id-only key would reach once ``dead`` died and
-        # ``live`` took its address: ``live``'s key holds ``dead``'s
-        # analysis.
-        key = (id(live), env.l3_share_fraction, env.dram_latency_multiplier)
-        model._memo[key] = (dead, model.analyze(dead, env))
-        result = model.analyze(live, env)
-        assert _analysis_fields(result) == _analysis_fields(
-            analyze_phase(live, model.core, model.memory, env)
-        )
-        assert model._memo[key][0] is live
-
     def test_fresh_object_at_a_freed_address(self):
         model = _model("small")
         env = MemoryEnvironment(0.75, 1.5)
@@ -195,8 +104,8 @@ class TestPinnedKeys:
 
 class TestMemoCap:
     def test_cap_is_a_module_constant(self):
-        assert isinstance(ANALYSIS_MEMO_CAP, int)
-        assert 32 <= ANALYSIS_MEMO_CAP <= 1024
+        assert isinstance(FEATURE_TABLE_CAP, int)
+        assert 32 <= FEATURE_TABLE_CAP <= 1024
         params = inspect.signature(MechanisticCoreModel.__init__).parameters
         assert list(params) == ["self", "core", "memory"]
         source = inspect.getsource(mechanistic)
@@ -211,42 +120,6 @@ class TestMemoCap:
                         yield from options(sub)
 
         assert not [o for o in options(build_parser()) if "memo" in o]
-
-    def test_long_random_run_stays_under_cap(self, monkeypatch):
-        misses = _count_misses(monkeypatch)
-        machine = machine_2b2s()
-        models = {
-            "big": _CappedModel(machine.big, machine.memory),
-            "small": _CappedModel(machine.small, machine.memory),
-        }
-        profiles = [
-            benchmark(name).scaled(100_000_000)
-            for name in ("mcf", "milc", "povray", "soplex")
-        ]
-        MulticoreSimulation(
-            machine, profiles, RandomScheduler(machine, 4), models=models
-        ).run()
-        # More distinct keys than two full memos: the cap was reached.
-        assert len(misses) > 2 * ANALYSIS_MEMO_CAP
-        for model in models.values():
-            assert 0 < model.max_entries <= ANALYSIS_MEMO_CAP
-
-    def test_model_table_stays_under_cap(self, monkeypatch):
-        monkeypatch.setattr(segment, "_MODELS", {})
-        misses = _count_misses(monkeypatch)
-        process = make_process(
-            "poisson", 800.0, service_benchmark_pool(), seed=0,
-            instructions=5_000_000,
-        )
-        system = OpenSystem(
-            ServiceConfig(machine=machine_2b2s()), feed=ServiceFeed()
-        )
-        system.enqueue_arrivals(process.stream(400))
-        system.run()
-        assert len(misses) > 2 * ANALYSIS_MEMO_CAP
-        assert segment._MODELS
-        for model in segment._MODELS.values():
-            assert 0 < len(model._memo) <= ANALYSIS_MEMO_CAP
 
 
 def _reference_run_cycles(model, app, start_instruction, cycles, env):
@@ -301,16 +174,24 @@ def _reference_run_cycles(model, app, start_instruction, cycles, env):
     return result, lookups, entered
 
 
-def _count_lookups(model):
-    calls = []
-    analyze = model.analyze
+@contextlib.contextmanager
+def _analyses():
+    """Record the phase of every environment tail evaluated inside the
+    block: one per phase analysis, ``run_columns``'s included."""
+    visited = []
+    originals = mechanistic._big_tail, mechanistic._small_tail
 
-    def counted(chars, env):
-        calls.append(1)
-        return analyze(chars, env)
+    def recording(tail):
+        def recorded(features, share, multiplier):
+            visited.append(features.chars)
+            return tail(features, share, multiplier)
+        return recorded
 
-    model.analyze = counted
-    return calls
+    mechanistic._big_tail, mechanistic._small_tail = map(recording, originals)
+    try:
+        yield visited
+    finally:
+        mechanistic._big_tail, mechanistic._small_tail = originals
 
 
 class TestRunCycles:
@@ -336,13 +217,13 @@ class TestRunCycles:
         position = int(start * instructions)
         kind, value = budget
         cycles = value if kind == "cycles" else value * instructions
-        lookups = _count_lookups(model)
         expected, _, entered = _reference_run_cycles(
             model, app, position, cycles, env
         )
-        got = model.run_cycles(app, position, cycles, env)
+        with _analyses() as lookups:
+            got = model.run_cycles(app, position, cycles, env)
         assert _result_fields(got) == _result_fields(expected)
-        # Every phase entered is analyzed once, through ``analyze``.
+        # Every phase entered is analyzed once.
         assert len(lookups) == entered
 
     def _multi_phase(self, instructions):
@@ -384,15 +265,8 @@ class TestRunCycles:
                 (bounds[k + 1] - bounds[k]) * cpis[k]
                 for k in range(1, crossings)
             )
-        visited = []
-        analyze = model.analyze
-
-        def recording(chars, env):
-            visited.append(chars)
-            return analyze(chars, env)
-
-        model.analyze = recording
-        got = model.run_cycles(app, start, budget, env)
+        with _analyses() as visited:
+            got = model.run_cycles(app, start, budget, env)
         expected, _, _ = _reference_run_cycles(
             model, app, start, budget, env
         )
@@ -400,7 +274,7 @@ class TestRunCycles:
             crossings
         )
         assert _result_fields(got) == _result_fields(expected)
-        layout = list(analyze(phases[0][1], env).ace_bits_per_cycle)
+        layout = list(model.analyze(phases[0][1], env).ace_bits_per_cycle)
         assert list(got.ace_bit_cycles) == layout
         assert list(got.occupancy_bit_cycles) == layout
 
@@ -424,8 +298,8 @@ class TestRunCycles:
         model = _model("big")
         cpi = model.analyze(app.phase_at(0), ISOLATED).cpi
         budget = 100.4 * cpi
-        visited = _count_lookups(model)
-        got = model.run_cycles(app, 0, budget, ISOLATED)
+        with _analyses() as visited:
+            got = model.run_cycles(app, 0, budget, ISOLATED)
         expected, lookups, entered = _reference_run_cycles(
             model, app, 0, budget, ISOLATED
         )

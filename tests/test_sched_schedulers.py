@@ -1,9 +1,18 @@
 """Tests for the concrete schedulers: random, reliability, performance."""
 
+import numpy as np
 import pytest
 
-from repro.config import BIG, SMALL, machine_2b2s
-from repro.sched.base import Observation
+from repro.config import (
+    BIG,
+    SMALL,
+    machine_1b1s,
+    machine_1b3s,
+    machine_2b2s,
+    machine_4b4s,
+)
+from repro.sched import random_sched
+from repro.sched.base import PARKED, Assignment, Observation, SegmentPlan
 from repro.sched.performance import PerformanceScheduler
 from repro.sched.random_sched import RandomScheduler
 from repro.sched.reliability import ReliabilityScheduler
@@ -45,6 +54,65 @@ class TestRandomScheduler:
         plans = RandomScheduler(machine_2b2s(), 4).plan_quantum(0)
         assert len(plans) == 1
         assert plans[0].fraction == 1.0
+
+
+def _per_call_plans(machine, num_apps, seed, quanta):
+    """The per-call ``plan_quantum`` of the scheduler before it drew
+    its permutations in blocks, kept verbatim, over ``quanta`` quanta."""
+    rng = np.random.default_rng(seed)
+    plans = []
+    for _ in range(quanta):
+        cores = rng.permutation(machine.num_cores)
+        apps = rng.permutation(num_apps)
+        core_of = [PARKED] * num_apps
+        for slot, app in enumerate(apps[: machine.num_cores]):
+            core_of[int(app)] = int(cores[slot])
+        plans.append([SegmentPlan(1.0, Assignment(tuple(core_of)))])
+    return plans
+
+
+class TestRandomStream:
+    """The block-drawn schedule is the per-call schedule.
+
+    ``Generator.permuted`` over the rows of a tiled ``arange(n)`` must
+    yield the rows successive ``permutation(n)`` calls yield and leave
+    the generator in the same state.  numpy does not promise this; if
+    a release changes it, ``test_permuted_rows_are_successive_permutations``
+    names the cause.
+    """
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**32 + 5])
+    def test_permuted_rows_are_successive_permutations(self, seed, n):
+        rows = 300
+        calls = np.random.default_rng(seed)
+        block = np.random.default_rng(seed)
+        expected = [calls.permutation(n) for _ in range(rows)]
+        got = block.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+        assert [row.tolist() for row in got] == [
+            row.tolist() for row in expected
+        ]
+        assert got.dtype == expected[0].dtype
+        assert block.bit_generator.state == calls.bit_generator.state
+        # The next draws agree too.
+        assert block.permutation(n).tolist() == calls.permutation(n).tolist()
+
+    @pytest.mark.parametrize("machine, num_apps", [
+        (machine_1b1s(), 2),
+        (machine_2b2s(), 4),
+        (machine_1b3s(), 4),
+        (machine_4b4s(), 8),
+        (machine_2b2s(), 6),  # oversubscribed: the per-call path
+    ], ids=["1B1S", "2B2S", "1B3S", "4B4S", "2B2S-6apps"])
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_plans_equal_the_per_call_plans(self, machine, num_apps, seed):
+        quanta = 3 * random_sched._BLOCK_ROWS // 2 + 7  # over three blocks
+        scheduler = RandomScheduler(machine, num_apps, seed=seed)
+        got = [scheduler.plan_quantum(q) for q in range(quanta)]
+        assert got == _per_call_plans(machine, num_apps, seed, quanta)
+        for plans in got:
+            assert len(plans) == 1
+            plans[0].assignment.validate(machine)
 
 
 class TestObjectives:

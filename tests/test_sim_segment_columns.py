@@ -14,19 +14,26 @@ that turns into a float shows too.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import pytest
 
 from repro.ace.counters import AceCounterMode, measured_abc
-from repro.check.differential import _GenericPathModel
+from repro.check.differential import _GenericPathModel, _RecordingScheduler
 from repro.config.machines import machine_2b2s
 from repro.config.structures import StructureKind
 from repro.cores.base import MemoryEnvironment
 from repro.cores.mechanistic import MechanisticCoreModel
 from repro.memory.interference import ApplicationDemand, InterferenceModel
-from repro.sched.base import PARKED, Observation
+from repro.sched.base import PARKED, Observation, Scheduler
+from repro.sched.oracle import StaticScheduler
+from repro.sched.random_sched import RandomScheduler
+from repro.sched.reliability import ReliabilityScheduler
 from repro.sim import segment
-from repro.sim.multicore import default_models
+from repro.sim.multicore import MulticoreSimulation, default_models
 from repro.sim.segment import NO_DEMAND, SegmentStep
+from repro.sim.serialize import run_result_to_dict
 from repro.workloads.characteristics import BenchmarkProfile
 from repro.workloads.spec2006 import SUITE, benchmark
 
@@ -56,7 +63,9 @@ def _reference(counter_mode, clip, core_of, duration, demands, apps,
                positions, last_cores):
     """The step's per-slice arithmetic on ``QuantumResult`` methods."""
     models = default_models(MACHINE)
-    envs = InterferenceModel(MACHINE.memory).environments(demands)
+    envs = InterferenceModel(MACHINE.memory).environments(
+        [ApplicationDemand(l3, dram) for l3, dram in demands]
+    )
     transfer = min(MACHINE.migration_overhead_seconds, duration)
     deltas, observations, new_demands = [], [], []
     for i, core in enumerate(core_of):
@@ -83,7 +92,10 @@ def _reference(counter_mode, clip, core_of, duration, demands, apps,
             result.cycles, result.total_ace_bit_cycles / freq,
             sum(result.occupancy_bit_cycles.values()) / freq, l3, dram,
         ))
-        new_demands.append(ApplicationDemand(l3 / duration, dram / duration))
+        demand = ApplicationDemand(l3 / duration, dram / duration)
+        new_demands.append((
+            demand.l3_accesses_per_second, demand.dram_accesses_per_second,
+        ))
         observations.append(Observation(
             i, core, core_type, duration - overhead, result.instructions,
             measured_abc(result, counter_mode, config.out_of_order) / freq,
@@ -169,7 +181,7 @@ class TestEdgeSlices:
         )
         assert deltas[0][4] == 0 and deltas[0][5] > 0.0
         assert observations[0].measured_abc_seconds == 0.0
-        assert demands[0] == ApplicationDemand(0.0, 0.0)
+        assert demands[0] == (0.0, 0.0)
 
     @pytest.mark.parametrize("share", [0.5, 1.0])
     def test_migration_overhead_fills_the_segment(self, share):
@@ -282,3 +294,198 @@ class TestCounterReadings:
         )
         assert repr(tuple(map(list, output))) == repr(reference)
         assert output[0][1] is None and output[0][2] is None
+
+
+class _NegativeTraffic(MechanisticCoreModel):
+    """Reports negative L3 traffic: a demand no model may produce."""
+
+    def run_cycles(self, app, start_instruction, cycles, env, start_span=None):
+        result = super().run_cycles(app, start_instruction, cycles, env)
+        result.l3_accesses = -1.0
+        return result
+
+
+class TestDemandChecks:
+    """Demands are plain pairs inside the step; every check the
+    ``ApplicationDemand`` and ``MemoryEnvironment`` constructors made
+    on the step path still raises ``ValueError``."""
+
+    @pytest.mark.parametrize("demand", [
+        (-1.0, 0.0), (0.0, -1.0), (-0.5, -0.5),
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+    ])
+    def test_bad_incoming_demand_raises(self, demand):
+        step = SegmentStep(
+            MACHINE, default_models(MACHINE), AceCounterMode.FULL, clip=False
+        )
+        demands = [NO_DEMAND, demand, NO_DEMAND, NO_DEMAND]
+        with pytest.raises(ValueError):
+            step.run(CORES, MACHINE.quantum_seconds, demands, _apps(),
+                     [0] * 4, CORES)
+
+    def test_negative_measured_traffic_raises(self):
+        step = SegmentStep(
+            MACHINE, _models(_NegativeTraffic), AceCounterMode.FULL,
+            clip=False,
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            step.run(CORES, MACHINE.quantum_seconds, ZERO, _apps(),
+                     [0] * 4, CORES)
+
+    def test_environments_keep_their_checks(self):
+        model = InterferenceModel(MACHINE.memory)
+        for bad in (_Demand(-1.0, 0.0), _Demand(0.0, -1.0)):
+            with pytest.raises(ValueError, match="non-negative"):
+                model.environments([bad, _Demand(1.0, 0.0)])
+        with pytest.raises(ValueError, match="l3_share_fraction"):
+            model.environments([_Demand(math.nan, 0.0), _Demand(1.0, 0.0)])
+        envs = model.environments(
+            [ApplicationDemand(2e8, 3e7), ApplicationDemand(5e7, 1e6)]
+        )
+        shares = [env.l3_share_fraction for env in envs]
+        assert sum(shares) == pytest.approx(1.0)
+        assert envs[0].dram_latency_multiplier > 1.0
+
+
+class _Demand:
+    """A duck-typed demand that skips ``ApplicationDemand``'s check."""
+
+    def __init__(self, l3, dram):
+        self.l3_accesses_per_second = l3
+        self.dram_accesses_per_second = dram
+
+
+class _Observing(RandomScheduler):
+    """A random scheduler that reads its observations."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    def observe(self, plan, observations):
+        self.seen.append(list(observations))
+
+
+class _Spy:
+    """Records each segment's inputs, the step it ran on and its
+    observations."""
+
+    def __init__(self, monkeypatch):
+        self.segments = []
+        self.steps = []
+        original = SegmentStep.run
+
+        def run(step, core_of, duration, demands, apps, positions, last):
+            output = original(
+                step, core_of, duration, demands, apps, positions, last
+            )
+            self.steps.append(step)
+            self.segments.append((
+                step.counter_mode, step.clip, core_of, duration,
+                list(demands), list(apps), list(positions), list(last),
+                output[1],
+            ))
+            return output
+
+        monkeypatch.setattr(SegmentStep, "run", run)
+
+
+def _simulate(scheduler, instructions=50_000_000, restart=True):
+    """A 2B2S run of ``MIX``, serialized without the scheduler's name."""
+    profiles = [benchmark(name).scaled(instructions) for name in MIX]
+    result = run_result_to_dict(MulticoreSimulation(
+        MACHINE, profiles, scheduler, record_timeline=True,
+        restart_finished=restart,
+    ).run())
+    del result["scheduler_name"]
+    return result
+
+
+class TestObservations:
+    """The step builds observations only for a scheduler that overrides
+    ``Scheduler.observe``; those it builds are the parent's."""
+
+    def _check_against_reference(self, spy):
+        assert spy.segments
+        for (counter_mode, clip, core_of, duration, demands, apps,
+             positions, last, observations) in spy.segments:
+            reference = _reference(
+                counter_mode, clip, core_of, duration, demands, apps,
+                positions, last,
+            )
+            assert repr(observations) == repr(reference[1])
+
+    @pytest.mark.parametrize("restart", [True, False])
+    def test_observing_scheduler_gets_the_parents_observations(
+        self, monkeypatch, restart
+    ):
+        spy = _Spy(monkeypatch)
+        scheduler = _Observing(MACHINE, 4, seed=3)
+        observed = _simulate(scheduler, restart=restart)
+        assert all(step.observe for step in spy.steps)
+        assert [list(seen) for seen in scheduler.seen] == [
+            segment_[-1] for segment_ in spy.segments
+        ]
+        self._check_against_reference(spy)
+        # Observations change nothing a random scheduler decides.
+        spy.segments.clear()
+        spy.steps.clear()
+        plain = _simulate(RandomScheduler(MACHINE, 4, seed=3), restart=restart)
+        assert not any(step.observe for step in spy.steps)
+        assert all(seg[-1] is None for seg in spy.segments)
+        assert plain == observed
+
+    @pytest.mark.parametrize("inner", ["random", "reliability"])
+    def test_recording_scheduler_gets_the_parents_observations(
+        self, monkeypatch, inner
+    ):
+        spy = _Spy(monkeypatch)
+        if inner == "random":
+            scheduler = RandomScheduler(MACHINE, 4, seed=5)
+        else:
+            scheduler = ReliabilityScheduler(MACHINE, 4)
+        seen = []
+        scheduler.observe = lambda plan, observations: seen.append(
+            list(observations)
+        )
+        # Duck-typed: not a Scheduler subclass, and its observe
+        # delegates, so it is handed observations.
+        recording = _RecordingScheduler(scheduler)
+        assert not isinstance(recording, Scheduler)
+        _simulate(recording)
+        assert all(step.observe for step in spy.steps)
+        assert seen == [segment_[-1] for segment_ in spy.segments]
+        self._check_against_reference(spy)
+
+
+class _ObservingStatic(StaticScheduler):
+    def observe(self, plan, observations):
+        pass
+
+
+class TestStaticSchedulerReplay:
+    """A scheduler without ``observe`` still has its segments stored
+    and replayed: a 2B2S ``StaticScheduler`` run computes as many
+    slices as at the parent, where every step built observations."""
+
+    def test_computes_as_many_segments_as_the_parent(self, monkeypatch):
+        slices = []
+        original = MechanisticCoreModel.run_columns
+
+        def counting(model, *args):
+            slices.append(1)
+            return original(model, *args)
+
+        monkeypatch.setattr(MechanisticCoreModel, "run_columns", counting)
+        counts, results = [], []
+        for cls in (StaticScheduler, _ObservingStatic):
+            slices.clear()
+            results.append(_simulate(cls(MACHINE, 4, [1, 2]), 200_000_000))
+            counts.append(len(slices))
+        assert counts[0] == counts[1]
+        assert results[0] == results[1]
+        assert results[0]["quanta"] > 10 * counts[0] // 4
+        if sys.version_info[:2] == (3, 11):
+            # The parent's count, measured on the interpreter the
+            # committed results match.
+            assert counts[0] == 120
