@@ -24,11 +24,14 @@ invariants:
   resumed; the resumed report must be bit-identical to an
   uninterrupted run's.
 * **service cases** -- one seeded arrival stream runs through a fresh
-  :class:`~repro.service.server.OpenSystem` twice, serially and via an
-  :class:`~repro.runtime.engine.ExecutionEngine` worker pool; the two
-  event feeds must match byte-for-byte, both results must conserve
-  jobs (``open_system_conservation``), and both decision traces must
-  chain-validate.
+  :class:`~repro.service.server.OpenSystem` in-process, then twice as
+  a load point on an :class:`~repro.runtime.engine.ExecutionEngine`
+  worker pool, through the function ``repro load --jobs N`` maps
+  (:func:`~repro.service.load.run_load_task`); each worker's event
+  feed must match the in-process feed byte-for-byte
+  (``service_feed_determinism``), every result must conserve jobs
+  (``open_system_conservation``), and the in-process decision trace
+  must chain-validate.
 * **shard cases** -- a random campaign runs across a random shard
   fleet; the keyspace partition must be a disjoint cover
   (``shard_partition_cover``), randomly-cut per-shard logs must
@@ -704,12 +707,13 @@ SERVICE_ADMISSIONS = ("fifo", "sser")
 def _service_feed_determinism(
     serial_lines: Sequence[str], parallel_lines: Sequence[str]
 ) -> Iterator[Finding]:
-    """Serial and engine-parallel service runs emit identical feeds.
+    """A load point run in a worker process emits the in-process feed.
 
-    The open system advances in virtual time only, so executing quantum
-    slices through an :class:`~repro.runtime.engine.ExecutionEngine`
-    worker pool must reproduce the serial event stream byte-for-byte --
-    same arrivals, same placements, same sheds, same departures.
+    The open system advances in virtual time only, so a load point that
+    ``repro load --jobs N`` runs on an
+    :class:`~repro.runtime.engine.ExecutionEngine` worker must reproduce
+    the in-process event stream byte-for-byte -- same arrivals, same
+    placements, same sheds, same departures.
     """
     if len(serial_lines) != len(parallel_lines):
         yield (
@@ -729,9 +733,9 @@ def _service_feed_determinism(
 
 
 def _service_case(index: int, rng: np.random.Generator) -> CheckReport:
-    """Run one arrival stream serially and through a worker pool and
-    demand identical event feeds, conserved job accounting, and a
-    chain-valid decision trace on both sides."""
+    """Run one arrival stream in-process and twice as a load point on a
+    worker pool, and demand identical event feeds, conserved job
+    accounting, and a chain-valid decision trace."""
     from repro.check.invariants import (
         check_decision_trace,
         check_service,
@@ -741,6 +745,7 @@ def _service_case(index: int, rng: np.random.Generator) -> CheckReport:
     from repro.runtime.engine import ExecutionEngine
     from repro.service.arrivals import make_process, service_benchmark_pool
     from repro.service.events import ServiceFeed
+    from repro.service.load import run_load_task
     from repro.service.server import OpenSystem, ServiceConfig
 
     machine_name = FUZZ_MACHINES[int(rng.integers(len(FUZZ_MACHINES)))]
@@ -765,7 +770,6 @@ def _service_case(index: int, rng: np.random.Generator) -> CheckReport:
         seed=stream_seed,
         instructions=instructions,
     )
-    arrivals = process.stream(count)
     config = ServiceConfig(
         machine=machine,
         admission=admission,
@@ -773,43 +777,27 @@ def _service_case(index: int, rng: np.random.Generator) -> CheckReport:
         deadline_seconds=0.02,
     )
 
-    def run_once(map_tasks):
-        feed = ServiceFeed()
-        recorder = DecisionTraceRecorder()
-        system = OpenSystem(
-            config, feed=feed, recorder=recorder, map_tasks=map_tasks
-        )
-        system.enqueue_arrivals(arrivals)
-        return system.run(), feed, recorder
-
-    serial_result, serial_feed, serial_recorder = run_once(None)
-    engine = ExecutionEngine(jobs=2)
-    try:
-        parallel_result, parallel_feed, parallel_recorder = run_once(
-            engine.map_tasks
-        )
-    finally:
-        engine.close()
-
-    return merge_reports(
-        [
-            _apply(
-                "service_feed",
-                label,
-                serial_feed.lines,
-                parallel_feed.lines,
-            ),
-            check_service(serial_result, label=f"{label} serial"),
-            check_service(parallel_result, label=f"{label} parallel"),
-            check_decision_trace(
-                serial_recorder.records, label=f"{label} serial"
-            ),
-            check_decision_trace(
-                parallel_recorder.records, label=f"{label} parallel"
-            ),
-        ],
-        subject=label,
+    feed = ServiceFeed()
+    recorder = DecisionTraceRecorder()
+    system = OpenSystem(config, feed=feed, recorder=recorder)
+    system.enqueue_arrivals(process.stream(count))
+    result = system.run()
+    workers = ExecutionEngine(jobs=2).map_tasks(
+        run_load_task, [(config, process, count)] * 2
     )
+
+    reports = [
+        check_service(result, label=f"{label} serial"),
+        check_decision_trace(recorder.records, label=f"{label} serial"),
+    ]
+    for k, (point, worker_feed) in enumerate(workers):
+        reports.append(
+            _apply("service_feed", label, feed.lines, worker_feed.lines)
+        )
+        reports.append(
+            check_service(point.result, label=f"{label} worker {k}")
+        )
+    return merge_reports(reports, subject=label)
 
 
 def _shard_case(index: int, rng: np.random.Generator) -> CheckReport:

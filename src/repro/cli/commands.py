@@ -1102,19 +1102,20 @@ def cmd_serve(args) -> int:
 
 
 def cmd_load(args) -> int:
-    """Drive seeded arrival streams and print the delay-vs-SSER table."""
-    from contextlib import ExitStack
+    """Drive seeded arrival streams and print the delay-vs-SSER table.
 
+    Each rate's point runs whole, on one of ``--jobs`` workers; the
+    table, timelines, digests and ``--event-feed`` lines come out in
+    rate order, so the output is the same at any ``--jobs``.
+    """
     from repro.check import check_service, merge_reports
     from repro.runtime.engine import ExecutionEngine
     from repro.service import (
         ServiceConfig,
-        ServiceFeed,
         make_process,
-        run_load_point,
         service_benchmark_pool,
     )
-    from repro.service.load import format_load_table
+    from repro.service.load import format_load_table, run_load_task
 
     machine = _machine(args)
     if machine is None:
@@ -1136,41 +1137,31 @@ def cmd_load(args) -> int:
         deadline_seconds=args.deadline,
     )
     benchmarks = service_benchmark_pool()
-    jobs = _jobs(args)
-    points = []
-    reports = []
-    feeds = []
-    with ExitStack() as stack:
-        handle = (
-            stack.enter_context(open(args.event_feed, "a"))
-            if args.event_feed
-            else None
-        )
-        engine = None
-        if jobs > 1:
-            engine = ExecutionEngine(jobs=jobs)
-            stack.callback(engine.close)
-        for rate in rates:
-            process = make_process(
+    tasks = [
+        (
+            config,
+            make_process(
                 args.process,
                 rate,
                 benchmarks,
                 seed=args.seed,
                 instructions=args.instructions,
-            )
-            feed = ServiceFeed(stream=handle)
-            point = run_load_point(
-                config,
-                process,
-                args.arrivals,
-                feed=feed,
-                map_tasks=engine.map_tasks if engine is not None else None,
-            )
-            points.append(point)
-            feeds.append(feed)
-            reports.append(
-                check_service(point.result, label=f"load@{rate:g}/s")
-            )
+            ),
+            args.arrivals,
+        )
+        for rate in rates
+    ]
+    runs = ExecutionEngine(jobs=_jobs(args)).map_tasks(run_load_task, tasks)
+    points = [point for point, _ in runs]
+    feeds = [feed for _, feed in runs]
+    if args.event_feed:
+        with open(args.event_feed, "a") as handle:
+            for feed in feeds:
+                handle.write("".join(line + "\n" for line in feed.lines))
+    reports = [
+        check_service(point.result, label=f"load@{rate:g}/s")
+        for point, rate in zip(points, rates)
+    ]
 
     print(format_load_table(points))
     if getattr(args, "timeline", False):

@@ -462,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--instructions", type=int, default=1_000_000,
                       help="instructions per arriving job")
     load.add_argument("--jobs", type=int, default=None,
-                      help="worker processes for quantum-slice "
-                           "execution (default: REPRO_JOBS, else 1)")
+                      help="worker processes for load points "
+                           "(default: REPRO_JOBS, else 1)")
     load.add_argument("--event-feed", default=None, metavar="FILE",
                       help="append every point's JSONL event feed to "
                            "FILE")

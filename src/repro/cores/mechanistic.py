@@ -947,10 +947,10 @@ class MechanisticCoreModel(CoreModel):
         start_span: tuple["PhaseCharacteristics", int] | None = None,
     ) -> QuantumResult:
         """:meth:`run_columns` as a :class:`QuantumResult`, for callers
-        other than the segment step (isolated runs, the service's
-        worker map, validation).  The segment step reads the columns
-        directly; a subclass that overrides this method is run through
-        it instead, and never replays."""
+        other than the segment step (isolated runs, validation).  The
+        segment step reads the columns directly; a subclass that
+        overrides this method is run through it instead, and never
+        replays."""
         (instructions, elapsed, structures, ace, occupancy,
          dram, l3, mispredictions) = self.run_columns(
             app, start_instruction, cycles, env.l3_share_fraction,

@@ -439,9 +439,6 @@ class ExecutionEngine:
         # registry is ACTIVE in the parent process.
         self._queue_registry: "obs_metrics.MetricsRegistry | None" = None
         self._batch_started = 0.0
-        # Lazy persistent pool for map_tasks (False = creation failed,
-        # don't retry).
-        self._map_executor = None
 
     # -- events ------------------------------------------------------
 
@@ -548,9 +545,6 @@ class ExecutionEngine:
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
-        if self._map_executor:
-            self._map_executor.shutdown(wait=False, cancel_futures=True)
-            self._map_executor = None
 
     # -- queue metrics ------------------------------------------------
 
@@ -564,43 +558,35 @@ class ExecutionEngine:
 
     # -- ordered task mapping -----------------------------------------
 
-    def _ensure_map_executor(self):
-        if self._map_executor is None:
-            try:
-                self._map_executor = self._executor_factory(
-                    max_workers=self.jobs
-                )
-            except (NotImplementedError, OSError, ImportError) as error:
-                warnings.warn(
-                    f"process pool unavailable ({error}); "
-                    f"mapping in-process"
-                )
-                self._map_executor = False  # don't retry creation
-        return self._map_executor or None
-
     def map_tasks(self, fn, items) -> list:
-        """Ordered parallel map over picklable items (service slices).
+        """Ordered parallel map over picklable items (``repro load``'s
+        load points).
 
         Results come back in item order, computed by the same function
-        the serial path would call, so callers stay deterministic
-        across worker counts.  The pool is created lazily, persists
-        across calls (quantum-rate fan-out), and degrades to in-process
-        execution when process support is unavailable or the pool
-        breaks mid-map.
+        the serial path calls, so callers stay deterministic across
+        worker counts.  A pool of ``min(jobs, len(items))`` workers
+        lives for this one call; the map runs in-process when that is
+        one worker, when process support is unavailable, or when the
+        pool breaks mid-map.
         """
         items = list(items)
-        if self.jobs == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        executor = self._ensure_map_executor()
-        if executor is None:
+        workers = min(self.jobs, len(items))
+        if workers <= 1:
             return [fn(item) for item in items]
         try:
-            return list(executor.map(fn, items))
+            executor = self._executor_factory(max_workers=workers)
+        except (NotImplementedError, OSError, ImportError) as error:
+            warnings.warn(
+                f"process pool unavailable ({error}); mapping in-process"
+            )
+            return [fn(item) for item in items]
+        try:
+            with executor:
+                return list(executor.map(fn, items))
         except futures.process.BrokenProcessPool:
             warnings.warn(
                 "worker pool broke during map_tasks; running in-process"
             )
-            self._map_executor = None
             return [fn(item) for item in items]
 
     # -- checkpoints -------------------------------------------------

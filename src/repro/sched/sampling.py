@@ -79,6 +79,25 @@ def observed_sample(observation: Observation) -> CoreTypeSample | None:
     )
 
 
+def quantum_streak(
+    consecutive: int,
+    last_type: str | None,
+    core_type: str,
+    off_sample: CoreTypeSample | None,
+) -> int:
+    """An application's consecutive quanta on ``core_type`` at the end
+    of a quantum whose final segment ran it there.
+
+    The count grows while the core type repeats and restarts at 1 when
+    it changes (``last_type`` is the type of the quantum before).  An
+    off-type sample taken during this quantum (``off_sample`` at age
+    0) satisfies the staleness rule, so it restarts the count too.
+    """
+    if off_sample is not None and off_sample.age_quanta == 0:
+        return 1
+    return consecutive + 1 if last_type == core_type else 1
+
+
 def _replay_rank(item: tuple[int, list]) -> tuple[bool, int]:
     """Sort key of an observation-to-sample entry: (replayed, last use)."""
     return item[1][3], item[1][2]
@@ -515,17 +534,12 @@ class SamplingScheduler(Scheduler):
         last_type = self._last_type
         for obs in observations:
             i = obs.app_index
-            if last_type.get(i) == obs.core_type:
-                consecutive[i] += 1
-            else:
-                consecutive[i] = 1
-        last_type = {obs.app_index: obs.core_type for obs in observations}
-        self._last_type = last_type
-        # An off-type sample taken during this quantum's sampling
-        # segment (age still 0) satisfies the staleness rule: reset.
-        for i, my_type in last_type.items():
-            other = samples.get((i, _other(my_type)))
-            if other is not None and other.age_quanta == 0:
-                consecutive[i] = min(consecutive[i], 1)
+            consecutive[i] = quantum_streak(
+                consecutive[i], last_type.get(i), obs.core_type,
+                samples.get((i, _other(obs.core_type))),
+            )
+        self._last_type = {
+            obs.app_index: obs.core_type for obs in observations
+        }
         for sample in samples.values():
             sample.age_quanta += 1

@@ -27,8 +27,8 @@ completes:
 
 Everything is seed-deterministic: ``repro.check``'s
 ``open_system_conservation`` invariant and ``--service-cases``
-differential fuzzing pin the event stream across serial and parallel
-execution engines.
+differential fuzzing pin the event stream across in-process and
+worker-process runs of a load point.
 """
 
 from repro.service.admission import (

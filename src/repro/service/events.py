@@ -5,8 +5,9 @@ Every boundary decision of the :class:`~repro.service.server.OpenSystem`
 feed is the service's ground truth for differential testing: it
 carries **virtual time only** (no wall clock, no pids, no worker
 identity), keys are serialized sorted, and floats are produced by the
-same arithmetic on every path, so the byte stream is identical across
-repeated runs and across ``--jobs 1`` vs ``--jobs 8``.
+same arithmetic in every process, so the byte stream is identical
+across repeated runs and whichever ``repro load --jobs`` worker runs
+the point.
 
 :func:`feed_digest` reduces a feed to one sha256 hex digest; CI pins
 the seeded 1k-arrival smoke run against a committed digest.

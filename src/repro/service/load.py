@@ -8,13 +8,18 @@ produces the open-system trade-off curve the fixed-mix pipeline
 cannot express -- at low load the reliability placer keeps SSER down
 with empty-slot headroom; approaching saturation, queueing delay
 climbs until admission control sheds the excess.
+
+The points are independent, so ``repro load --jobs N`` maps
+:func:`run_load_task` over them on N worker processes and prints and
+writes every point in rate order: the output is the same at any
+``--jobs``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.service.arrivals import ArrivalProcess
 from repro.service.events import ServiceFeed
@@ -27,6 +32,7 @@ __all__ = [
     "format_load_table",
     "format_timeline",
     "run_load_point",
+    "run_load_task",
     "service_timeline",
 ]
 
@@ -92,13 +98,10 @@ def run_load_point(
     *,
     feed: ServiceFeed | None = None,
     recorder=None,
-    map_tasks: Callable[..., list] | None = None,
 ) -> LoadPoint:
     """Run ``count`` arrivals of one process through a fresh system."""
     feed = feed if feed is not None else ServiceFeed()
-    system = OpenSystem(
-        config, feed=feed, recorder=recorder, map_tasks=map_tasks
-    )
+    system = OpenSystem(config, feed=feed, recorder=recorder)
     system.enqueue_arrivals(process.stream(count))
     result = system.run()
     return LoadPoint(
@@ -106,6 +109,22 @@ def run_load_point(
         result=result,
         digest=feed.digest(),
     )
+
+
+def run_load_task(
+    task: tuple[ServiceConfig, ArrivalProcess, int],
+) -> tuple[LoadPoint, ServiceFeed]:
+    """Run one (config, process, count) load point with an in-memory
+    feed and return the point and its feed.
+
+    ``repro load`` maps this over its rates with
+    ``ExecutionEngine.map_tasks``.  It is a module-level function of
+    picklable inputs, so a worker process under any start method runs
+    it exactly as the caller would.
+    """
+    config, process, count = task
+    feed = ServiceFeed()
+    return run_load_point(config, process, count, feed=feed), feed
 
 
 @dataclass(frozen=True)

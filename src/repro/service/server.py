@@ -5,14 +5,14 @@ retires completed jobs, drains due arrivals into the bounded admission
 queue (shedding on overflow), expires SLA deadlines, admits waiting
 jobs to free slots, asks the :class:`~repro.service.placement.SlotPlacer`
 for this quantum's placement/migrations, and executes every occupied
-slot's slice through the mechanistic core models -- either in-process
-or fanned out over an :class:`~repro.runtime.engine.ExecutionEngine`
-worker pool via :meth:`map_tasks`.
+slot's slice in-process through the segment step the multicore loop
+uses.
 
-Everything runs in **virtual time**.  Worker processes compute pure
-slice functions of hashable inputs, and the serial path calls the very
-same function, so the event feed is byte-identical for ``jobs=1`` and
-``jobs=N`` (pinned by ``repro check --service-cases``).
+Everything runs in **virtual time**, so the event feed is a pure
+function of the configuration and the arrival stream: a load point
+gives the same feed in any process, which is what lets ``repro load
+--jobs N`` run whole points on workers (pinned by ``repro check
+--service-cases``).
 
 :class:`SchedulerService` wraps an interactive :class:`OpenSystem` in
 a line-oriented JSON request/response protocol (``repro serve``):
@@ -28,12 +28,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.ace.counters import AceCounterMode
-from repro.config.cores import CoreConfig
-from repro.config.machines import BIG, SMALL, MachineConfig, MemoryConfig
-from repro.cores.base import MemoryEnvironment, QuantumResult
+from repro.config.machines import BIG, SMALL, MachineConfig
 from repro.metrics.reliability import weighted_ser
 from repro.obs import metrics as obs_metrics
 from repro.sched.base import Observation
@@ -41,6 +39,7 @@ from repro.sched.sampling import (
     DEFAULT_SWAP_THRESHOLD,
     CoreTypeSample,
     observed_sample,
+    quantum_streak,
 )
 from repro.service.admission import make_admission
 from repro.service.arrivals import JobArrival
@@ -69,41 +68,10 @@ __all__ = [
 #: Hard cap on service quanta (guards non-terminating runs).
 DEFAULT_MAX_QUANTA = 2_000_000
 
-
-# -- worker-side slice execution ---------------------------------------------
-#
-# When a map is given, slices run in ExecutionEngine worker processes
-# through this module-level pure function of hashable inputs; the
-# in-process path runs the same model method on the same inputs, so the
-# floats and the event feed are the same for any worker count.  Models
-# come from the process-wide table of repro.sim.segment; scaled profiles
-# are cached per process, up to PROFILE_CACHE_CAP of them.
-
-#: Scaled profiles a worker process caches for :func:`run_slice`, and
-#: reference times an open system caches, before the cache is emptied.
-PROFILE_CACHE_CAP = 256
-
-_WORKER_PROFILES: dict[tuple[str, int], BenchmarkProfile] = {}
-
-#: (core config, memory config, benchmark, instructions, position,
-#:  exec_cycles, memory environment)
-SliceTask = tuple[
-    CoreConfig, MemoryConfig, str, int, int, float, MemoryEnvironment
-]
-
-
-def run_slice(task: SliceTask) -> QuantumResult:
-    """Execute one slot's slice of one segment (pure function)."""
-    core_cfg, memory, name, instructions, position, cycles, env = task
-    profile = _WORKER_PROFILES.get((name, instructions))
-    if profile is None:
-        if len(_WORKER_PROFILES) >= PROFILE_CACHE_CAP:
-            _WORKER_PROFILES.clear()
-        profile = benchmark(name).scaled(instructions)
-        _WORKER_PROFILES[(name, instructions)] = profile
-    return mechanistic_model(core_cfg, memory).run_cycles(
-        profile, position, cycles, env
-    )
+#: Reference times an open system caches, per (benchmark,
+#: instructions), before the cache is emptied; it bounds the memory
+#: of a long ``repro serve`` session.
+REFERENCE_CACHE_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -241,10 +209,8 @@ class OpenSystem:
         recorder: optional
             :class:`~repro.obs.decisions.DecisionTraceRecorder`; the
             trace chain-validates across admissions and departures.
-        map_tasks: optional ordered parallel map (e.g.
-            ``ExecutionEngine.map_tasks``) used to execute slot slices;
-            in-process execution when omitted.  Results must come back
-            in task order for determinism.
+
+    Every slice runs in this process, through the segment step.
     """
 
     def __init__(
@@ -253,7 +219,6 @@ class OpenSystem:
         *,
         feed: ServiceFeed | None = None,
         recorder=None,
-        map_tasks: Callable[..., list] | None = None,
     ):
         self.config = config
         machine = config.machine
@@ -269,7 +234,6 @@ class OpenSystem:
         self.queue = AdmissionQueue(
             config.queue_capacity, deadline_seconds=config.deadline_seconds
         )
-        self._map_tasks = map_tasks
         self._step = SegmentStep(
             machine,
             {
@@ -278,7 +242,6 @@ class OpenSystem:
             },
             config.counter_mode,
             clip=True,
-            execute=None if map_tasks is None else self._execute_slices,
         )
         self.slots: list[ServiceJob | None] = [None] * machine.num_cores
         self.jobs: dict[int, ServiceJob] = {}
@@ -412,7 +375,7 @@ class OpenSystem:
                 job.profile,
                 mechanistic_model(self.machine.big, self.machine.memory),
             )
-            if len(self._reference) >= PROFILE_CACHE_CAP:
+            if len(self._reference) >= REFERENCE_CACHE_CAP:
                 self._reference.clear()
             self._reference[key] = reference
         return reference
@@ -495,22 +458,6 @@ class OpenSystem:
 
     # -- quantum execution -----------------------------------------------
 
-    def _execute_slices(self, slices):
-        """Run a segment's slices over the worker map (one in-process)."""
-        if len(slices) < 2:
-            return [
-                model.run_cycles(app, position, cycles, env)
-                for model, app, position, cycles, env in slices
-            ]
-        return self._map_tasks(
-            run_slice,
-            [
-                (model.core, model.memory, app.name, app.instructions,
-                 position, cycles, env)
-                for model, app, position, cycles, env in slices
-            ],
-        )
-
     def _execute_quantum(self) -> None:
         machine = self.machine
         plans = self.placer.plan(self.slots, self.quantum)
@@ -585,16 +532,11 @@ class OpenSystem:
             freq = self.machine.core_config(core).frequency_hz
             job.depart_time = seg_start + overhead + cycles / freq
         if final_segment:
-            if job.last_type == core_type:
-                job.consecutive += 1
-            else:
-                job.consecutive = 1
+            job.consecutive = quantum_streak(
+                job.consecutive, job.last_type, core_type,
+                job.samples.get(SMALL if core_type == BIG else BIG),
+            )
             job.last_type = core_type
-            # A fresh off-type sample satisfies the staleness rule.
-            other = "small" if core_type == BIG else BIG
-            off = job.samples.get(other)
-            if off is not None and off.age_quanta == 0:
-                job.consecutive = min(job.consecutive, 1)
 
     # -- driving ---------------------------------------------------------
 

@@ -19,12 +19,13 @@ Slices get those plain values; the dataclasses stay at the API edge
 with ``observe=False`` builds no ``Observation``: its caller's
 scheduler keeps the base class's no-op ``observe``.
 
-Every slice reaches the step as :data:`SliceColumns`.  Unmodified
-mechanistic models hand them over from
-``MechanisticCoreModel.run_columns`` directly, so a computed segment
-builds no per-structure dict and no ``QuantumResult``; every other
-model, and a worker map (``execute``), returns a ``QuantumResult``
-that is turned into columns.  The step clips and sums the columns with
+Every slice runs in the caller's process and reaches the step as
+:data:`SliceColumns`.  Unmodified mechanistic models hand them over
+from ``MechanisticCoreModel.run_columns`` directly, so a computed
+segment builds no per-structure dict and no ``QuantumResult``; every
+other model (trace-driven models, models that override ``run_cycles``
+or ``run_columns``) returns a ``QuantumResult`` that is turned into
+columns.  The step clips and sums the columns with
 the operations of ``QuantumResult.clipped`` and
 ``QuantumResult.total_ace_bit_cycles``, and reads the counters through
 :func:`~repro.ace.counters.counter_reading`, the rule
@@ -48,7 +49,7 @@ between slices.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.ace.counters import AceCounterMode, counter_reading
 from repro.config.cores import CoreConfig
@@ -81,10 +82,6 @@ _SEEN = ()
 #:  cycles, ABC seconds, occupancy bit-seconds, L3 accesses,
 #:  DRAM accesses).  Non-running applications get ``None``.
 SliceDelta = tuple
-
-#: One slice to execute on a worker map: (model, application, start
-#: position, cycles, memory environment).
-Slice = tuple
 
 
 def _result_columns(result: QuantumResult) -> SliceColumns:
@@ -126,7 +123,8 @@ def mechanistic_model(
 
 
 class SegmentStep:
-    """Executes the segments of one simulation or one open system.
+    """Executes the segments of one simulation or one open system,
+    every slice in the caller's process.
 
     When every model is an unmodified :class:`MechanisticCoreModel`,
     slices run through ``run_columns`` and segments replay; otherwise
@@ -142,9 +140,6 @@ class SegmentStep:
         clip: cut a slice back at its application's end (run to
             completion); ``False`` lets applications run on past it
             (restarted applications).
-        execute: optional; runs a segment's list of slices and returns
-            their ``QuantumResult``s in order (a worker pool).  By
-            default each slice runs in this process as it is needed.
         observe: build the observations a scheduler reads; ``False``
             returns ``None`` in their place (a scheduler that keeps
             the base class's no-op ``observe``).
@@ -157,12 +152,10 @@ class SegmentStep:
         counter_mode: AceCounterMode,
         *,
         clip: bool,
-        execute: Callable[[list[Slice]], list[QuantumResult]] | None = None,
         observe: bool = True,
     ):
         self.counter_mode = counter_mode
         self.clip = clip
-        self.execute = execute
         self.observe = observe
         self._bandwidth = machine.memory.dram_bandwidth_gbps * 1e9
         self._overhead = machine.migration_overhead_seconds
@@ -249,19 +242,6 @@ class SegmentStep:
         cores = self._cores
         # The state transfer a migrated application pays.
         transfer = min(self._overhead, duration)
-        results = None
-        if self.execute is not None:
-            slices = [
-                (cores[core][1], app, position,
-                 (duration - (transfer if flag else 0.0)) * cores[core][2],
-                 MemoryEnvironment(share, multiplier))
-                for core, app, position, share, flag in zip(
-                    core_of, apps, positions, shares, migrated
-                )
-                if core != PARKED and app is not None
-            ]
-            if slices:
-                results = iter(self.execute(slices))
         run_slice = self._run_slice
         if spans is None:
             spans = [None] * len(core_of)
@@ -284,9 +264,7 @@ class SegmentStep:
             core_type, model, freq, out_of_order = cores[core]
             flag = migrated[i]
             overhead = transfer if flag else 0.0
-            if results is not None:
-                columns = _result_columns(next(results))
-            elif traced:
+            if traced:
                 with tracing.span("sim.exec", core=core_type):
                     columns = run_slice(
                         model, app, positions[i], (duration - overhead) * freq,

@@ -410,6 +410,54 @@ class TestServiceCommands:
         events = [json_mod.loads(line) for line in lines]
         assert {e["event"] for e in events} >= {"arrive", "start", "depart"}
 
+    FANOUT = ["load", "--machine", "1B1S", "--arrivals", "20",
+              "--rates", "400,800,2000", "--queue-limit", "4",
+              "--instructions", "300000", "--seed", "3",
+              "--timeline", "--digest"]
+
+    def load_fanout(self, capsys, feed, jobs):
+        assert main([*self.FANOUT, "--event-feed", str(feed),
+                     "--jobs", str(jobs)]) == 0
+        return capsys.readouterr().out, feed.read_text()
+
+    def test_load_fanout_matches_serial(self, capsys, tmp_path):
+        from repro.service.events import feed_digest
+
+        out, feed = self.load_fanout(capsys, tmp_path / "serial.jsonl", 1)
+        # The file holds the three points' feeds in rate order: it
+        # splits at each point's first arrival into the printed digests.
+        points = []
+        for line in feed.splitlines():
+            if '"event":"arrive"' in line and '"job_id":0,' in line:
+                points.append([])
+            points[-1].append(line)
+        assert [
+            f"feed sha256 @ {rate}/s: {feed_digest(lines)}"
+            for rate, lines in zip(("400", "800", "2000"), points)
+        ] == [line for line in out.splitlines() if "feed sha256" in line]
+        assert out.count("timeline @") == 3
+        workers = self.load_fanout(capsys, tmp_path / "workers.jsonl", 2)
+        assert workers == (out, feed)
+
+    def test_load_fanout_without_process_pool(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.runtime.engine import ExecutionEngine
+
+        serial = self.load_fanout(capsys, tmp_path / "serial.jsonl", 1)
+
+        def no_pool(max_workers):
+            raise OSError("no process support here")
+
+        monkeypatch.setattr(
+            ExecutionEngine, "_executor_factory", staticmethod(no_pool)
+        )
+        with pytest.warns(UserWarning, match="process pool unavailable"):
+            fallback = self.load_fanout(
+                capsys, tmp_path / "fallback.jsonl", 2
+            )
+        assert fallback == serial
+
     def test_load_bad_rates_rejected(self, capsys):
         assert main(["load", "--rates", "fast"]) == 1
         assert "bad --rates" in capsys.readouterr().err

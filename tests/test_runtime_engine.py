@@ -1,6 +1,8 @@
 """Tests for the parallel campaign execution engine."""
 
 import json
+import os
+from concurrent import futures
 
 import pytest
 
@@ -632,34 +634,58 @@ def _cube(x):
     return x ** 3
 
 
-class TestMapTasks:
-    def test_parallel_map_preserves_item_order(self):
-        engine = ExecutionEngine(jobs=2)
-        try:
-            assert engine.map_tasks(_cube, range(7)) == [
-                _cube(i) for i in range(7)
-            ]
-            # The pool persists across calls.
-            first = engine._map_executor
-            assert first is not None
-            engine.map_tasks(_cube, range(4))
-            assert engine._map_executor is first
-        finally:
-            engine.close()
-        assert engine._map_executor is None
+def _cube_in_parent(item):
+    """Cube in the test process; kill any worker process that runs it."""
+    parent, x = item
+    if os.getpid() != parent:
+        os._exit(1)
+    return x ** 3
 
-    def test_serial_paths_never_create_a_pool(self):
-        engine = ExecutionEngine(jobs=1)
-        assert engine.map_tasks(_cube, range(5)) == [
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Record the worker count and the pool of every pool made."""
+    made = []
+
+    def factory(max_workers):
+        pool = futures.ProcessPoolExecutor(max_workers=max_workers)
+        made.append((max_workers, pool))
+        return pool
+
+    monkeypatch.setattr(
+        ExecutionEngine, "_executor_factory", staticmethod(factory)
+    )
+    return made
+
+
+class TestMapTasks:
+    def test_parallel_map_preserves_item_order(self, pools):
+        engine = ExecutionEngine(jobs=2)
+        assert engine.map_tasks(_cube, range(7)) == [
+            _cube(i) for i in range(7)
+        ]
+        assert engine.map_tasks(_cube, range(4)) == [
+            _cube(i) for i in range(4)
+        ]
+        assert ExecutionEngine(jobs=4).map_tasks(_cube, range(2)) == [0, 1]
+        # One pool per call, of min(jobs, items) workers, shut down
+        # before the call returns; the engine keeps none.
+        assert [workers for workers, _ in pools] == [2, 2, 2]
+        for _, pool in pools:
+            with pytest.raises(RuntimeError, match="shutdown"):
+                pool.submit(_cube, 1)
+        assert not any(
+            isinstance(value, futures.Executor)
+            for value in vars(engine).values()
+        )
+
+    def test_serial_paths_never_create_a_pool(self, pools):
+        assert ExecutionEngine(jobs=1).map_tasks(_cube, range(5)) == [
             _cube(i) for i in range(5)
         ]
-        assert engine._map_executor is None
-        engine = ExecutionEngine(jobs=4)
-        try:
-            assert engine.map_tasks(_cube, [3]) == [27]
-            assert engine._map_executor is None  # single item: no pool
-        finally:
-            engine.close()
+        assert ExecutionEngine(jobs=4).map_tasks(_cube, [3]) == [27]
+        assert ExecutionEngine(jobs=4).map_tasks(_cube, []) == []
+        assert pools == []
 
     def test_pool_unavailable_maps_in_process(self, monkeypatch):
         def no_pool(max_workers):
@@ -669,11 +695,15 @@ class TestMapTasks:
             ExecutionEngine, "_executor_factory", staticmethod(no_pool)
         )
         engine = ExecutionEngine(jobs=2)
-        with pytest.warns(UserWarning, match="process pool unavailable"):
-            assert engine.map_tasks(_cube, range(4)) == [
-                _cube(i) for i in range(4)
-            ]
-        # Creation is not retried on the next call.
-        assert engine.map_tasks(_cube, range(4)) == [
-            _cube(i) for i in range(4)
-        ]
+        for _ in range(2):  # every call tries a pool, and warns
+            with pytest.warns(UserWarning, match="process pool unavailable"):
+                assert engine.map_tasks(_cube, range(4)) == [
+                    _cube(i) for i in range(4)
+                ]
+
+    def test_broken_pool_finishes_in_process(self):
+        items = [(os.getpid(), x) for x in range(3)]
+        with pytest.warns(UserWarning, match="worker pool broke"):
+            assert ExecutionEngine(jobs=2).map_tasks(
+                _cube_in_parent, items
+            ) == [0, 1, 8]

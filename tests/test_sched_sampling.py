@@ -4,7 +4,11 @@ import pytest
 
 from repro.config import BIG, SMALL, machine_1b3s, machine_2b2s
 from repro.sched.base import Observation, SegmentPlan
-from repro.sched.sampling import SamplingScheduler
+from repro.sched.sampling import (
+    CoreTypeSample,
+    SamplingScheduler,
+    quantum_streak,
+)
 
 
 class CountingScheduler(SamplingScheduler):
@@ -109,6 +113,18 @@ class TestStaleness:
                     sample = sched.sample(i, t)
                     if sample is not None:
                         assert sample.age_quanta <= m.sampling_period_quanta + 1
+
+    def test_streak_rule(self):
+        """The rule the schedulers and the open system share: a streak
+        grows on the same core type, restarts on a change, and restarts
+        when this quantum sampled the other type."""
+        aged = CoreTypeSample(1e9, 1e-3, age_quanta=2)
+        fresh = CoreTypeSample(1e9, 1e-3)
+        assert quantum_streak(3, BIG, BIG, None) == 4
+        assert quantum_streak(3, BIG, BIG, aged) == 4
+        assert quantum_streak(3, SMALL, BIG, aged) == 1
+        assert quantum_streak(0, None, BIG, None) == 1
+        assert quantum_streak(3, BIG, BIG, fresh) == 1
 
 
 class TestGreedySwap:

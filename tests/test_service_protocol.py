@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.config import machine_1b1s
-from repro.cores.base import ISOLATED
 from repro.service import (
     OpenSystem,
     SchedulerService,
@@ -97,11 +96,10 @@ class TestDispatch:
 
 
 class TestProfileCache:
-    def test_distinct_submissions_leave_no_cached_profiles(self, monkeypatch):
-        """In-process slices use the profile each job resolved at
-        admission, so the worker cache stays empty, and the reference
-        times cached per (benchmark, instructions) stay bounded."""
-        monkeypatch.setattr(server, "_WORKER_PROFILES", {})
+    def test_distinct_submissions_leave_no_cached_profiles(self):
+        """Each job drops the profile it resolved at admission when it
+        departs, and the reference times cached per (benchmark,
+        instructions) stay bounded."""
         service = build_service()
 
         async def session():
@@ -116,22 +114,8 @@ class TestProfileCache:
         asyncio.run(session())
         system = service.system
         assert system.completed == 3000
-        assert not server._WORKER_PROFILES
         assert all(job.profile is None for job in system.jobs.values())
-        assert len(system._reference) <= server.PROFILE_CACHE_CAP
-
-    def test_worker_cache_stays_under_cap(self, monkeypatch):
-        monkeypatch.setattr(server, "_WORKER_PROFILES", {})
-        machine = machine_1b1s()
-        sizes = []
-        for k in range(2 * server.PROFILE_CACHE_CAP + 3):
-            server.run_slice(
-                (machine.big, machine.memory, "povray", 1_000_000 + k, 0,
-                 5_000.0, ISOLATED)
-            )
-            sizes.append(len(server._WORKER_PROFILES))
-        assert max(sizes) == server.PROFILE_CACHE_CAP
-        assert sizes[-1] < server.PROFILE_CACHE_CAP
+        assert len(system._reference) <= server.REFERENCE_CACHE_CAP
 
 
 class TestStdioTransport:

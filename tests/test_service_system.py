@@ -2,10 +2,10 @@
 
 The heavy lifting happens in :mod:`repro.service.server`; these tests
 pin the properties the service's telemetry is trusted for: every job
-is accounted for, the event feed is byte-identical across runs and
-worker counts, overload sheds (rather than queueing unboundedly), and
-the decision trace stays chain-valid across mid-stream arrivals,
-departures and migrations.
+is accounted for, the event feed is byte-identical across runs,
+overload sheds (rather than queueing unboundedly), and the decision
+trace stays chain-valid across mid-stream arrivals, departures and
+migrations.
 """
 
 import pytest
@@ -13,7 +13,6 @@ import pytest
 from repro.check import check_service
 from repro.config import machine_1b1s, machine_2b2s
 from repro.obs.decisions import DecisionTraceRecorder, replay_trace
-from repro.runtime.engine import ExecutionEngine
 from repro.service import (
     OpenSystem,
     ServiceConfig,
@@ -40,11 +39,9 @@ def build_config(machine_factory=machine_2b2s, **overrides):
     return ServiceConfig(machine=machine_factory(), **overrides)
 
 
-def run_system(config, process, count, *, map_tasks=None, recorder=None):
+def run_system(config, process, count, *, recorder=None):
     feed = ServiceFeed()
-    system = OpenSystem(
-        config, feed=feed, recorder=recorder, map_tasks=map_tasks
-    )
+    system = OpenSystem(config, feed=feed, recorder=recorder)
     system.enqueue_arrivals(process.stream(count))
     result = system.run()
     return result, feed, system
@@ -104,24 +101,6 @@ class TestDeterminism:
         _, second, _ = run_system(config, nominal_process(seed=4), 30)
         assert first.lines == second.lines
         assert first.digest() == second.digest()
-
-    def test_feed_identical_serial_vs_worker_pool(self):
-        config = build_config(queue_capacity=8, deadline_seconds=0.01)
-        serial_result, serial_feed, _ = run_system(
-            config, nominal_process(seed=2), 25
-        )
-        engine = ExecutionEngine(jobs=2)
-        try:
-            parallel_result, parallel_feed, _ = run_system(
-                config,
-                nominal_process(seed=2),
-                25,
-                map_tasks=engine.map_tasks,
-            )
-        finally:
-            engine.close()
-        assert serial_feed.lines == parallel_feed.lines
-        assert serial_result.to_dict() == parallel_result.to_dict()
 
     def test_different_seeds_differ(self):
         config = build_config(queue_capacity=8)
