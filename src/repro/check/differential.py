@@ -25,8 +25,8 @@ invariants:
   uninterrupted run's.
 * **service cases** -- one seeded arrival stream runs through a fresh
   :class:`~repro.service.server.OpenSystem` in-process, then twice as
-  a load point on an :class:`~repro.runtime.engine.ExecutionEngine`
-  worker pool, through the function ``repro load --jobs N`` maps
+  a load point on :class:`~repro.runtime.engine.ExecutionEngine`
+  workers, through the function ``repro load --jobs N`` maps
   (:func:`~repro.service.load.run_load_task`); each worker's event
   feed must match the in-process feed byte-for-byte
   (``service_feed_determinism``), every result must conserve jobs
@@ -733,8 +733,8 @@ def _service_feed_determinism(
 
 
 def _service_case(index: int, rng: np.random.Generator) -> CheckReport:
-    """Run one arrival stream in-process and twice as a load point on a
-    worker pool, and demand identical event feeds, conserved job
+    """Run one arrival stream in-process and twice as a load point on
+    engine workers, and demand identical event feeds, conserved job
     accounting, and a chain-valid decision trace."""
     from repro.check.invariants import (
         check_decision_trace,

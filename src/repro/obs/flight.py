@@ -3,10 +3,9 @@
 A :class:`FlightRecorder` keeps the last-N things a worker did -- the
 campaign events it emitted, window-level notes from the kernel hot
 paths, counter deltas since the recorder armed, and (at dump time) the
-active span stack -- so that when a job fails, times out, or is
-reconciled as an abandoned orphan, the runtime engine can write a
-*postmortem bundle* under the ``ResultStore`` answering "what was this
-job doing when it died".
+active span stack -- so that when a job fails or times out, the runtime
+engine can write a *postmortem bundle* under the ``ResultStore``
+answering "what was this job doing when it died".
 
 Activation follows the :mod:`repro.obs.metrics` pattern: sites read the
 module-level :data:`ACTIVE` and bail out on ``None``, so the dormant

@@ -9,7 +9,7 @@ Design goals, in priority order:
 2. **Mergeable snapshots.**  A registry serialises to a plain-JSON
    snapshot, and snapshots merge commutatively (counters add, histogram
    buckets add element-wise, gauges take the max), so per-worker metrics
-   collected inside ``ProcessPoolExecutor`` jobs can be shipped back to
+   collected inside the engine's worker processes can be shipped back to
    the parent and folded into one campaign-wide view in any completion
    order.  Serial and parallel campaigns therefore merge to *identical*
    totals (pinned by ``tests/test_obs_merge.py``).

@@ -1,4 +1,4 @@
-"""Campaign execution runtime: process-pool engine, events, retry.
+"""Campaign execution runtime: worker-dealing engine, events, retry.
 
 This package is the single execution path for campaigns, sweeps,
 benches and the CLI: it fans independent simulation runs out across
@@ -30,7 +30,6 @@ from repro.runtime.events import (
     JobCached,
     JobFailed,
     JobFinished,
-    JobReconciled,
     JobStarted,
     JobTiming,
     JsonlEventSink,
@@ -91,7 +90,6 @@ __all__ = [
     "JobFailed",
     "JobFinished",
     "JobOutcome",
-    "JobReconciled",
     "JobStarted",
     "JobTiming",
     "JsonlEventSink",

@@ -3,11 +3,10 @@
 The paper's evaluation is a large design-space sweep (36 workload
 mixes x 3 schedulers x topologies/frequencies/sampling rates); every
 run is independent, so the sweep parallelizes perfectly across CPU
-cores.  :class:`ExecutionEngine` fans :class:`~repro.sim.campaign.RunSpec`
-jobs out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
-retries transient worker failures with capped backoff, and narrates
-progress through the structured event stream in
-:mod:`repro.runtime.events`.
+cores.  :class:`ExecutionEngine` deals :class:`~repro.sim.campaign.RunSpec`
+jobs one at a time to worker processes it forks and owns, retries
+transient job failures with capped backoff, and narrates progress
+through the structured event stream in :mod:`repro.runtime.events`.
 
 Guarantees:
 
@@ -18,9 +17,11 @@ Guarantees:
   :class:`~repro.runtime.retry.RetryPolicy`; a permanent failure is
   surfaced as a :class:`~repro.runtime.events.JobFailed` event and
   handled per :class:`~repro.runtime.retry.FailurePolicy`, never as an
-  unhandled traceback from a worker.  A broken worker pool degrades to
-  in-process serial execution of the unfinished jobs, as does an
-  environment where process spawning is unavailable.
+  unhandled traceback from a worker.  A worker that overruns the job
+  timeout, or is still running when a fail-fast abort fires, is
+  killed.  A worker that dies on its own has its job re-run
+  in-process, and an environment that cannot fork runs the batch
+  serially.
 * **Cache safety** -- cache entries are written atomically (temp file
   + ``os.replace``) so concurrent engines sharing a campaign
   directory never observe partial files; corrupt entries are treated
@@ -35,11 +36,12 @@ Guarantees:
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import time
 import warnings
-from concurrent import futures
 from contextlib import ExitStack
+from multiprocessing.connection import wait as wait_ready
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -61,7 +63,6 @@ from repro.runtime.events import (
     JobCached,
     JobFailed,
     JobFinished,
-    JobReconciled,
     JobStarted,
     MetricsSnapshot,
     PostmortemWritten,
@@ -101,8 +102,7 @@ class InjectedFault(RuntimeError):
 class FaultPlan:
     """Deterministic fault injection, for tests and chaos drills.
 
-    The plan travels to the workers with each job (it must stay
-    picklable), keyed by job index:
+    Keyed by job index (workers inherit the plan with their jobs):
 
     Attributes:
         fail_attempts: job index -> number of leading attempts that
@@ -127,7 +127,7 @@ class FaultPlan:
 
 @dataclass(frozen=True)
 class Job:
-    """Picklable payload shipped to a worker process."""
+    """One job of a batch (forked workers inherit the batch)."""
 
     index: int
     spec: RunSpec
@@ -206,6 +206,55 @@ def _execute_job(
         metrics_data,
         spans_data,
     )
+
+
+def clear_inherited_telemetry() -> None:
+    """Start a forked child with no ambient telemetry installed.
+
+    The fork copies the parent's trace context, flight recorder,
+    metrics registry and tracer.  A child drops them, so an open parent
+    span cannot leak into its events as ``trace.parent`` and its work
+    cannot land in copies nobody reads.  The exact model memos it
+    inherits stay.
+    """
+    obs_context.ACTIVE = None
+    obs_flight.ACTIVE = None
+    obs_metrics.ACTIVE = None
+    obs_tracing.ACTIVE = None
+
+
+def _worker_main(task, conn, inherited) -> None:
+    """Body of a forked engine worker: run dealt positions until EOF.
+
+    ``inherited`` holds the parent's ends of this and every sibling
+    worker's pipe; closing them here lets each worker see EOF once the
+    parent's own ends close, whatever happens to the parent.  Each
+    reply is ``(True, task(position))`` or ``(False, exception)``; a
+    reply that cannot be sent ends the worker, and the parent runs the
+    position in-process.
+    """
+    clear_inherited_telemetry()
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            position = conn.recv()
+            try:
+                reply = (True, task(position))
+            except Exception as error:
+                reply = (False, error)
+            conn.send(reply)
+    finally:
+        # Skip the interpreter's exit path: it would flush stdio
+        # buffers the fork copied from the parent.
+        os._exit(0)
+
+
+def _reap(process, conn) -> None:
+    """Kill a worker (a no-op once it has exited), join it, close its pipe."""
+    process.kill()
+    process.join()
+    conn.close()
 
 
 def _run_spec(machine: MachineConfig, spec: RunSpec) -> RunResult:
@@ -320,32 +369,24 @@ class ExecutionReport:
 
 
 class ExecutionEngine:
-    """Fan :class:`RunSpec` jobs out across worker processes.
+    """Deal :class:`RunSpec` jobs to worker processes the engine owns.
 
     Args:
         jobs: worker-process count; ``1`` runs everything in-process
-            (no pool), which is also the graceful-degradation path
-            when process spawning is unavailable.
+            (no workers), which is also the graceful-degradation path
+            when forking is unavailable.
         retry: per-job :class:`RetryPolicy` (applied inside workers).
         failure_policy: what a permanent job failure means for the
             batch (abort vs. collect partial results).
         timeout_seconds: per-job wall-clock budget, measured from the
-            moment the job *starts executing* on a worker -- queue
-            wait while earlier jobs hold the workers does not count,
-            so with ``jobs < len(specs)`` a job can never time out
-            without having run.  Enforced in parallel mode (an
-            in-process job cannot be preempted).  A timed-out job is
-            recorded as failed with ``attempts=0`` (the attempt in
-            flight was killed mid-run; with retries configured the
-            true attempt number is unknowable from the parent).
-            Because a running process-pool job cannot actually be
-            cancelled, its worker keeps running; the late completion
-            is reconciled explicitly (see :class:`JobReconciled` and
-            ``orphan_grace_seconds``).
-        orphan_grace_seconds: how long to keep waiting for timed-out
-            jobs' workers after every other job finished, to
-            reconcile their late results (``None`` = don't wait;
-            still-running orphans are reported as abandoned).
+            moment the job is dealt to a worker, which is when it
+            starts.  A worker that overruns it is killed and replaced,
+            and the job is recorded as failed with ``attempts=0`` (the
+            attempt in flight was killed mid-run; with retries
+            configured the true attempt number is unknowable from the
+            parent).  An in-process job (``jobs=1``) cannot be
+            preempted, so the serial path enforces the budget after
+            the job finishes.
         checkpoint_every: emit a :class:`CampaignCheckpoint` event
             after this many terminal job events (plus a final one),
             so a killed campaign's log can be resumed cheaply.
@@ -372,28 +413,18 @@ class ExecutionEngine:
             :class:`SpanSnapshot` event (how shard workers ship span
             trees home), and merge them into ``ExecutionReport.spans``
             via :func:`repro.obs.tracing.merge_trees`.
-        flight: arm a :class:`repro.obs.flight.FlightRecorder` for the
-            campaign when a result store is present.  The recorder
-            rings the last ``flight_capacity`` emitted events; when a
-            job fails, times out, or is abandoned as an orphan, a
-            postmortem bundle is dumped under
-            ``<store>/postmortems/<key>.json`` and a
-            :class:`PostmortemWritten` event marks it.  ``False``
-            disables the recorder entirely.
-        flight_capacity: ring size of the armed flight recorder.
+
+    With a result store, the engine arms a
+    :class:`repro.obs.flight.FlightRecorder` for the campaign.  It
+    rings the last emitted events; when a job fails or times out, a
+    postmortem bundle is dumped under ``<store>/postmortems/<key>.json``
+    and a :class:`PostmortemWritten` event marks it.
 
     The engine also mints (or inherits) a
     :class:`repro.obs.context.TraceContext` per campaign -- the
     campaign id is a stable digest of the planned run keys -- and
     stamps it, plus the per-job run key, onto every emitted event.
     """
-
-    #: Factory for the worker pool; replaceable in tests to simulate
-    #: environments without process support.
-    _executor_factory = staticmethod(futures.ProcessPoolExecutor)
-
-    #: Poll interval for the harvest loop when timeouts are armed.
-    _POLL_SECONDS = 0.05
 
     def __init__(
         self,
@@ -402,29 +433,23 @@ class ExecutionEngine:
         retry: RetryPolicy | None = None,
         failure_policy: FailurePolicy = FailurePolicy.FAIL_FAST,
         timeout_seconds: float | None = None,
-        orphan_grace_seconds: float | None = None,
         checkpoint_every: int = 10,
         sinks: Sequence[EventSink] = (),
         fault_plan: FaultPlan | None = None,
         checks=None,
         metrics: bool = False,
         spans: bool = False,
-        flight: bool = True,
-        flight_capacity: int = obs_flight.DEFAULT_CAPACITY,
     ):
         self.jobs = max(1, int(jobs))
         self.retry = retry if retry is not None else RetryPolicy()
         self.failure_policy = failure_policy
         self.timeout_seconds = timeout_seconds
-        self.orphan_grace_seconds = orphan_grace_seconds
         self.checkpoint_every = max(1, int(checkpoint_every))
         self.sinks = list(sinks)
         self.fault_plan = fault_plan
         self.checks = checks
         self.metrics = bool(metrics)
         self.spans = bool(spans)
-        self.flight = bool(flight)
-        self.flight_capacity = int(flight_capacity)
         # Per-run checkpoint bookkeeping (reset by run_many).
         self._run_keys: list[str] | None = None
         self._terminal_seen = 0
@@ -477,9 +502,9 @@ class ExecutionEngine:
                 campaign=obs_context.campaign_id(keys)
             )
         )
-        if self.flight and store is not None:
+        if store is not None:
             self._flight = obs_flight.FlightRecorder(
-                self.flight_capacity,
+                obs_flight.DEFAULT_CAPACITY,
                 fingerprint={
                     "campaign": self._trace.campaign,
                     "failure_policy": self.failure_policy.value,
@@ -516,9 +541,8 @@ class ExecutionEngine:
             if keys is not None and 0 <= job.index < len(keys)
             else job.spec.key()
         )
-        # A timed-out orphan dies twice (timeout now, abandoned at
-        # drain); the first bundle has the ring as it was at death, so
-        # it wins.
+        # A spec repeated in one batch shares its key, and so its
+        # bundle path, with its twin; the first bundle wins.
         if key in self._postmortem_keys:
             return
         self._postmortem_keys.add(key)
@@ -559,35 +583,34 @@ class ExecutionEngine:
     # -- ordered task mapping -----------------------------------------
 
     def map_tasks(self, fn, items) -> list:
-        """Ordered parallel map over picklable items (``repro load``'s
-        load points).
+        """Ordered parallel map (``repro load``'s load points).
 
         Results come back in item order, computed by the same function
         the serial path calls, so callers stay deterministic across
-        worker counts.  A pool of ``min(jobs, len(items))`` workers
-        lives for this one call; the map runs in-process when that is
-        one worker, when process support is unavailable, or when the
-        pool breaks mid-map.
+        worker counts.  Up to ``min(jobs, len(items))`` workers live
+        for this one call and inherit ``fn`` and ``items``; only the
+        results must pickle.  The map runs in-process when that is one
+        worker or when forking is unavailable, and an item whose
+        worker dies runs in-process.  An exception ``fn`` raises in a
+        worker is raised here.
         """
         items = list(items)
-        workers = min(self.jobs, len(items))
-        if workers <= 1:
-            return [fn(item) for item in items]
-        try:
-            executor = self._executor_factory(max_workers=workers)
-        except (NotImplementedError, OSError, ImportError) as error:
-            warnings.warn(
-                f"process pool unavailable ({error}); mapping in-process"
+        results = {}
+        if min(self.jobs, len(items)) > 1:
+
+            def finished(position, ok, value) -> bool:
+                if not ok:
+                    raise value
+                results[position] = value
+                return True
+
+            self._deal(
+                lambda position: fn(items[position]), len(items), finished
             )
-            return [fn(item) for item in items]
-        try:
-            with executor:
-                return list(executor.map(fn, items))
-        except futures.process.BrokenProcessPool:
-            warnings.warn(
-                "worker pool broke during map_tasks; running in-process"
-            )
-            return [fn(item) for item in items]
+        return [
+            results[position] if position in results else fn(item)
+            for position, item in enumerate(items)
+        ]
 
     # -- checkpoints -------------------------------------------------
 
@@ -621,10 +644,11 @@ class ExecutionEngine:
     def _machine_descriptor(machines) -> dict | None:
         """Minimal plan descriptor of a single-machine override.
 
-        Only overrides reconstructible from ``STANDARD_MACHINES`` (the
-        standard topology, optionally with a small-core frequency
-        change) are describable; anything else returns ``None`` and a
-        resume falls back to ``spec.build_machine()``.
+        Only overrides rebuilt from ``STANDARD_MACHINES`` by the two
+        ``with_*`` calls :meth:`RunSpec.build_machine` makes (a
+        small-core frequency, sampling parameters) are describable;
+        anything else returns ``None`` and a resume falls back to
+        ``spec.build_machine()``.
         """
         if not isinstance(machines, MachineConfig):
             return None
@@ -632,15 +656,21 @@ class ExecutionEngine:
         if factory is None:
             return None
         reference = factory()
-        if machines == reference:
-            return {"name": machines.name}
-        small_ghz = machines.small.frequency_ghz
-        if machines == reference.with_small_frequency(small_ghz):
-            return {
-                "name": machines.name,
-                "small_frequency_ghz": small_ghz,
-            }
-        return None
+        descriptor: dict = {"name": machines.name}
+        if machines.small != reference.small:
+            descriptor["small_frequency_ghz"] = machines.small.frequency_ghz
+        sampling = (
+            machines.sampling_period_quanta,
+            machines.sampling_quantum_seconds,
+        )
+        if sampling != (
+            reference.sampling_period_quanta,
+            reference.sampling_quantum_seconds,
+        ):
+            descriptor["sampling_period_quanta"] = sampling[0]
+            descriptor["sampling_quantum_seconds"] = sampling[1]
+        rebuilt = ExecutionEngine.machine_from_descriptor(descriptor)
+        return descriptor if rebuilt == machines else None
 
     @staticmethod
     def machine_from_descriptor(descriptor: dict | None) -> MachineConfig | None:
@@ -651,6 +681,11 @@ class ExecutionEngine:
         small_ghz = descriptor.get("small_frequency_ghz")
         if small_ghz is not None:
             machine = machine.with_small_frequency(small_ghz)
+        period = descriptor.get("sampling_period_quanta")
+        if period is not None:
+            machine = machine.with_sampling(
+                period, descriptor["sampling_quantum_seconds"]
+            )
         return machine
 
     # -- public API --------------------------------------------------
@@ -660,7 +695,6 @@ class ExecutionEngine:
         specs: Sequence[RunSpec],
         *,
         machines: MachineConfig | Sequence[MachineConfig | None] | None = None,
-        cache_paths: Sequence[str | Path | None] | None = None,
         labels: Sequence[str] | None = None,
         store: "ResultStore | str | Path | None" = None,
         resume_from: "ResumeState | str | Path | None" = None,
@@ -675,12 +709,10 @@ class ExecutionEngine:
                 ``spec.build_machine()``).  Required when
                 ``spec.machine`` is a custom tag rather than a
                 standard topology name.
-            cache_paths: optional per-spec result-cache paths;
-                existing valid entries are served without executing,
-                and executed results are written back atomically.
             store: optional :class:`~repro.runtime.store.ResultStore`
-                (or its directory); shorthand for deriving
-                ``cache_paths`` from each spec's content key, and
+                (or its directory).  Valid entries (one per spec
+                content key) are served without executing, executed
+                results are written back atomically, and the store is
                 recorded in the :class:`CampaignPlan` event so the
                 campaign is resumable.
             resume_from: a :class:`~repro.runtime.resume.ResumeState`
@@ -702,9 +734,7 @@ class ExecutionEngine:
             resume.check_specs(specs)
             if store is None and resume.store is not None:
                 store = ResultStore(resume.store)
-        if cache_paths is None and store is not None:
-            cache_paths = [store.path_for(spec) for spec in specs]
-        jobs_list = self._build_jobs(specs, machines, cache_paths, labels)
+        jobs_list = self._build_jobs(specs, machines, store, labels)
         keys = [spec.key() for spec in specs]
         self._run_keys = keys
         self._terminal_seen = 0
@@ -820,28 +850,26 @@ class ExecutionEngine:
 
     # -- batch assembly ----------------------------------------------
 
-    def _build_jobs(self, specs, machines, cache_paths, labels) -> list[Job]:
+    def _build_jobs(self, specs, machines, store, labels) -> list[Job]:
         count = len(specs)
         if machines is None or isinstance(machines, MachineConfig):
             machines = [machines] * count
-        if cache_paths is None:
-            cache_paths = [None] * count
         if labels is None:
             labels = [self._default_label(spec) for spec in specs]
-        if not (len(machines) == len(cache_paths) == len(labels) == count):
-            raise ValueError(
-                "specs, machines, cache_paths and labels must align"
-            )
+        if not (len(machines) == len(labels) == count):
+            raise ValueError("specs, machines and labels must align")
         return [
             Job(
                 index=index,
                 spec=spec,
                 label=label,
                 machine=machine,
-                cache_path=str(path) if path is not None else None,
+                cache_path=(
+                    str(store.path_for(spec)) if store is not None else None
+                ),
             )
-            for index, (spec, machine, path, label) in enumerate(
-                zip(specs, machines, cache_paths, labels)
+            for index, (spec, machine, label) in enumerate(
+                zip(specs, machines, labels)
             )
         ]
 
@@ -1023,9 +1051,9 @@ class ExecutionEngine:
             ):
                 # In-process execution cannot preempt a running job,
                 # so the budget is enforced post-hoc: the finished
-                # result is discarded, as the pool path discards a
-                # cancelled worker's.  Shard workers (jobs=1) rely on
-                # this to honor the fleet's --timeout.
+                # result is discarded, as a killed worker's is lost.
+                # Shard workers (jobs=1) rely on this to honor the
+                # fleet's --timeout.
                 self._record_failure(
                     job,
                     f"timed out after {self.timeout_seconds:.1f}s",
@@ -1046,228 +1074,176 @@ class ExecutionEngine:
     # -- parallel path -----------------------------------------------
 
     def _run_parallel(self, jobs_list: Sequence[Job], outcomes: dict) -> None:
-        try:
-            executor = self._executor_factory(
-                max_workers=min(self.jobs, len(jobs_list))
-            )
-        except (NotImplementedError, OSError, ImportError) as error:
-            warnings.warn(
-                f"process pool unavailable ({error}); running serially"
-            )
-            self._run_serial(jobs_list, outcomes)
-            return
-
-        pending: dict[futures.Future, Job] = {}
+        """Deal the batch to workers; run what they lose in-process."""
+        total = len(jobs_list)
+        fail_fast = self.failure_policy is FailurePolicy.FAIL_FAST
+        aborted = False
         self._batch_started = time.perf_counter()
-        try:
-            for job in jobs_list:
-                self._emit(JobStarted(index=job.index, label=job.label))
-                future = executor.submit(
-                    _execute_job, job, self.retry, self.fault_plan,
-                    self.metrics, self.spans,
-                )
-                pending[future] = job
-            self._harvest(
-                pending, outcomes, min(self.jobs, len(jobs_list))
-            )
-        except futures.process.BrokenProcessPool:
-            remaining = [
-                job
-                for job in pending.values()
-                if job.index not in outcomes
-            ]
-            warnings.warn(
-                f"worker pool broke; finishing {len(remaining)} "
-                f"job(s) in-process"
-            )
-            self._run_serial(remaining, outcomes)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
 
-    def _harvest(
-        self, pending: dict, outcomes: dict, max_workers: int
-    ) -> None:
-        track_queue = self._queue_registry is not None
-        need_poll = self.timeout_seconds is not None or track_queue
-        poll = self._POLL_SECONDS if need_poll else None
-        total = len(pending)
-        #: Futures whose queue wait has been observed (at arm time, or
-        #: at completion for jobs that finished between polls).
-        waited: set[futures.Future] = set()
+        def task(position):
+            return _execute_job(
+                jobs_list[position], self.retry, self.fault_plan,
+                self.metrics, self.spans,
+            )
 
-        def observe_queue(future: futures.Future) -> None:
-            if not track_queue or future in waited:
-                return
-            waited.add(future)
+        def started(position) -> None:
+            job = jobs_list[position]
             self._observe_queue(
                 time.perf_counter() - self._batch_started,
-                total - len(waited),
+                total - position - 1,
             )
-        #: future -> monotonic time at which it was first seen running.
-        #: The timeout clock arms *here*, not at submission: a job
-        #: queued behind earlier work accrues no budget and can never
-        #: be recorded as timed out without having started.
-        started: dict[futures.Future, float] = {}
-        #: Timed-out futures whose worker is still running.  A running
-        #: process-pool job cannot be cancelled, so its slot stays
-        #: busy; we keep tracking it and reconcile the late completion
-        #: with an explicit JobReconciled event.
-        orphans: dict[futures.Future, Job] = {}
-        try:
-            while pending:
-                done, _ = futures.wait(
-                    pending, timeout=poll, return_when=futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    job = pending.pop(future)
-                    if future.cancelled():
-                        self._record_failure(
-                            job, "cancelled (fail-fast abort)", 0, 0.0,
-                            outcomes,
-                        )
-                        continue
-                    observe_queue(future)
-                    try:
-                        (
-                            _,
-                            data,
-                            attempts,
-                            wall,
-                            metrics_data,
-                            spans_data,
-                        ) = future.result()
-                    except futures.process.BrokenProcessPool:
-                        # Put the job back so the caller's serial-fallback
-                        # path re-runs it alongside the other pending jobs.
-                        pending[future] = job
-                        raise
-                    except Exception as error:
-                        self._record_failure(
-                            job,
-                            f"{type(error).__name__}: {error}",
-                            self.retry.max_attempts,
-                            0.0,
-                            outcomes,
-                        )
-                        if self.failure_policy is FailurePolicy.FAIL_FAST:
-                            self._abort_pending(pending, outcomes)
-                            return
-                        continue
-                    ok = self._record_success(
-                        job, data, attempts, wall, outcomes, metrics_data,
-                        spans_data,
-                    )
-                    if (
-                        not ok
-                        and self.failure_policy is FailurePolicy.FAIL_FAST
-                    ):
-                        self._abort_pending(pending, outcomes)
-                        return
-                self._reconcile_orphans(orphans)
-                if need_poll:
-                    now = time.monotonic()
-                    # Worker slots currently held: armed pending jobs
-                    # plus orphans whose worker is still grinding.
-                    busy = sum(1 for f in pending if f in started)
-                    busy += sum(1 for f in orphans if not f.done())
-                    for future in list(pending):
-                        job = pending[future]
-                        begun = started.get(future)
-                        if begun is None:
-                            # future.running() alone over-arms: the
-                            # pool flags up to max_workers+1 queued
-                            # calls as running before a worker picks
-                            # them up, so also require a free slot
-                            # (pending iterates in submission order,
-                            # which is the pool's dispatch order).
-                            if future.running() and busy < max_workers:
-                                started[future] = now
-                                busy += 1
-                                observe_queue(future)
-                            continue
-                        if (
-                            self.timeout_seconds is None
-                            or now - begun <= self.timeout_seconds
-                        ):
-                            continue
-                        del pending[future]
-                        if not future.cancel():
-                            orphans[future] = job
-                        # attempts=0: the attempt in flight was killed
-                        # mid-run; how many attempts actually completed
-                        # is unknowable from the parent (the worker may
-                        # have been retrying).  The JobReconciled event
-                        # carries the true count if the worker finishes.
-                        self._record_failure(
-                            job,
-                            f"timed out after {self.timeout_seconds:.1f}s",
-                            0,
-                            now - begun,
-                            outcomes,
-                        )
-                        if self.failure_policy is FailurePolicy.FAIL_FAST:
-                            self._abort_pending(pending, outcomes)
-                            return
-        finally:
-            self._drain_orphans(orphans)
+            self._emit(JobStarted(index=job.index, label=job.label))
 
-    # -- orphan reconciliation ---------------------------------------
-
-    def _reconcile_orphans(self, orphans: dict) -> None:
-        """Emit a JobReconciled event for every orphan that finished."""
-        for future in [f for f in orphans if f.done()]:
-            job = orphans.pop(future)
-            try:
-                _, data, attempts, wall, _metrics, _spans = future.result()
-            except Exception:
-                self._emit(
-                    JobReconciled(
-                        index=job.index,
-                        label=job.label,
-                        outcome="failed",
-                        attempts=self.retry.max_attempts,
-                    )
+        def finished(position, ok, value) -> bool:
+            nonlocal aborted
+            job = jobs_list[position]
+            if ok:
+                _, data, attempts, wall, metrics_data, spans_data = value
+                ok = self._record_success(
+                    job, data, attempts, wall, outcomes, metrics_data,
+                    spans_data,
                 )
             else:
-                # The late result stays out of the report (the job is
-                # already recorded as timed out, keeping reports
-                # deterministic) but the worker persisted it to the
-                # result store, where a re-run or resume will find it.
-                self._emit(
-                    JobReconciled(
-                        index=job.index,
-                        label=job.label,
-                        outcome="completed",
-                        wall_seconds=wall,
-                        attempts=attempts,
-                        stored=job.cache_path is not None,
-                    )
+                self._record_failure(
+                    job,
+                    f"{type(value).__name__}: {value}",
+                    self.retry.max_attempts,
+                    0.0,
+                    outcomes,
                 )
+            aborted = fail_fast and not ok
+            return not aborted
 
-    def _drain_orphans(self, orphans: dict) -> None:
-        """Settle every remaining orphan at the end of the harvest."""
-        if not orphans:
-            return
-        if self.orphan_grace_seconds:
-            futures.wait(list(orphans), timeout=self.orphan_grace_seconds)
-        self._reconcile_orphans(orphans)
-        for future, job in list(orphans.items()):
-            self._emit(
-                JobReconciled(
-                    index=job.index, label=job.label, outcome="abandoned"
-                )
-            )
-            self._dump_postmortem(
-                job,
-                "abandoned",
-                "worker still running when the campaign ended",
-            )
-        orphans.clear()
-
-    def _abort_pending(self, pending: dict, outcomes: dict) -> None:
-        for future in list(pending):
-            job = pending.pop(future)
-            future.cancel()
+        def expired(position, elapsed) -> bool:
+            nonlocal aborted
+            # attempts=0: the attempt in flight was killed mid-run; how
+            # many attempts the worker had completed (it may have been
+            # retrying) is unknowable from the parent.
             self._record_failure(
-                job, "cancelled (fail-fast abort)", 0, 0.0, outcomes
+                jobs_list[position],
+                f"timed out after {self.timeout_seconds:.1f}s",
+                0,
+                elapsed,
+                outcomes,
             )
+            aborted = fail_fast
+            return not aborted
+
+        self._deal(task, total, finished, started=started, expired=expired)
+        remaining = [job for job in jobs_list if job.index not in outcomes]
+        if aborted:
+            for job in remaining:
+                self._record_failure(
+                    job, "cancelled (fail-fast abort)", 0, 0.0, outcomes
+                )
+        elif remaining:
+            self._run_serial(remaining, outcomes)
+
+    def _deal(self, task, count, finished, *, started=None, expired=None):
+        """Run ``task(position)`` for positions ``0..count-1`` on up to
+        ``jobs`` forked workers, dealing one position at a time.
+
+        Workers are forked here, so they inherit ``task`` and what it
+        reads (custom machines, a fault plan, a map's closure) without
+        pickling it or importing the package again; only positions and
+        replies cross the pipes.
+        ``started(position)`` runs as a position is dealt, and
+        ``finished(position, ok, value)`` with each reply: ``value`` is
+        what ``task`` returned, or the exception it raised.  Given
+        ``expired``, a worker still running ``timeout_seconds`` after
+        its deal is killed, and ``expired(position, elapsed)`` runs.
+        Either callback returns ``False`` to abort.  A killed worker,
+        or one that dies on its own, is replaced.  Positions never
+        finished -- lost with a worker, undealt because no worker
+        could be forked, or cut off by an abort -- are the caller's to
+        run or cancel.  Every worker is killed before this returns or
+        raises.
+        """
+        timeout = self.timeout_seconds if expired is not None else None
+        workers = min(self.jobs, count)
+        busy: dict = {}  # conn -> (process, position, monotonic deal time)
+        done: list = []  # (process, conn) of workers with nothing left
+        dealt = 0
+
+        def deal(process, conn) -> None:
+            nonlocal dealt
+            try:
+                conn.send(dealt)
+            except OSError:
+                pass  # a dead worker: its EOF is handled below
+            busy[conn] = (process, dealt, time.monotonic())
+            if started is not None:
+                started(dealt)
+            dealt += 1
+
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError as error:
+            warnings.warn(f"cannot fork workers ({error}); running in-process")
+            return
+        try:
+            while dealt < count or busy:
+                while dealt < count and len(busy) < workers:
+                    conn, child_end = context.Pipe()
+                    process = context.Process(
+                        target=_worker_main,
+                        args=(task, child_end, [conn, *busy]),
+                        name="repro-engine-worker",
+                    )
+                    try:
+                        process.start()
+                    except OSError as error:
+                        conn.close()
+                        workers = len(busy)
+                        warnings.warn(
+                            f"cannot fork workers ({error}); "
+                            + (
+                                f"dealing to {workers} worker(s)"
+                                if workers
+                                else "running in-process"
+                            )
+                        )
+                        break
+                    finally:
+                        child_end.close()
+                    deal(process, conn)
+                if not busy:
+                    return
+                wait = None
+                if timeout is not None:
+                    first = min(begun for _, _, begun in busy.values())
+                    wait = max(0.0, first + timeout - time.monotonic())
+                for conn in wait_ready(list(busy), wait):
+                    process, position, _ = busy.pop(conn)
+                    try:
+                        ok, value = conn.recv()
+                    except (EOFError, OSError):  # the worker died
+                        _reap(process, conn)
+                        warnings.warn(
+                            f"worker pool broke: worker {process.pid} "
+                            f"exited with code {process.exitcode}; its "
+                            f"task will run in-process"
+                        )
+                        continue
+                    # Deal the next position before recording this
+                    # reply, so the worker does not wait on the parent.
+                    if dealt < count:
+                        deal(process, conn)
+                    else:
+                        done.append((process, conn))
+                    if not finished(position, ok, value):
+                        return
+                if timeout is None:
+                    continue
+                now = time.monotonic()
+                for conn, (process, position, begun) in list(busy.items()):
+                    if now - begun > timeout:
+                        del busy[conn]
+                        _reap(process, conn)
+                        if not expired(position, now - begun):
+                            return
+        finally:
+            for process, conn in done:
+                _reap(process, conn)
+            for conn, (process, _, _) in busy.items():
+                _reap(process, conn)

@@ -179,7 +179,7 @@ class JobFailed(Event):
     exhausted reports the retry policy's total, a skipped or cancelled
     job reports 0, and a timed-out job reports 0 because the attempt
     in flight was killed mid-run (the worker may have been on any
-    retry; see :class:`JobReconciled` for the late truth).
+    retry).
     """
 
     kind: ClassVar[str] = "job_failed"
@@ -189,37 +189,6 @@ class JobFailed(Event):
     error: str
     attempts: int = 1
     wall_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
-class JobReconciled(Event):
-    """A timed-out job's worker eventually finished (or never did).
-
-    ``Future.cancel()`` cannot stop a *running* process-pool job, so a
-    timed-out job keeps burning its worker slot until the attempt in
-    flight completes.  The engine keeps tracking such orphans and
-    emits exactly one ``JobReconciled`` per orphan stating what became
-    of the late work:
-
-    * ``outcome="completed"`` -- the worker finished successfully
-      after the deadline.  The late result is *discarded from the
-      report* (the job stays failed, keeping reports deterministic)
-      but ``stored=True`` records that the worker persisted it to the
-      result store, where a later re-run or ``repro resume`` will find
-      it as a cache hit.
-    * ``outcome="failed"`` -- the worker raised after the deadline.
-    * ``outcome="abandoned"`` -- the campaign ended while the worker
-      was still running; the result, if any, was never observed.
-    """
-
-    kind: ClassVar[str] = "job_reconciled"
-
-    index: int
-    label: str
-    outcome: str  # "completed" | "failed" | "abandoned"
-    wall_seconds: float = 0.0
-    attempts: int = 0
-    stored: bool = False
 
 
 @dataclass(frozen=True)
@@ -326,7 +295,6 @@ _EVENT_TYPES: dict[str, type[Event]] = {
         PostmortemWritten,
         JobFinished,
         JobFailed,
-        JobReconciled,
         CampaignFinished,
     )
 }
@@ -461,12 +429,6 @@ class StderrProgressSink(EventSink):
             self._print(
                 f"{self._counter()} FAILED   {event.label} "
                 f"after {event.attempts} attempt(s): {event.error}"
-            )
-        elif isinstance(event, JobReconciled):
-            self._print(
-                f"    late     {event.label}: worker {event.outcome} "
-                f"after timeout"
-                + (" (result stored)" if event.stored else "")
             )
         elif isinstance(event, CampaignFinished):
             self._print(

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 class FailurePolicy(enum.Enum):
     """What the engine does when a job exhausts its retries.
 
-    * ``FAIL_FAST`` -- abort the campaign: pending jobs are cancelled,
-      remaining jobs are skipped, and :class:`CampaignError` is raised
-      (with the partial :class:`~repro.runtime.engine.ExecutionReport`
-      attached).
+    * ``FAIL_FAST`` -- abort the campaign: every worker is killed, the
+      jobs in flight and the undealt ones are recorded as cancelled (a
+      serial campaign skips the rest), and :class:`CampaignError` is
+      raised (with the partial
+      :class:`~repro.runtime.engine.ExecutionReport` attached).
     * ``COLLECT`` -- record the failure, keep running every other job,
       and report all failures together at the end; completed results
       are preserved.

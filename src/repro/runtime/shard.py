@@ -56,7 +56,6 @@ from typing import Callable, Mapping, Sequence
 
 from repro.config.machines import MachineConfig
 from repro.obs import context as obs_context
-from repro.obs import flight as obs_flight
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.runtime.engine import (
@@ -64,6 +63,7 @@ from repro.runtime.engine import (
     ExecutionReport,
     FaultPlan,
     JobOutcome,
+    clear_inherited_telemetry,
 )
 from repro.runtime.events import (
     CampaignCheckpoint,
@@ -392,20 +392,10 @@ class ShardTransport:
     ) -> None:
         raise NotImplementedError
 
-    def terminate(self) -> None:
-        """Best-effort teardown of the worker (fail-fast abort)."""
-
 
 def _forked_worker(line: str, write_fd: int) -> None:
     """Body of a forked worker: run the plan with fd 1 on the pipe."""
-    # The fork copies the coordinator's ambient telemetry.  A worker
-    # starts with none installed, so an open coordinator span cannot
-    # leak into its events as ``trace.parent``.  The model memos it
-    # inherits are exact and stay.
-    obs_context.ACTIVE = None
-    obs_flight.ACTIVE = None
-    obs_metrics.ACTIVE = None
-    obs_tracing.ACTIVE = None
+    clear_inherited_telemetry()
     os.dup2(write_fd, 1)
     os.close(write_fd)
     # A stray print must reach the pipe too, never the coordinator's
@@ -426,10 +416,6 @@ class ProcessShardTransport(ShardTransport):
     a worker on another host instead; the protocol is the same lines.
     """
 
-    def __init__(self):
-        self._process: multiprocessing.process.BaseProcess | None = None
-        self._reader: threading.Thread | None = None
-
     def start(
         self, plan: ShardPlan, deliver: Callable[[dict | None], None]
     ) -> None:
@@ -447,7 +433,7 @@ class ProcessShardTransport(ShardTransport):
                 # safe: each of them is blocked on its own pipe, the
                 # child touches none of their objects and leaves
                 # through os._exit, and the process already has
-                # numpy's BLAS thread when the engine's pool forks.
+                # numpy's BLAS thread when the engine forks workers.
                 process.start()
             except OSError:
                 os.close(read_fd)
@@ -467,7 +453,6 @@ class ProcessShardTransport(ShardTransport):
             )
             deliver(None)
             return
-        self._process = process
         pipe = open(read_fd, encoding="utf-8", errors="replace")
 
         def pump() -> None:
@@ -492,14 +477,9 @@ class ProcessShardTransport(ShardTransport):
                 process.join()
                 deliver(None)
 
-        self._reader = threading.Thread(
+        threading.Thread(
             target=pump, name=f"shard-{plan.shard}-reader", daemon=True
-        )
-        self._reader.start()
-
-    def terminate(self) -> None:
-        if self._process is not None:
-            self._process.kill()
+        ).start()
 
 
 class InProcessShardTransport(ShardTransport):
@@ -775,7 +755,7 @@ class ShardCoordinator:
     shard reports done -- writes the canonically-merged per-shard
     streams plus the final checkpoint and campaign summary.  A worker
     that dies mid-shard (EOF before ``done``) has its unfinished jobs
-    re-run in-process, mirroring the engine's broken-pool fallback, so
+    re-run in-process, as the engine re-runs a dead worker's job, so
     one lost host degrades throughput, not the campaign.
 
     Args:
@@ -950,6 +930,16 @@ class ShardCoordinator:
                 "the shard coordinator takes a single machine override; "
                 "per-spec machine lists are not shardable"
             )
+        machine_descriptor = ExecutionEngine._machine_descriptor(machines)
+        if machines is not None and machine_descriptor is None:
+            # Workers rebuild the machine from the plan's descriptor;
+            # one it cannot describe would silently run another machine.
+            raise ValueError(
+                f"the shard coordinator cannot describe machine override "
+                f"{machines.name!r} to its workers; only standard "
+                f"topologies with a small-core frequency or sampling "
+                f"change are shardable"
+            )
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         resume = resume_from
@@ -965,7 +955,6 @@ class ShardCoordinator:
         labels = list(labels)
         if len(labels) != len(specs):
             raise ValueError("specs and labels must align")
-        machine_descriptor = ExecutionEngine._machine_descriptor(machines)
 
         # The fleet's trace context: ambient if a caller installed one,
         # else minted from the planned keyspace.  The coordinator

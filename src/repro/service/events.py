@@ -41,17 +41,22 @@ def feed_digest(lines: Iterable[str]) -> str:
 class ServiceFeed:
     """Ordered, deterministic event collector.
 
-    Events are retained in memory (``events`` as dicts, ``lines`` as
-    serialized JSON) and optionally streamed to a writable text
-    ``stream`` as they happen, one line per event.
+    Each event is retained once, as its serialized JSON line in
+    ``lines`` (``events`` decodes them on read), and optionally
+    streamed to a writable text ``stream`` as it happens, one line per
+    event.
     """
 
     def __init__(self, stream: IO[str] | None = None):
-        self.events: list[dict[str, Any]] = []
         self.lines: list[str] = []
         self._stream = stream
 
-    def emit(self, kind: str, time_seconds: float, **fields: Any) -> dict:
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        """The events as dicts, decoded from ``lines``."""
+        return [json.loads(line) for line in self.lines]
+
+    def emit(self, kind: str, time_seconds: float, **fields: Any) -> None:
         """Record one event at a virtual timestamp."""
         if kind not in EVENT_KINDS:
             raise ValueError(
@@ -59,13 +64,11 @@ class ServiceFeed:
             )
         event = {"event": kind, "time": float(time_seconds), **fields}
         line = _serialize(event)
-        self.events.append(event)
         self.lines.append(line)
         if self._stream is not None:
             self._stream.write(line)
             self._stream.write("\n")
             self._stream.flush()
-        return event
 
     def digest(self) -> str:
         return feed_digest(self.lines)

@@ -1,5 +1,7 @@
 """Tests for the `repro` command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli.main import build_parser, main
@@ -442,17 +444,13 @@ class TestServiceCommands:
     def test_load_fanout_without_process_pool(
         self, capsys, tmp_path, monkeypatch
     ):
-        from repro.runtime.engine import ExecutionEngine
-
         serial = self.load_fanout(capsys, tmp_path / "serial.jsonl", 1)
 
-        def no_pool(max_workers):
+        def refuse_fork():
             raise OSError("no process support here")
 
-        monkeypatch.setattr(
-            ExecutionEngine, "_executor_factory", staticmethod(no_pool)
-        )
-        with pytest.warns(UserWarning, match="process pool unavailable"):
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        with pytest.warns(UserWarning, match="cannot fork workers"):
             fallback = self.load_fanout(
                 capsys, tmp_path / "fallback.jsonl", 2
             )

@@ -128,6 +128,31 @@ class TestOldLogsStillReplay:
         assert len(state.completed) == 3
         assert not state.pending
 
+    def test_retired_job_reconciled_reads_as_unknown(self, tmp_path):
+        """Logs written while the engine still reconciled timed-out
+        pool jobs carry ``job_reconciled`` lines; they now read as
+        UnknownEvent and change neither resume state nor timings."""
+        lines = (FIXTURES / "pr8_event_log.jsonl").read_text().splitlines()
+        retired = {
+            "event": "job_reconciled", "index": 0,
+            "label": "1B1S/random/povray+milc#0", "outcome": "completed",
+            "wall_seconds": 1.25, "attempts": 1, "stored": True,
+            "timestamp": 0.9,
+        }
+        log = tmp_path / "old.jsonl"
+        log.write_text(
+            "\n".join(lines[:-1] + [json.dumps(retired), lines[-1]]) + "\n"
+        )
+        events = read_events(log)
+        unknown = [e for e in events if isinstance(e, UnknownEvent)]
+        assert len(unknown) == 1 and unknown[0].to_dict() == retired
+        known = [e for e in events if not isinstance(e, UnknownEvent)]
+        assert known == read_events(FIXTURES / "pr8_event_log.jsonl")
+        assert ResumeState.from_events(events) == ResumeState.from_events(
+            known
+        )
+        assert replay_timings(events) == replay_timings(known)
+
 
 # ---------------------------------------------------------------------------
 # Trace propagation across a fleet

@@ -1,8 +1,9 @@
 """Tests for the parallel campaign execution engine."""
 
 import json
+import multiprocessing
 import os
-from concurrent import futures
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.runtime.events import (
     JobCached,
     JobFailed,
     JobFinished,
-    JobReconciled,
+    JobStarted,
 )
 from repro.runtime.retry import CampaignError, FailurePolicy, RetryPolicy
 from repro.sim.campaign import Campaign, RunSpec
@@ -364,46 +365,80 @@ class TestTimeout:
         assert report.failures[0].attempts == 0
 
 
-class TestOrphanReconciliation:
-    def test_late_completion_reconciled_and_stored(self, tmp_path):
-        # future.cancel() is a no-op on a running process-pool job:
-        # the worker keeps grinding after the timeout fires.  The
-        # engine must reconcile the late completion explicitly -- the
-        # result stays out of the report, but the worker persisted it
-        # to the store, where the next run finds it.
-        engine, events = recording_engine(
+class TestWorkStops:
+    """A killed or aborted job's worker is gone when the engine returns."""
+
+    def test_timed_out_worker_is_killed(self):
+        engine, _ = recording_engine(
             jobs=2,
-            timeout_seconds=0.4,
-            orphan_grace_seconds=30.0,
+            timeout_seconds=0.5,
             failure_policy=FailurePolicy.COLLECT,
-            fault_plan=FaultPlan(sleep_seconds={0: 1.2}),
+            fault_plan=FaultPlan(sleep_seconds={0: 30.0}),
         )
-        specs = specs_1b1s(1, instructions=2000)
-        report = engine.run_many(specs, store=tmp_path)
-        assert "timed out" in report.failures[0].error
+        started = time.monotonic()
+        report = engine.run_many(specs_1b1s(2, instructions=2000))
+        assert time.monotonic() - started < 10.0
+        assert report.outcomes[0].error == "timed out after 0.5s"
+        assert report.outcomes[0].attempts == 0
+        assert all(o.ok for o in report.outcomes[1:])
+        assert multiprocessing.active_children() == []
 
-        reconciled = [e for e in events if isinstance(e, JobReconciled)]
-        assert [e.outcome for e in reconciled] == ["completed"]
-        assert reconciled[0].index == 0
-        assert reconciled[0].attempts >= 1
-        assert reconciled[0].stored
-
-        # The orphan's worker wrote its result; re-running serves the
-        # formerly timed-out job as a cache hit.
-        again = ExecutionEngine(jobs=1).run_many(specs, store=tmp_path)
-        assert again.failures == [] and again.cache_hits == len(specs)
-
-    def test_unfinished_orphan_reported_abandoned(self):
-        engine, events = recording_engine(
+    def test_killed_workers_are_replaced(self, forks):
+        # Both workers overrun and are killed; fresh workers run the
+        # jobs still undealt (one or two, as the kills interleave with
+        # the first replacement's job).
+        engine, _ = recording_engine(
             jobs=2,
-            timeout_seconds=0.3,
+            timeout_seconds=0.5,
             failure_policy=FailurePolicy.COLLECT,
-            fault_plan=FaultPlan(sleep_seconds={0: 8.0}),
+            fault_plan=FaultPlan(sleep_seconds={0: 30.0, 1: 30.0}),
         )
-        report = engine.run_many(specs_1b1s(1, instructions=2000))
-        assert "timed out" in report.failures[0].error
-        reconciled = [e for e in events if isinstance(e, JobReconciled)]
-        assert [e.outcome for e in reconciled] == ["abandoned"]
+        report = engine.run_many(specs_1b1s(2, instructions=2000))
+        assert [o.error for o in report.outcomes] == [
+            "timed out after 0.5s", "timed out after 0.5s", None, None,
+        ]
+        assert len(forks) in (3, 4)
+        assert multiprocessing.active_children() == []
+
+    def test_fail_fast_abort_kills_running_workers(self):
+        engine, _ = recording_engine(
+            jobs=2,
+            retry=RetryPolicy(max_attempts=1),
+            fault_plan=FaultPlan(
+                sleep_seconds={0: 30.0}, fail_attempts={1: 99}
+            ),
+        )
+        started = time.monotonic()
+        with pytest.raises(CampaignError) as excinfo:
+            engine.run_many(specs_1b1s(2, instructions=2000))
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+        errors = [o.error for o in excinfo.value.report.outcomes]
+        assert "InjectedFault" in errors[1]
+        assert errors[0] == "cancelled (fail-fast abort)"
+
+    def test_killed_worker_job_reruns_in_process(self):
+        specs = specs_1b1s(2, instructions=2000)
+        expected = canonical(ExecutionEngine(jobs=1).run_many(specs).results)
+        killed = []
+
+        def kill_on_start(event):
+            if isinstance(event, JobStarted) and event.index == 0:
+                if not killed:
+                    killed.extend(multiprocessing.active_children())
+                    for child in killed:
+                        child.kill()
+
+        engine = ExecutionEngine(
+            jobs=2,
+            fault_plan=FaultPlan(sleep_seconds={0: 1.0}),
+            sinks=[CallbackSink(kill_on_start)],
+        )
+        with pytest.warns(UserWarning, match="its task will run in-process"):
+            report = engine.run_many(specs)
+        assert killed
+        assert canonical(report.results) == expected
+        assert multiprocessing.active_children() == []
 
 
 class TestAttemptAccounting:
@@ -455,18 +490,29 @@ class TestAttemptAccounting:
             )
 
 
+def _refuse_fork():
+    raise OSError("no process support here")
+
+
+def _no_fork_context(method=None):
+    raise ValueError("cannot find context for 'fork'")
+
+
 class TestGracefulDegradation:
     def test_pool_unavailable_falls_back_to_serial(self, monkeypatch):
-        def no_pool(max_workers):
-            raise OSError("no process support here")
-
-        monkeypatch.setattr(
-            ExecutionEngine, "_executor_factory", staticmethod(no_pool)
-        )
         specs = specs_1b1s(2)
         expected = canonical(ExecutionEngine(jobs=1).run_many(specs).results)
-        with pytest.warns(UserWarning, match="process pool unavailable"):
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+        with pytest.warns(UserWarning, match="cannot fork workers"):
             report = ExecutionEngine(jobs=4).run_many(specs)
+        assert canonical(report.results) == expected
+
+    def test_no_fork_context_falls_back_to_serial(self, monkeypatch):
+        specs = specs_1b1s(1)
+        expected = canonical(ExecutionEngine(jobs=1).run_many(specs).results)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_fork_context)
+        with pytest.warns(UserWarning, match="cannot fork workers"):
+            report = ExecutionEngine(jobs=2).run_many(specs)
         assert canonical(report.results) == expected
 
 
@@ -634,6 +680,10 @@ def _cube(x):
     return x ** 3
 
 
+def _inverse(x):
+    return 1 / x
+
+
 def _cube_in_parent(item):
     """Cube in the test process; kill any worker process that runs it."""
     parent, x = item
@@ -643,60 +693,57 @@ def _cube_in_parent(item):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Record the worker count and the pool of every pool made."""
+def forks(monkeypatch):
+    """Record the pid of every worker process forked."""
     made = []
+    fork = os.fork
 
-    def factory(max_workers):
-        pool = futures.ProcessPoolExecutor(max_workers=max_workers)
-        made.append((max_workers, pool))
-        return pool
+    def recording_fork():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
 
-    monkeypatch.setattr(
-        ExecutionEngine, "_executor_factory", staticmethod(factory)
-    )
+    monkeypatch.setattr(os, "fork", recording_fork)
     return made
 
 
 class TestMapTasks:
-    def test_parallel_map_preserves_item_order(self, pools):
+    def test_parallel_map_preserves_item_order(self, forks):
         engine = ExecutionEngine(jobs=2)
+        counts = []
         assert engine.map_tasks(_cube, range(7)) == [
             _cube(i) for i in range(7)
         ]
+        counts.append(len(forks))
         assert engine.map_tasks(_cube, range(4)) == [
             _cube(i) for i in range(4)
         ]
+        counts.append(len(forks))
         assert ExecutionEngine(jobs=4).map_tasks(_cube, range(2)) == [0, 1]
-        # One pool per call, of min(jobs, items) workers, shut down
-        # before the call returns; the engine keeps none.
-        assert [workers for workers, _ in pools] == [2, 2, 2]
-        for _, pool in pools:
-            with pytest.raises(RuntimeError, match="shutdown"):
-                pool.submit(_cube, 1)
+        counts.append(len(forks))
+        # min(jobs, items) workers per call, all gone before the call
+        # returns; the engine keeps none.
+        assert counts == [2, 4, 6]
+        assert multiprocessing.active_children() == []
         assert not any(
-            isinstance(value, futures.Executor)
+            isinstance(value, multiprocessing.process.BaseProcess)
             for value in vars(engine).values()
         )
 
-    def test_serial_paths_never_create_a_pool(self, pools):
+    def test_serial_paths_never_create_a_pool(self, forks):
         assert ExecutionEngine(jobs=1).map_tasks(_cube, range(5)) == [
             _cube(i) for i in range(5)
         ]
         assert ExecutionEngine(jobs=4).map_tasks(_cube, [3]) == [27]
         assert ExecutionEngine(jobs=4).map_tasks(_cube, []) == []
-        assert pools == []
+        assert forks == []
 
     def test_pool_unavailable_maps_in_process(self, monkeypatch):
-        def no_pool(max_workers):
-            raise OSError("no process support here")
-
-        monkeypatch.setattr(
-            ExecutionEngine, "_executor_factory", staticmethod(no_pool)
-        )
+        monkeypatch.setattr(os, "fork", _refuse_fork)
         engine = ExecutionEngine(jobs=2)
-        for _ in range(2):  # every call tries a pool, and warns
-            with pytest.warns(UserWarning, match="process pool unavailable"):
+        for _ in range(2):  # every call tries to fork, and warns
+            with pytest.warns(UserWarning, match="cannot fork workers"):
                 assert engine.map_tasks(_cube, range(4)) == [
                     _cube(i) for i in range(4)
                 ]
@@ -707,3 +754,9 @@ class TestMapTasks:
             assert ExecutionEngine(jobs=2).map_tasks(
                 _cube_in_parent, items
             ) == [0, 1, 8]
+
+    def test_worker_exception_is_raised(self):
+        with pytest.raises(ZeroDivisionError):
+            ExecutionEngine(jobs=2).map_tasks(_inverse, [1, 0, 2])
+        assert multiprocessing.active_children() == []
+

@@ -8,6 +8,8 @@ trace stays chain-valid across mid-stream arrivals, departures and
 migrations.
 """
 
+import json
+
 import pytest
 
 from repro.check import check_service
@@ -107,6 +109,21 @@ class TestDeterminism:
         _, a, _ = run_system(config, nominal_process(seed=0), 20)
         _, b, _ = run_system(config, nominal_process(seed=1), 20)
         assert a.lines != b.lines
+
+    def test_feed_keeps_each_event_once(self):
+        # The JSON line is the one stored copy; the dicts decode from
+        # it, so a load point shipped back from a worker carries no
+        # second copy of its events.
+        config = build_config(queue_capacity=8, deadline_seconds=0.01)
+        _, feed, _ = run_system(config, nominal_process(seed=4), 30)
+        assert set(vars(feed)) == {"lines", "_stream"}
+        events = feed.events
+        assert len(events) == len(feed.lines) > 0
+        assert [
+            json.dumps(event, sort_keys=True, separators=(",", ":"))
+            for event in events
+        ] == feed.lines
+        assert [event["event"] for event in events[:1]] == ["arrive"]
 
 
 class TestOverload:

@@ -309,6 +309,38 @@ class TestCoordinator:
         with pytest.raises(ValueError, match="single machine"):
             inprocess_coordinator(2).run(specs_1b1s(2), machines=machines)
 
+    def test_sampling_override_reaches_workers(self):
+        # Workers rebuild the override from the plan's descriptor; at
+        # 20 M instructions the sampling change moves mix 0's SSER, so
+        # a worker running the standard machine instead would show.
+        from repro.config import STANDARD_MACHINES
+        from repro.workloads.mixes import generate_workloads
+
+        machine = STANDARD_MACHINES["2B2S"]().with_sampling(20, 5e-5)
+        specs = [
+            RunSpec("2B2S", mix.benchmarks, "reliability", 20_000_000,
+                    seed=seed)
+            for seed, mix in enumerate(generate_workloads(4)[:2])
+        ]
+        serial = ExecutionEngine().run_many(specs, machines=machine)
+        standard = ExecutionEngine().run_many(specs)
+        assert canonical(serial.results) != canonical(standard.results)
+        report = inprocess_coordinator(2).run(specs, machines=machine)
+        assert canonical(report.results) == canonical(serial.results)
+        descriptor = ExecutionEngine._machine_descriptor(machine)
+        assert ExecutionEngine.machine_from_descriptor(descriptor) == machine
+
+    def test_undescribable_override_rejected(self):
+        import dataclasses
+
+        from repro.config import STANDARD_MACHINES
+
+        machine = dataclasses.replace(
+            STANDARD_MACHINES["1B1S"](), migration_overhead_seconds=1e-4
+        )
+        with pytest.raises(ValueError, match="cannot describe"):
+            inprocess_coordinator(2).run(specs_1b1s(2), machines=machine)
+
 
 def spying_transport(on_message):
     """A :class:`ProcessShardTransport` that shows every message to
