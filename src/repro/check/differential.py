@@ -32,13 +32,13 @@ invariants:
   (``service_feed_determinism``), every result must conserve jobs
   (``open_system_conservation``), and the in-process decision trace
   must chain-validate.
-* **shard cases** -- a random campaign runs across a random shard
-  fleet; the keyspace partition must be a disjoint cover
-  (``shard_partition_cover``), randomly-cut per-shard logs must
-  replay to one canonical resume state however the merge is ordered
-  (``shard_resume_state_canonical``), and a sharded resume over the
-  cut logs (optionally with a corrupt store entry) must match the
-  uninterrupted fleet bit-for-bit (``resume_equivalence``).
+* **shard cases** -- a random campaign runs on a random shard fleet;
+  the fleet log's job events, split into per-shard streams and each
+  cut at a random point, must replay to one canonical resume state
+  however the merge is ordered (``shard_resume_state_canonical``),
+  and a sharded resume over the cut streams (optionally with a
+  corrupt store entry) must match the uninterrupted fleet
+  bit-for-bit (``resume_equivalence``).
 * **mode cases** -- a (placement x protection-mode) run must satisfy
   run accounting, schedule legality, checker-slot legality
   (``mode_slot_legality``), mode-model conservation of the accounting
@@ -801,17 +801,16 @@ def _service_case(index: int, rng: np.random.Generator) -> CheckReport:
 
 
 def _shard_case(index: int, rng: np.random.Generator) -> CheckReport:
-    """Shard a campaign, kill it at random per-shard log cuts, and
-    demand the partition covers the keyspace, the replayed resume
-    state is canonical under merge reordering, and a sharded resume
-    (possibly over a corrupted store entry) matches the uninterrupted
-    fleet bit-for-bit."""
+    """Run a campaign on a random shard fleet, kill it at random cuts
+    of its per-shard streams, and demand the replayed resume state is
+    canonical under merge reordering and a sharded resume (possibly
+    over a corrupted store entry) matches the uninterrupted fleet
+    bit-for-bit."""
     import tempfile
     from pathlib import Path
 
     from repro.check.invariants import (
         check_resume,
-        check_shard_partition,
         check_shard_resume_states,
         merge_reports,
     )
@@ -824,7 +823,7 @@ def _shard_case(index: int, rng: np.random.Generator) -> CheckReport:
     )
     from repro.runtime.resume import ResumeState
     from repro.runtime.retry import FailurePolicy
-    from repro.runtime.shard import InProcessShardTransport, ShardCoordinator
+    from repro.runtime.shard import ShardCoordinator
     from repro.sim.campaign import RunSpec
 
     machine_name = FUZZ_MACHINES[int(rng.integers(len(FUZZ_MACHINES)))]
@@ -857,12 +856,10 @@ def _shard_case(index: int, rng: np.random.Generator) -> CheckReport:
         f"shard/{index} {machine_name} x{count} shards={shards} "
         f"fail@{fail_index if plan is not None else '-'}"
     )
-    keys = [spec.key() for spec in specs]
 
     def coordinator(**kwargs) -> ShardCoordinator:
         return ShardCoordinator(
             shards,
-            transport_factory=InProcessShardTransport,
             failure_policy=FailurePolicy.COLLECT,
             fault_plan=plan,
             **kwargs,
@@ -873,38 +870,26 @@ def _shard_case(index: int, rng: np.random.Generator) -> CheckReport:
         log = tmp / "log.jsonl"
         log_sink = JsonlEventSink(log)
         try:
-            full = coordinator(
-                log_sink=log_sink, shard_log_base=log
-            ).run(specs, store=tmp / "store")
+            full = coordinator(log_sink=log_sink).run(
+                specs, store=tmp / "store"
+            )
         finally:
             log_sink.close()
-        partition_report = check_shard_partition(keys, shards, label=label)
 
-        # Simulate a fleet SIGKILL: each shard's log survives only up
-        # to an independent random cut (the coordinator's plan record,
-        # written first to the main log, survives by construction).
-        plan_event = next(
-            e for e in read_events(log) if isinstance(e, CampaignPlan)
+        # Simulate a fleet SIGKILL: split the fleet log's job events
+        # into one stream per shard by job index, each in job-index
+        # order (so no draw depends on which worker finished first),
+        # and keep each stream only up to an independent random cut.
+        # The plan record, written first, survives by construction.
+        events = read_events(log)
+        plan_event = next(e for e in events if isinstance(e, CampaignPlan))
+        job_events = sorted(
+            (e for e in events if getattr(e, "index", -1) >= 0),
+            key=lambda e: e.index,
         )
-        # A shard log is a standalone campaign log, so it carries the
-        # worker's own shard-local plan/bracket records; only the job
-        # events belong in the global merge (same filter the
-        # coordinator applies).
-        from repro.runtime.shard import _SHARD_LOCAL_EVENTS
-
-        shard_log_paths = [
-            log.with_name(f"{log.name}.shard{s}.jsonl")
-            for s in range(shards)
-        ]
         streams = [
-            [
-                e
-                for e in read_events(path)
-                if not isinstance(e, _SHARD_LOCAL_EVENTS)
-            ]
-            if path.exists()
-            else []  # a shard that owned no jobs writes no log
-            for path in shard_log_paths
+            [e for e in job_events if e.index % shards == shard]
+            for shard in range(shards)
         ]
         cut_streams = [
             stream[: int(rng.integers(len(stream) + 1))]
@@ -933,9 +918,7 @@ def _shard_case(index: int, rng: np.random.Generator) -> CheckReport:
             specs, resume_from=state, store=tmp / "store"
         )
         resume_report = check_resume(full, resumed, label=label)
-    return merge_reports(
-        [partition_report, state_report, resume_report], subject=label
-    )
+    return merge_reports([state_report, resume_report], subject=label)
 
 
 def _mode_case(index: int, rng: np.random.Generator) -> CheckReport:

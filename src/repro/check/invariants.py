@@ -1066,58 +1066,13 @@ def check_resume(full, resumed, *, label: str = "resume") -> CheckReport:
 # -- shard invariants --------------------------------------------------
 
 
-@invariant("shard_partition_cover", subject="shard_partition")
-def _shard_partition_cover(keys, shards, owners) -> Iterator[Finding]:
-    """The shard partition is a disjoint cover of the keyspace.
-
-    Every job index belongs to exactly one shard, and that shard is
-    the one its spec key hashes to -- so any two fleets (or a fleet
-    and a resume) agree on ownership without coordination.
-    """
-    from repro.runtime.shard import shard_of
-
-    seen: dict[int, int] = {}
-    for shard, indices in enumerate(owners):
-        for index in indices:
-            if index in seen:
-                yield (
-                    f"job {index} assigned to shards {seen[index]} "
-                    f"and {shard}",
-                    {"index": index},
-                )
-            seen[index] = shard
-    missing = [i for i in range(len(keys)) if i not in seen]
-    if missing:
-        yield (
-            f"{len(missing)} job(s) assigned to no shard "
-            f"(first: {missing[0]})",
-            {"missing": len(missing)},
-        )
-    for index, key in enumerate(keys):
-        want = shard_of(key, shards)
-        if seen.get(index) not in (None, want):
-            yield (
-                f"job {index} routed to shard {seen[index]}, but its "
-                f"key hashes to shard {want}",
-                {"index": index, "got": seen[index], "want": want},
-            )
-
-
-def check_shard_partition(keys, shards: int, *, label: str = "shard"):
-    """Check :func:`repro.runtime.shard.partition_indices` on ``keys``."""
-    from repro.runtime.shard import partition_indices
-
-    owners = partition_indices(keys, shards)
-    return _apply("shard_partition", label, keys, shards, owners)
-
-
 @invariant("shard_resume_state_canonical", subject="shard_resume")
 def _shard_resume_state_canonical(state_a, state_b) -> Iterator[Finding]:
     """Sharded logs replay to one canonical :class:`ResumeState`.
 
     However per-shard event streams are cut, merged, or reordered,
     the replayed job statuses must agree -- resume decisions cannot
-    depend on which shard's log was read first.
+    depend on which shard's stream was read first.
     """
     for field_name in ("completed", "failed", "pending", "shards"):
         a = getattr(state_a, field_name)

@@ -392,6 +392,7 @@ def cmd_resume(args) -> int:
             shards,
             failure_policy=FailurePolicy(state.failure_policy),
             max_attempts=state.max_attempts,
+            timeout_seconds=state.timeout_seconds,
             checks=bool(_checks(args)),
             sinks=live,
             log_sink=log_sink,
@@ -447,24 +448,21 @@ def cmd_resume(args) -> int:
 
 
 def cmd_shard(args) -> int:
-    """Run the paper's sweep across N shard worker processes.
+    """Run the paper's sweep on a fleet of N worker processes.
 
     The campaign plan is the exact one ``repro sweep`` runs (same
     specs, same order, via :func:`repro.sim.experiment.sweep_specs`);
-    the shard coordinator partitions it by spec-key hash, drives one
-    worker process per shard over the pipe protocol, and merges
-    stores, logs and metrics back into one deterministic result.
-    stdout is byte-identical across shard counts; fleet telemetry
-    goes to stderr (and, with --status-socket, a live UNIX socket
-    speaking the ``repro serve`` framing).
+    the shard coordinator deals it to N engine workers one spec at a
+    time and records the shard count in the plan, so ``repro resume``
+    keeps the width.  stdout is byte-identical across shard counts;
+    fleet telemetry goes to stderr (and, with --status-socket, a live
+    UNIX socket speaking the ``repro serve`` framing).
     """
     from repro.runtime import (
         FailurePolicy,
         FleetStatus,
         FleetStatusServer,
-        InProcessShardTransport,
         ShardCoordinator,
-        partition_indices,
     )
     from repro.sim.experiment import sweep_specs
 
@@ -486,13 +484,9 @@ def cmd_shard(args) -> int:
     live = [StderrProgressSink()] if args.verbose else []
     log_sink = (JsonlEventSink(args.event_log)
                 if getattr(args, "event_log", None) else None)
-    transport = (InProcessShardTransport
-                 if args.transport == "inprocess" else None)
-    owners = partition_indices([spec.key() for spec in specs], args.shards)
-    fleet = FleetStatus([len(o) for o in owners])
+    fleet = FleetStatus(len(specs))
     coordinator = ShardCoordinator(
         args.shards,
-        transport_factory=transport,
         metrics=getattr(args, "metrics", False),
         spans=getattr(args, "spans", False),
         checks=bool(_checks(args)),
@@ -501,7 +495,6 @@ def cmd_shard(args) -> int:
         fault_plan=fault_plan,
         sinks=live,
         log_sink=log_sink,
-        shard_log_base=(args.event_log if args.shard_logs else None),
         status=fleet,
     )
     server = None
@@ -781,10 +774,10 @@ def cmd_inject(args) -> int:
 def cmd_events(args) -> int:
     """Replay one or more JSONL campaign event logs to per-job timings.
 
-    Several logs (e.g. a shard fleet's per-shard logs) merge
-    deterministically: events sort by virtual timestamp, then by the
-    position of their log on the command line, so the merged view is
-    canonical regardless of which shard finished first.
+    Several logs (several campaigns into one log set, or per-shard
+    logs written before a fleet had one log) merge deterministically:
+    events sort by timestamp, then by the position of their log on the
+    command line.
     """
     from repro.runtime import read_events_merged
 
@@ -814,9 +807,10 @@ def cmd_events(args) -> int:
 def cmd_stats(args) -> int:
     """Aggregate MetricsSnapshot events from campaign event logs.
 
-    Accepts several logs (a shard fleet's per-shard logs, several
-    campaigns into one roll-up); they merge deterministically before
-    aggregation, so the totals are order-independent.
+    Accepts several logs (several campaigns into one roll-up, or
+    per-shard logs written before a fleet had one log); they merge
+    deterministically before aggregation, so the counter totals are
+    order-independent.
     """
     from repro.obs import metrics as obs_metrics
     from repro.runtime.events import (
@@ -849,8 +843,8 @@ def cmd_stats(args) -> int:
     if getattr(args, "openmetrics", False):
         from repro.obs import openmetrics as obs_openmetrics
 
-        # Deterministic exposition: byte-identical between a merged
-        # fleet log and its per-shard logs (no paths, no wall clock).
+        # Deterministic exposition: no paths, no wall clock, so the
+        # same logs print the same bytes.
         print(obs_openmetrics.render_snapshot(merged), end="")
     else:
         print(format_table(["series", "kind", "count", "total", "mean"],
@@ -1276,18 +1270,9 @@ def cmd_top(args) -> int:
             f"elapsed {fleet['elapsed_seconds']:.1f}s  eta "
             + (f"{eta:.0f}s" if eta is not None else "-")
         )
-        rows = [
-            [s["shard"], s["done"], s["total"], s["failed"], s["queued"],
-             s["cached"],
-             "done" if s["finished"]
-             else "running" if s["started"] else "pending"]
-            for s in fleet["shards"]
-        ]
-        lines.append(format_table(
-            ["shard", "done", "total", "failed", "queued", "cached",
-             "state"],
-            rows,
-        ))
+        rows = [[s["shard"], s["done"], s["failed"]]
+                for s in fleet["shards"]]
+        lines.append(format_table(["shard", "done", "failed"], rows))
         return "\n".join(lines)
 
     op = "metrics" if args.openmetrics else "fleet"

@@ -5,7 +5,7 @@ Subcommands:
 * ``repro run``       -- run one workload under one scheduler
 * ``repro compare``   -- compare the three schedulers on a workload
 * ``repro sweep``     -- the 36-workload evaluation sweep
-* ``repro shard``     -- the sweep across N shard worker processes
+* ``repro shard``     -- the sweep on a fleet of N worker processes
 * ``repro avf``       -- suite AVF spectrum and H/M/L classes (Fig. 1)
 * ``repro oracle``    -- static-schedule enumeration (Section 2.4)
 * ``repro workloads`` -- list the canonical workload mixes
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shard = subparsers.add_parser(
         "shard",
-        help="run the sweep across N shard worker processes",
+        help="run the sweep on a fleet of N worker processes",
     )
     _add_machine_arguments(shard)
     shard.add_argument("--programs", type=int, default=4, choices=(2, 4, 8))
@@ -149,50 +149,45 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_INSTRUCTIONS)
     shard.add_argument("--workload-seed", type=int, default=42)
     shard.add_argument("--shards", type=int, default=2, metavar="N",
-                       help="shard worker count (stdout, store and "
+                       help="worker count; the workers take the "
+                            "specs one at a time (stdout, store and "
                             "metrics are byte-identical for any N)")
     shard.add_argument("--verbose", action="store_true")
     shard.add_argument("--store", default=None, metavar="DIR",
                        help="shared content-addressed result store; "
                             "with --event-log, a killed fleet can be "
                             "finished with `repro resume`")
-    shard.add_argument("--shard-logs", action="store_true",
-                       help="also write each shard's raw stream to "
-                            "EVENT_LOG.shardN.jsonl (merge them back "
-                            "with `repro events A B ...`)")
     shard.add_argument("--status-socket", default=None, metavar="PATH",
-                       help="serve live fleet status (per-shard "
-                            "done/failed/queued, runs/s, ETA) on a "
+                       help="serve live fleet status (done/failed/"
+                            "queued, per-worker done/failed, runs/s, "
+                            "ETA) on a "
                             "UNIX socket speaking the `repro serve` "
                             "framing")
-    shard.add_argument("--transport", default="process",
-                       choices=("process", "inprocess"),
-                       help="worker transport: forked worker "
-                            "processes on pipes (default) or in-process "
-                            "(deterministic, for tests)")
     shard.add_argument("--event-log", default=None, metavar="FILE",
-                       help="append the canonically-merged JSONL event "
-                            "stream to FILE (replay with `repro "
+                       help="append the fleet's JSONL event stream "
+                            "to FILE as it happens (replay with `repro "
                             "events`; resume with `repro resume`)")
     shard.add_argument("--check", action="store_true",
                        help="validate every run against the paper "
                             "invariants (repro.check)")
     shard.add_argument("--metrics", action="store_true",
-                       help="collect per-shard metrics registries and "
+                       help="collect a metrics registry per job and "
                             "fold them into one fleet snapshot")
     shard.add_argument("--spans", action="store_true",
-                       help="collect per-job span trees; workers ship "
-                            "them as span_snapshot events and the "
-                            "coordinator grafts a fleet-wide span "
-                            "forest (render with `repro stats --spans`)")
+                       help="collect per-job span trees as "
+                            "span_snapshot events, grafted into a "
+                            "fleet-wide span forest (render with "
+                            "`repro stats --spans`)")
     shard.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="per-job wall-clock timeout inside every "
-                            "shard worker; a timed-out job fails and "
-                            "dumps a postmortem bundle")
+                       help="per-job wall-clock timeout; the worker "
+                            "of a job that overruns it is killed, and "
+                            "the job fails and dumps a postmortem "
+                            "bundle")
     shard.add_argument("--failures", default="fail-fast",
                        choices=("fail-fast", "collect"),
-                       help="fail-fast: raise after the fleet drains "
+                       help="fail-fast: kill the fleet's workers at "
+                            "the first failure and cancel the rest "
                             "(default); collect: report failures in "
                             "the job table and exit 1")
     shard.add_argument("--inject-fail", default=None, metavar="INDEX:N",
@@ -227,10 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="validate every run against the paper "
                              "invariants (repro.check)")
     resume.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="resume through the shard coordinator "
-                             "with N workers (default: the shard "
-                             "count recorded in the log's plan; 1 "
-                             "forces a serial resume)")
+                        help="resume as a shard fleet of N workers "
+                             "(default: the shard count recorded in "
+                             "the log's plan; 1 forces a serial "
+                             "resume)")
     resume.set_defaults(func=commands.cmd_resume)
 
     avf = subparsers.add_parser("avf", help="suite AVF spectrum")
@@ -292,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="open-system serial-vs-parallel feed "
                             "equivalence cases")
     check.add_argument("--shard-cases", type=int, default=2,
-                       help="sharded-campaign partition/resume "
-                            "equivalence cases (random per-shard log "
-                            "cuts + store corruption)")
+                       help="sharded-campaign resume equivalence "
+                            "cases (random per-shard stream cuts + "
+                            "store corruption)")
     check.add_argument("--mode-cases", type=int, default=2,
                        help="protection-mode scheduler cases: mode "
                             "model conservation, checker-slot "
@@ -369,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--openmetrics", action="store_true",
                        help="print the merged registry as an "
                             "OpenMetrics text exposition instead of a "
-                            "table (deterministic: byte-identical "
-                            "between merged and per-shard logs)")
+                            "table (deterministic: the same logs "
+                            "print the same bytes)")
     stats.add_argument("--spans", action="store_true",
                        help="also merge span_snapshot events into a "
                             "fleet-wide span forest and render it")

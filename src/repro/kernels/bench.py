@@ -255,16 +255,15 @@ def run_bench(quick: bool = False) -> dict:
     }
 
     # -- sharded campaign at 1/2/4 worker processes --
-    # The same harness (coordinator + forked pipe workers) at every
-    # count, so shards_1 honestly pays the worker start the others
-    # amortize.  The regression gate (--min-shard-speedup) applies at
-    # 2 shards; 4 is reported for the scaling curve.  Sized so the
-    # serial compute (~2 s quick) dominates worker start (a forked
-    # worker sends its hello ~6ms after start): on a >= 2-core host
-    # the model predicts ~1.9x at 2 shards, leaving headroom over the
-    # 1.6x CI floor.  On a single-core host the speedup honestly reads
-    # <= 1.0 (workers time-slice one CPU) -- apply the gate only where
-    # cores exist.
+    # One shard runs in-process, as --jobs 1 does; 2 and 4 shards deal
+    # the specs to forked engine workers, so they pay the worker start
+    # (a few ms per fork) that shards_1 does not.  The regression gate
+    # (--min-shard-speedup) applies at 2 shards; 4 is reported for the
+    # scaling curve.  Sized so the serial compute (~2 s quick)
+    # dominates worker start: on a >= 2-core host the model predicts
+    # ~1.9x at 2 shards, leaving headroom over the 1.6x CI floor.  On
+    # a single-core host the speedup honestly reads <= 1.0 (workers
+    # time-slice one CPU) -- apply the gate only where cores exist.
     from repro.config import STANDARD_MACHINES
     from repro.runtime.shard import ShardCoordinator
     from repro.sim.experiment import sweep_specs

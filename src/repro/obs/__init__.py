@@ -12,8 +12,8 @@ Independent, individually-activatable layers:
   decision traces that can be replayed and explained
   (``repro explain``).
 * :mod:`repro.obs.context` -- ambient :class:`TraceContext`
-  (campaign / shard / run key / parent span) propagated across the
-  shard protocol and stamped onto every runtime event.
+  (campaign / worker slot / run key / parent span) stamped onto every
+  runtime event.
 * :mod:`repro.obs.flight` -- crash flight recorder: a bounded ring of
   recent activity dumped as a postmortem bundle when a job dies
   (``repro postmortem``).

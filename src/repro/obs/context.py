@@ -1,22 +1,20 @@
 """Trace-context propagation across the fleet.
 
 A :class:`TraceContext` identifies *where an event came from* in a
-sharded campaign: the campaign id (a stable digest of the planned
-``RunSpec`` keys, so resumes of the same campaign share it), the shard
-index, the content key of the run being executed, and the innermost
-active span when the event was emitted.
+campaign: the campaign id (a stable digest of the planned ``RunSpec``
+keys, so resumes of the same campaign share it), the slot of the
+engine worker that ran the job (``shard``; absent for a job run
+in-process), the content key of the run being executed, and the
+innermost active span when the event was emitted.
 
-The context travels three ways:
+The context travels two ways:
 
 * **ambient** -- a module-level :data:`ACTIVE` installed with
   :func:`activate`, read with :func:`current`.  Like the metrics
   registry, the disabled cost is one global load and comparison.
-* **on the wire** -- `ShardPlan.to_message` carries the coordinator's
-  context so workers stamp events with the fleet's campaign id, not a
-  locally re-derived one.
 * **on events** -- the runtime engine stamps every emitted event with
-  ``trace`` (see :mod:`repro.runtime.events`); merged fleet logs are
-  then filterable by campaign, shard, or run key.
+  ``trace`` (see :mod:`repro.runtime.events`); campaign and fleet
+  logs are then filterable by campaign, worker slot, or run key.
 
 Contexts are plain frozen dataclasses serialising to flat string/int
 dicts, so they cross the sorted-key JSON framing unchanged.

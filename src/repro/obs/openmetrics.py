@@ -14,8 +14,8 @@ totals the repo's own tooling prints:
 Rendering is **deterministic**: series sort by sanitized name then
 labels, floats format with ``repr``-stable ``%g``-style formatting, and
 the exposition ends with ``# EOF``.  That determinism is what lets CI
-compare `repro stats --openmetrics` output byte-for-byte between a
-merged fleet log and its per-shard logs.
+compare `repro stats --openmetrics` output byte-for-byte between two
+renderings of the same fleet log.
 
 A minimal scrape parser (:func:`parse_exposition`) ships alongside the
 renderer for the round-trip tests and `repro top`; it handles exactly

@@ -3,10 +3,10 @@
 This package is the single execution path for campaigns, sweeps,
 benches and the CLI: it fans independent simulation runs out across
 CPU cores, retries transient worker failures, and narrates progress
-through a structured event stream.  :mod:`repro.runtime.shard` scales
-one level up: a coordinator partitions a campaign's keyspace across
-independent worker processes and merges their stores, logs, and
-metrics back into one deterministic result (``docs/sharding.md``).
+through a structured event stream.  :mod:`repro.runtime.shard` runs a
+campaign as a fleet: one engine whose workers are the shards, plus the
+fleet's live status and the shard count in the plan
+(``docs/sharding.md``).
 """
 
 from repro.runtime.engine import (
@@ -53,16 +53,7 @@ from repro.runtime.retry import (
 from repro.runtime.shard import (
     FleetStatus,
     FleetStatusServer,
-    InProcessShardTransport,
-    ProcessShardTransport,
     ShardCoordinator,
-    ShardPlan,
-    ShardProtocolError,
-    ShardTransport,
-    partition_indices,
-    run_worker,
-    shard_of,
-    worker_main,
 )
 from repro.runtime.store import ResultStore
 
@@ -83,7 +74,6 @@ __all__ = [
     "FaultPlan",
     "FleetStatus",
     "FleetStatusServer",
-    "InProcessShardTransport",
     "InjectedFault",
     "Job",
     "JobCached",
@@ -95,25 +85,17 @@ __all__ = [
     "JsonlEventSink",
     "MetricsSnapshot",
     "NO_RETRY",
-    "ProcessShardTransport",
     "ResultStore",
     "ResumeError",
     "ResumeState",
     "RetryPolicy",
     "ShardCoordinator",
-    "ShardPlan",
-    "ShardProtocolError",
-    "ShardTransport",
     "StderrProgressSink",
     "UnknownEvent",
     "default_jobs",
     "event_from_dict",
     "merge_event_streams",
-    "partition_indices",
     "read_events",
     "read_events_merged",
     "replay_timings",
-    "run_worker",
-    "shard_of",
-    "worker_main",
 ]

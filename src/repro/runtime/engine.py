@@ -291,44 +291,6 @@ class JobOutcome:
     def ok(self) -> bool:
         return self.result is not None
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (the shard protocol's wire format)."""
-        return {
-            "index": self.index,
-            "spec": dataclasses.asdict(self.spec),
-            "label": self.label,
-            "result": (
-                run_result_to_dict(self.result)
-                if self.result is not None
-                else None
-            ),
-            "error": self.error,
-            "attempts": self.attempts,
-            "wall_seconds": self.wall_seconds,
-            "cached": self.cached,
-            "metrics": self.metrics,
-            "spans": self.spans,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobOutcome":
-        """Inverse of :meth:`to_dict`."""
-        result = data.get("result")
-        return cls(
-            index=int(data["index"]),
-            spec=RunSpec.from_dict(data["spec"]),
-            label=data["label"],
-            result=(
-                run_result_from_dict(result) if result is not None else None
-            ),
-            error=data.get("error"),
-            attempts=int(data.get("attempts", 0)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            cached=bool(data.get("cached", False)),
-            metrics=data.get("metrics"),
-            spans=data.get("spans"),
-        )
-
 
 @dataclass
 class ExecutionReport:
@@ -410,9 +372,9 @@ class ExecutionEngine:
             contribute no metrics.
         spans: collect a :mod:`repro.obs.tracing` span tree inside
             every executed job, emit each tree as a
-            :class:`SpanSnapshot` event (how shard workers ship span
-            trees home), and merge them into ``ExecutionReport.spans``
-            via :func:`repro.obs.tracing.merge_trees`.
+            :class:`SpanSnapshot` event, and merge them into
+            ``ExecutionReport.spans`` via
+            :func:`repro.obs.tracing.merge_trees`.
 
     With a result store, the engine arms a
     :class:`repro.obs.flight.FlightRecorder` for the campaign.  It
@@ -424,6 +386,10 @@ class ExecutionEngine:
     :class:`repro.obs.context.TraceContext` per campaign -- the
     campaign id is a stable digest of the planned run keys -- and
     stamps it, plus the per-job run key, onto every emitted event.
+    Workers are numbered ``0..jobs-1`` (a replacement takes the slot
+    of the worker it replaces), and every event of a job dealt to a
+    worker also carries that slot as ``trace["shard"]``; a job run
+    in-process carries none.
     """
 
     def __init__(
@@ -459,6 +425,8 @@ class ExecutionEngine:
         self._flight_store: Path | None = None
         self._flight_previous: "obs_flight.FlightRecorder | None" = None
         self._postmortem_keys: set[str] = set()
+        # Job index -> slot of the worker running it (_run_parallel).
+        self._slots: dict[int, int] = {}
         # Submission-path queue metrics (queue.depth / queue.wait_seconds):
         # a fresh engine-side registry under metrics=True, else whatever
         # registry is ACTIVE in the parent process.
@@ -479,6 +447,9 @@ class ExecutionEngine:
                 and 0 <= index < len(keys)
             ):
                 data["run_key"] = keys[index]
+                slot = self._slots.get(index)
+                if slot is not None:
+                    data["shard"] = slot
             tracer = obs_tracing.ACTIVE
             if tracer is not None and len(tracer._stack) > 1:
                 data["parent"] = tracer._stack[-1].label
@@ -547,6 +518,9 @@ class ExecutionEngine:
             return
         self._postmortem_keys.add(key)
         trace = self._trace.with_run(key) if self._trace else None
+        slot = self._slots.get(job.index)
+        if trace is not None and slot is not None:
+            trace = dataclasses.replace(trace, shard=slot)
         path = obs_flight.dump_bundle(
             self._flight_store,
             key,
@@ -1052,8 +1026,6 @@ class ExecutionEngine:
                 # In-process execution cannot preempt a running job,
                 # so the budget is enforced post-hoc: the finished
                 # result is discarded, as a killed worker's is lost.
-                # Shard workers (jobs=1) rely on this to honor the
-                # fleet's --timeout.
                 self._record_failure(
                     job,
                     f"timed out after {self.timeout_seconds:.1f}s",
@@ -1086,8 +1058,9 @@ class ExecutionEngine:
                 self.metrics, self.spans,
             )
 
-        def started(position) -> None:
+        def started(position, slot) -> None:
             job = jobs_list[position]
+            self._slots[job.index] = slot
             self._observe_queue(
                 time.perf_counter() - self._batch_started,
                 total - position - 1,
@@ -1129,7 +1102,13 @@ class ExecutionEngine:
             aborted = fail_fast
             return not aborted
 
-        self._deal(task, total, finished, started=started, expired=expired)
+        try:
+            self._deal(
+                task, total, finished, started=started, expired=expired
+            )
+        finally:
+            # What follows runs in-process or never ran: no slot.
+            self._slots = {}
         remaining = [job for job in jobs_list if job.index not in outcomes]
         if aborted:
             for job in remaining:
@@ -1146,8 +1125,10 @@ class ExecutionEngine:
         Workers are forked here, so they inherit ``task`` and what it
         reads (custom machines, a fault plan, a map's closure) without
         pickling it or importing the package again; only positions and
-        replies cross the pipes.
-        ``started(position)`` runs as a position is dealt, and
+        replies cross the pipes.  Workers hold slots ``0..jobs-1``,
+        and a worker forked to replace a killed or dead one takes the
+        lowest free slot, which is the one it replaces.
+        ``started(position, slot)`` runs as a position is dealt, and
         ``finished(position, ok, value)`` with each reply: ``value`` is
         what ``task`` returned, or the exception it raised.  Given
         ``expired``, a worker still running ``timeout_seconds`` after
@@ -1161,19 +1142,20 @@ class ExecutionEngine:
         """
         timeout = self.timeout_seconds if expired is not None else None
         workers = min(self.jobs, count)
-        busy: dict = {}  # conn -> (process, position, monotonic deal time)
+        # conn -> (process, position, monotonic deal time, slot)
+        busy: dict = {}
         done: list = []  # (process, conn) of workers with nothing left
         dealt = 0
 
-        def deal(process, conn) -> None:
+        def deal(process, conn, slot) -> None:
             nonlocal dealt
             try:
                 conn.send(dealt)
             except OSError:
                 pass  # a dead worker: its EOF is handled below
-            busy[conn] = (process, dealt, time.monotonic())
+            busy[conn] = (process, dealt, time.monotonic(), slot)
             if started is not None:
-                started(dealt)
+                started(dealt, slot)
             dealt += 1
 
         try:
@@ -1206,15 +1188,16 @@ class ExecutionEngine:
                         break
                     finally:
                         child_end.close()
-                    deal(process, conn)
+                    taken = {entry[3] for entry in busy.values()}
+                    deal(process, conn, min(set(range(workers)) - taken))
                 if not busy:
                     return
                 wait = None
                 if timeout is not None:
-                    first = min(begun for _, _, begun in busy.values())
+                    first = min(entry[2] for entry in busy.values())
                     wait = max(0.0, first + timeout - time.monotonic())
                 for conn in wait_ready(list(busy), wait):
-                    process, position, _ = busy.pop(conn)
+                    process, position, _, slot = busy.pop(conn)
                     try:
                         ok, value = conn.recv()
                     except (EOFError, OSError):  # the worker died
@@ -1228,7 +1211,7 @@ class ExecutionEngine:
                     # Deal the next position before recording this
                     # reply, so the worker does not wait on the parent.
                     if dealt < count:
-                        deal(process, conn)
+                        deal(process, conn, slot)
                     else:
                         done.append((process, conn))
                     if not finished(position, ok, value):
@@ -1236,7 +1219,9 @@ class ExecutionEngine:
                 if timeout is None:
                     continue
                 now = time.monotonic()
-                for conn, (process, position, begun) in list(busy.items()):
+                for conn, (process, position, begun, _) in list(
+                    busy.items()
+                ):
                     if now - begun > timeout:
                         del busy[conn]
                         _reap(process, conn)
@@ -1245,5 +1230,5 @@ class ExecutionEngine:
         finally:
             for process, conn in done:
                 _reap(process, conn)
-            for conn, (process, _, _) in busy.items():
+            for conn, (process, *_) in busy.items():
                 _reap(process, conn)

@@ -215,9 +215,8 @@ class SpanSnapshot(Event):
 
     Emitted right before the job's terminal event when the engine runs
     with ``spans=True``; ``spans`` is the JSON form of
-    :meth:`repro.obs.tracing.SpanNode.to_dict`, so shard workers ship
-    their span trees home inside the normal event stream and the
-    coordinator grafts them into a fleet-wide forest with
+    :meth:`repro.obs.tracing.SpanNode.to_dict`, so a log's span trees
+    graft into one campaign-wide forest with
     :func:`repro.obs.tracing.merge_trees` (``repro stats --spans``).
     """
 
@@ -561,16 +560,15 @@ def replay_timings(
 def merge_event_streams(
     streams: Sequence[Sequence[Event]],
 ) -> list[Event]:
-    """Merge per-shard event streams into one canonical ordered list.
+    """Merge several event streams into one canonical ordered list.
 
     Ordering rule: stable sort by the event's time axis (its
-    ``timestamp``) first, then by shard id (the stream's position in
+    ``timestamp``) first, then by stream id (the stream's position in
     ``streams``), then by within-stream order.  The result is a pure
-    function of the streams themselves -- the order in which shards
-    *completed* (or in which their messages arrived at the
-    coordinator) cannot change it, which is what makes the merged log
-    canonical and lets ``repro events``/``repro stats`` reproduce the
-    coordinator's view from the per-shard logs alone.
+    function of the streams themselves -- the order in which the
+    streams were read cannot change it, which lets ``repro events`` /
+    ``repro stats`` read several logs (per-shard logs of older fleets
+    included) as one.
     """
     tagged = [
         (event.timestamp, shard, sequence, event)
@@ -585,9 +583,8 @@ def read_events_merged(paths: Sequence[str | Path]) -> list[Event]:
     """Read one or more JSONL event logs as one merged stream.
 
     A single path reads exactly like :func:`read_events`; several
-    paths (e.g. a shard fleet's per-shard logs) merge through
-    :func:`merge_event_streams`, with each path's position in
-    ``paths`` acting as its shard id.
+    paths merge through :func:`merge_event_streams`, with each path's
+    position in ``paths`` acting as its stream id.
     """
     streams = [read_events(path) for path in paths]
     if len(streams) == 1:

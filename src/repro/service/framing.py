@@ -1,12 +1,11 @@
-"""Line framing shared by the scheduler service and the shard fleet.
+"""Line framing shared by the scheduler service and the fleet status socket.
 
-Both ``repro serve`` (the open-system scheduler service) and
-``repro shard`` (the sharded campaign coordinator and its workers)
-speak the same wire format: **newline-delimited JSON objects**, one
-message per line, keys sorted so identical messages are identical
-bytes.  This module is the single definition of that framing so the
-two protocols cannot drift apart and a future SSH/socket transport
-inherits it unchanged.
+Both ``repro serve`` (the open-system scheduler service) and the
+status socket of ``repro shard --status-socket`` (read by
+``repro top``) speak the same wire format: **newline-delimited JSON
+objects**, one message per line, keys sorted so identical messages
+are identical bytes.  This module is the single definition of that
+framing so the two protocols cannot drift apart.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ class FramingError(ValueError):
 def encode_line(message: Mapping[str, Any]) -> str:
     """Serialize one protocol message to its canonical line (no
     trailing newline).  Keys are sorted so equal messages are equal
-    bytes -- the property the service's digest-checked feeds and the
-    shard protocol's tests both rely on."""
+    bytes -- the property the service's digest-checked feeds rely
+    on."""
     return json.dumps(dict(message), sort_keys=True)
 
 

@@ -1,5 +1,6 @@
 """Tests for the `repro` command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -471,15 +472,13 @@ class TestShard:
 
     def test_parser_flags(self):
         args = build_parser().parse_args(
-            ["shard", "--shards", "4",
-             "--transport", "inprocess", "--event-log", "ev.jsonl",
-             "--shard-logs", "--status-socket", "fleet.sock"]
+            ["shard", "--shards", "4", "--event-log", "ev.jsonl",
+             "--status-socket", "fleet.sock", "--timeout", "30"]
         )
-        assert args.shards == 4
-        assert args.transport == "inprocess" and args.shard_logs
+        assert args.shards == 4 and args.timeout == 30.0
         assert args.status_socket == "fleet.sock"
         args = build_parser().parse_args(["shard"])
-        assert args.shards == 2 and args.transport == "process"
+        assert args.shards == 2
         args = build_parser().parse_args(["resume", "ev.jsonl",
                                           "--shards", "3"])
         assert args.shards == 3
@@ -488,47 +487,67 @@ class TestShard:
         args = build_parser().parse_args(["bench",
                                           "--min-shard-speedup", "1.6"])
         assert args.min_shard_speedup == 1.6
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "--transport", "carrier"])
+        for gone in (["--transport", "process"], ["--shard-logs"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["shard", *gone])
 
     def test_shard_stdout_matches_sweep(self, capsys, tmp_path):
         assert main(["sweep", *self.SWEEP,
                      "--store", str(tmp_path / "sweep")]) == 0
         expected = capsys.readouterr().out
         assert "SSER mean" in expected
-        for shards in ("1", "2"):
+        for shards in ("1", "2", "4"):
             assert main(["shard", *self.SWEEP, "--shards", shards,
-                         "--transport", "inprocess",
                          "--store", str(tmp_path / f"s{shards}")]) == 0
             captured = capsys.readouterr()
             assert captured.out == expected
-            assert "fleet" in captured.err
+            assert "fleet 108/108 done" in captured.err
 
     def test_shard_logs_merge_and_resume(self, capsys, tmp_path):
         log = tmp_path / "fleet.jsonl"
-        assert main(["shard", *self.SWEEP, "--shards", "2",
-                     "--transport", "inprocess", "--metrics",
+        assert main(["shard", *self.SWEEP, "--shards", "2", "--metrics",
                      "--store", str(tmp_path / "store"),
-                     "--event-log", str(log), "--shard-logs"]) == 0
+                     "--event-log", str(log)]) == 0
         expected = capsys.readouterr().out
 
-        # Satellite: several event logs merge deterministically.
-        shard_logs = [str(log) + f".shard{s}.jsonl" for s in (0, 1)]
-        assert main(["events", *shard_logs]) == 0
+        # The fleet log replays and aggregates like a sweep's.
+        assert main(["events", str(log)]) == 0
         out = capsys.readouterr().out
         assert "108 jobs" in out
-        assert main(["stats", *shard_logs]) == 0
+        assert main(["stats", str(log)]) == 0
         out = capsys.readouterr().out
         assert "sim.runs" in out and "108" in out
 
-        # The merged canonical log replays and resumes (sharded, as
-        # recorded in its plan) to the same stdout.
-        assert main(["events", str(log)]) == 0
-        capsys.readouterr()
+        # Split by the worker slot each event carries, the log's job
+        # events still merge back to the same per-job facts.
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        parts = [tmp_path / f"slot{s}.jsonl" for s in (0, 1)]
+        for slot, part in enumerate(parts):
+            part.write_text("".join(
+                json.dumps(e, sort_keys=True) + "\n" for e in events
+                if e.get("trace", {}).get("shard") == slot
+            ))
+        assert main(["events", *map(str, parts)]) == 0
+        assert "108 jobs: 108 executed" in capsys.readouterr().out
+
+        # The log resumes (sharded, as recorded in its plan) to the
+        # same stdout.
         assert main(["resume", str(log)]) == 0
         captured = capsys.readouterr()
         assert captured.out == expected
         assert "resuming" in captured.err
+
+    def test_sharded_resume_keeps_the_timeout(self, capsys, tmp_path):
+        from repro.runtime import ResumeState
+
+        log = tmp_path / "fleet.jsonl"
+        assert main(["shard", *self.SWEEP, "--shards", "2",
+                     "--timeout", "30", "--store", str(tmp_path / "store"),
+                     "--event-log", str(log)]) == 0
+        assert main(["resume", str(log)]) == 0
+        capsys.readouterr()
+        state = ResumeState.load(log)  # the resume's own plan, last
+        assert state.shards == 2 and state.timeout_seconds == 30.0
 
     def test_multi_log_merge_is_order_insensitive(self, capsys, tmp_path):
         logs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

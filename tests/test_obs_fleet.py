@@ -25,7 +25,6 @@ from repro.runtime import (
     FaultPlan,
     FleetStatus,
     FleetStatusServer,
-    InProcessShardTransport,
     JsonlEventSink,
     ResultStore,
     ResumeState,
@@ -56,14 +55,9 @@ def specs_1b1s(count=5, instructions=120_000):
 
 
 def run_fleet(shards, specs, *, log=None, store=None, **kwargs):
-    """An in-process fleet run, optionally logging to ``log``."""
+    """A fleet run, optionally logging to ``log``."""
     sink = JsonlEventSink(log) if log is not None else None
-    coordinator = ShardCoordinator(
-        shards,
-        transport_factory=InProcessShardTransport,
-        log_sink=sink,
-        **kwargs,
-    )
+    coordinator = ShardCoordinator(shards, log_sink=sink, **kwargs)
     try:
         return coordinator.run(specs, store=store)
     finally:
@@ -368,8 +362,7 @@ def query_socket(path, op):
 
 class TestStatusSocketMetrics:
     def test_metrics_op_returns_parseable_exposition(self, tmp_path):
-        status = FleetStatus([2, 2])
-        status.mark_started(0)
+        status = FleetStatus(4)
         server = FleetStatusServer(status, tmp_path / "status.sock")
         server.start()
         try:
@@ -384,7 +377,7 @@ class TestStatusSocketMetrics:
     def test_metrics_source_overrides_fallback(self, tmp_path):
         custom = "# TYPE x counter\nx_total 1\n# EOF\n"
         server = FleetStatusServer(
-            FleetStatus([1]),
+            FleetStatus(1),
             tmp_path / "status.sock",
             metrics_source=lambda: custom,
         )
@@ -398,7 +391,7 @@ class TestStatusSocketMetrics:
     def test_close_joins_connected_client_threads(self, tmp_path):
         """The satellite fix: serve_client threads must be tracked and
         joined on close, even with a client parked mid-connection."""
-        server = FleetStatusServer(FleetStatus([1]), tmp_path / "s.sock")
+        server = FleetStatusServer(FleetStatus(1), tmp_path / "s.sock")
         server.start()
         before = set(threading.enumerate())
         client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -420,7 +413,7 @@ class TestStatusSocketMetrics:
         baseline = threading.active_count()
         for cycle in range(3):
             server = FleetStatusServer(
-                FleetStatus([1]), tmp_path / f"s{cycle}.sock"
+                FleetStatus(1), tmp_path / f"s{cycle}.sock"
             )
             server.start()
             response = query_socket(tmp_path / f"s{cycle}.sock", "fleet")

@@ -334,8 +334,7 @@ class TestTimeout:
 
     def test_serial_engine_enforces_timeout_post_hoc(self):
         # jobs=1 cannot preempt a running job, but it must still fail
-        # one that blew its budget (shard workers run serial engines
-        # and rely on this to honor the fleet's --timeout).
+        # one that blew its budget.
         engine, events = recording_engine(
             jobs=1,
             timeout_seconds=1.0,
@@ -439,6 +438,59 @@ class TestWorkStops:
         assert killed
         assert canonical(report.results) == expected
         assert multiprocessing.active_children() == []
+
+
+class TestWorkerSlots:
+    """Every event of a dealt job names the worker slot that ran it."""
+
+    def test_dealt_jobs_carry_their_slot(self, tmp_path):
+        from repro.obs import flight as obs_flight
+
+        engine, events = recording_engine(
+            jobs=2,
+            failure_policy=FailurePolicy.COLLECT,
+            fault_plan=FaultPlan(fail_attempts={3: 99}),
+        )
+        engine.run_many(specs_1b1s(3, instructions=2000), store=tmp_path)
+        job_events = [e for e in events if getattr(e, "index", -1) >= 0]
+        slots = [e.trace.get("shard") for e in job_events]
+        assert set(slots) == {0, 1}
+        assert not any(
+            "shard" in e.trace for e in events if e not in job_events
+        )
+        (failed,) = [e for e in events if isinstance(e, JobFailed)]
+        (bundle_path,) = obs_flight.find_bundles(tmp_path)
+        bundle = obs_flight.load_bundle(bundle_path)
+        assert bundle["trace"]["shard"] == failed.trace["shard"]
+
+    def test_in_process_jobs_carry_no_slot(self, tmp_path):
+        specs = specs_1b1s(2, instructions=2000)
+        engine, serial = recording_engine(jobs=1)
+        engine.run_many(specs, store=tmp_path)
+        # A second pass at jobs=2 is all cache hits, served in-process.
+        engine, cached = recording_engine(jobs=2)
+        engine.run_many(specs, store=tmp_path)
+        assert any(isinstance(e, JobCached) for e in cached)
+        for event in serial + cached:
+            assert "shard" not in event.trace
+
+    def test_replacement_takes_the_killed_slot(self, forks):
+        engine, events = recording_engine(
+            jobs=2,
+            timeout_seconds=0.5,
+            failure_policy=FailurePolicy.COLLECT,
+            fault_plan=FaultPlan(sleep_seconds={0: 30.0, 1: 30.0}),
+        )
+        engine.run_many(specs_1b1s(2, instructions=2000)[:3])
+        slot = {
+            e.index: e.trace["shard"]
+            for e in events
+            if isinstance(e, JobStarted)
+        }
+        # Both workers are killed; the one fork left for job 2 takes
+        # the lowest free slot.
+        assert slot == {0: 0, 1: 1, 2: 0}
+        assert len(forks) == 3
 
 
 class TestAttemptAccounting:

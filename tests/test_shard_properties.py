@@ -1,10 +1,7 @@
 """Property tests for the shard algebra (`repro.runtime.shard`).
 
-Three families of properties back the sharding guarantees:
+Two families of properties back the sharding guarantees:
 
-* **Partition** -- for any key list and shard count,
-  :func:`partition_indices` is a disjoint cover of the keyspace and
-  agrees with :func:`shard_of` pointwise.
 * **Merge canonicality** -- :func:`merge_event_streams` is a pure
   function of the per-shard streams: permuting the completion order
   (stream list order, for equal timestamps) or splitting a stream
@@ -23,45 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.runtime import (
     ExecutionEngine,
-    InProcessShardTransport,
     ShardCoordinator,
     merge_event_streams,
-    partition_indices,
-    shard_of,
 )
 from repro.runtime.events import JobFinished
 from repro.sim.campaign import RunSpec
 from repro.sim.serialize import run_result_to_dict
-
-#: Hex-digest-shaped keys, like ``RunSpec.key()`` produces.
-keys_strategy = st.lists(
-    st.text("0123456789abcdef", min_size=1, max_size=24),
-    min_size=0,
-    max_size=40,
-)
-
-
-class TestPartitionProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(keys=keys_strategy, shards=st.integers(1, 9))
-    def test_disjoint_cover(self, keys, shards):
-        owners = partition_indices(keys, shards)
-        assert len(owners) == shards
-        flat = sorted(i for indices in owners for i in indices)
-        assert flat == list(range(len(keys)))
-
-    @settings(max_examples=100, deadline=None)
-    @given(keys=keys_strategy, shards=st.integers(1, 9))
-    def test_agrees_with_shard_of(self, keys, shards):
-        owners = partition_indices(keys, shards)
-        for shard, indices in enumerate(owners):
-            for index in indices:
-                assert shard_of(keys[index], shards) == shard
-
-    @settings(max_examples=50, deadline=None)
-    @given(keys=keys_strategy)
-    def test_one_shard_is_the_identity(self, keys):
-        assert partition_indices(keys, 1) == [list(range(len(keys)))]
 
 
 def synthetic_streams():
@@ -155,9 +119,9 @@ class TestShardCountInvariance:
             )
         }
         for shards in (1, 2, 4):
-            report = ShardCoordinator(
-                shards, transport_factory=InProcessShardTransport
-            ).run(specs, store=tmp_path / f"s{shards}")
+            report = ShardCoordinator(shards).run(
+                specs, store=tmp_path / f"s{shards}"
+            )
             merged = {
                 spec.key(): json.dumps(
                     run_result_to_dict(result), sort_keys=True
@@ -167,27 +131,12 @@ class TestShardCountInvariance:
             assert merged == serial
 
     def test_completion_order_permutation_is_invisible(self, tmp_path):
-        """Reversing the order shards are driven in (and therefore the
-        order their messages arrive) leaves the report identical."""
-
-        class ReversedTransport(InProcessShardTransport):
-            started = []
-
-            def start(self, plan, deliver):
-                ReversedTransport.started.append(plan.shard)
-                super().start(plan, deliver)
-
+        """Driving the same fleet again over its store (every spec a
+        cache hit, in a different order than the compute pass
+        finished) leaves the report identical."""
         specs = self.specs()
-        forward = ShardCoordinator(
-            3, transport_factory=InProcessShardTransport
-        ).run(specs, store=tmp_path / "fwd")
-
-        # Drive the same fleet again; the store now serves cache hits
-        # in whatever order shards ask, a different completion
-        # interleaving than the compute pass.
-        again = ShardCoordinator(
-            3, transport_factory=InProcessShardTransport
-        ).run(specs, store=tmp_path / "fwd")
+        forward = ShardCoordinator(3).run(specs, store=tmp_path / "fwd")
+        again = ShardCoordinator(3).run(specs, store=tmp_path / "fwd")
         assert [o.cached for o in again.outcomes] == [True] * len(specs)
         assert [
             json.dumps(run_result_to_dict(r), sort_keys=True)
