@@ -3,9 +3,10 @@
 
 Sweeps HCMP topologies (1B3S / 2B2S / 3B1S) and small-core frequency
 settings for one workload mix, comparing the three schedulers on SSER,
-STP and power.  Results are cached on disk (``.repro_cache/``), so
-re-running the exploration after the first pass is instant -- the
-pattern to copy for your own studies.
+STP and power.  The runs are one campaign: a list of ``RunSpec``s run
+by ``ExecutionEngine.run_many`` over a ``ResultStore``
+(``.repro_cache/``), so re-running the exploration after the first
+pass is instant -- the pattern to copy for your own studies.
 
 Usage:
     python examples/design_space.py [instructions-per-benchmark]
@@ -16,7 +17,8 @@ from pathlib import Path
 
 from repro.power import PowerModel
 from repro.report import format_table, grouped_bar_chart
-from repro.sim.campaign import Campaign, RunSpec
+from repro.runtime import ExecutionEngine, ResultStore
+from repro.sim.campaign import RunSpec
 
 WORKLOAD = ("milc", "leslie3d", "mcf", "sjeng")
 MACHINES = ("1B3S", "2B2S", "3B1S")
@@ -29,39 +31,45 @@ def main() -> None:
     instructions = (
         int(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_INSTRUCTIONS
     )
-    campaign = Campaign(Path(".repro_cache") / "design_space")
+    configs = [(machine, freq) for machine in MACHINES for freq in FREQUENCIES]
+    specs = [
+        RunSpec(
+            machine=machine,
+            benchmarks=WORKLOAD,
+            scheduler=scheduler,
+            instructions=instructions,
+            small_frequency_ghz=freq if freq != 2.66 else None,
+        )
+        for machine, freq in configs
+        for scheduler in SCHEDULERS
+    ]
+    store = ResultStore(Path(".repro_cache") / "design_space")
+    report = ExecutionEngine().run_many(specs, store=store)
     rows = []
     chart_groups = {}
-    for machine in MACHINES:
-        for freq in FREQUENCIES:
-            results = {}
-            for scheduler in SCHEDULERS:
-                spec = RunSpec(
-                    machine=machine,
-                    benchmarks=WORKLOAD,
-                    scheduler=scheduler,
-                    instructions=instructions,
-                    small_frequency_ghz=freq if freq != 2.66 else None,
-                )
-                results[scheduler] = campaign.run(spec)
-            power = PowerModel(spec.build_machine())
-            rel, rnd = results["reliability"], results["random"]
-            perf = results["performance"]
-            label = f"{machine}@{freq}G"
-            rows.append([
-                label,
-                float(rel.sser / rnd.sser),
-                float(rel.sser / perf.sser),
-                float(rel.stp / perf.stp),
-                float(
-                    power.run_power(rel).chip_watts
-                    / power.run_power(perf).chip_watts
-                ),
-            ])
-            chart_groups[label] = {
-                "perf-opt": perf.sser / rnd.sser,
-                "rel-opt": rel.sser / rnd.sser,
-            }
+    for position, (machine, freq) in enumerate(configs):
+        first = position * len(SCHEDULERS)
+        results = dict(
+            zip(SCHEDULERS, report.results[first:first + len(SCHEDULERS)])
+        )
+        power = PowerModel(specs[first].build_machine())
+        rel, rnd = results["reliability"], results["random"]
+        perf = results["performance"]
+        label = f"{machine}@{freq}G"
+        rows.append([
+            label,
+            float(rel.sser / rnd.sser),
+            float(rel.sser / perf.sser),
+            float(rel.stp / perf.stp),
+            float(
+                power.run_power(rel).chip_watts
+                / power.run_power(perf).chip_watts
+            ),
+        ])
+        chart_groups[label] = {
+            "perf-opt": perf.sser / rnd.sser,
+            "rel-opt": rel.sser / rnd.sser,
+        }
 
     print(f"workload: {', '.join(WORKLOAD)} "
           f"({instructions / 1e6:.0f} M instructions each)\n")
@@ -72,8 +80,8 @@ def main() -> None:
     ))
     print("\nnormalized SSER by configuration (vs random, lower is better):")
     print(grouped_bar_chart(chart_groups, width=40))
-    print(f"\ncampaign cache: {campaign.hits} hits, {campaign.misses} misses "
-          f"({campaign.directory})")
+    print(f"\ncampaign cache: {report.cache_hits} hits, "
+          f"{report.executed} misses ({store.directory})")
 
 
 if __name__ == "__main__":

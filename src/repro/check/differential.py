@@ -674,9 +674,9 @@ def _resume_case(index: int, rng: np.random.Generator) -> CheckReport:
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
         events: list = []
-        engine(
-            sinks=[CallbackSink(events.append)], checkpoint_every=2
-        ).run_many(specs, store=tmp / "store")
+        engine(sinks=[CallbackSink(events.append)]).run_many(
+            specs, store=tmp / "store"
+        )
         # Simulate a SIGKILL: drop a random suffix of the event stream
         # (the plan record survives -- it is emitted at the start).
         plan_at = next(

@@ -347,15 +347,17 @@ def cmd_resume(args) -> int:
 
     The log's campaign-plan record supplies the specs, result store
     and engine settings; jobs the log records as completed are served
-    from the store, pending and failed ones re-run.  Progress goes to
-    stderr; the final summary (matching what the uninterrupted command
-    would have printed) goes to stdout.
+    from the store, pending and failed ones re-run.  The campaign runs
+    on one shard coordinator whose width is ``--jobs``, else the
+    plan's shard count, else ``REPRO_JOBS``.  Progress goes to stderr;
+    the final summary (matching what the uninterrupted command would
+    have printed) goes to stdout.
     """
     from repro.runtime import (
         ExecutionEngine,
         FailurePolicy,
         ResumeState,
-        RetryPolicy,
+        ShardCoordinator,
     )
 
     try:
@@ -375,66 +377,35 @@ def cmd_resume(args) -> int:
     machine = ExecutionEngine.machine_from_descriptor(state.machine)
     print(f"resuming {args.path}: {state.summary()}", file=sys.stderr)
 
+    live = [StderrProgressSink()] if args.verbose else []
     # Resumed events append to the original log by default, so the log
     # stays the single source of truth (and remains resumable again).
-    args.event_log = args.event_log or args.path
-
-    # A log written by `repro shard` records its shard count in the
-    # plan; resuming re-enters the sharded path unless --shards says
-    # otherwise (--shards 1 forces a serial resume).
-    shards = getattr(args, "shards", None) or state.shards or 1
-    if shards > 1:
-        from repro.runtime import ShardCoordinator
-
-        live = [StderrProgressSink()] if args.verbose else []
-        log_sink = JsonlEventSink(args.event_log)
-        coordinator = ShardCoordinator(
-            shards,
-            failure_policy=FailurePolicy(state.failure_policy),
-            max_attempts=state.max_attempts,
-            timeout_seconds=state.timeout_seconds,
-            checks=bool(_checks(args)),
-            sinks=live,
-            log_sink=log_sink,
+    log_sink = JsonlEventSink(args.event_log or args.path)
+    coordinator = ShardCoordinator(
+        max(1, args.jobs) if args.jobs else state.shards or default_jobs(),
+        metrics=state.metrics,
+        spans=state.spans,
+        checks=bool(_checks(args)),
+        failure_policy=FailurePolicy(state.failure_policy),
+        max_attempts=state.max_attempts,
+        timeout_seconds=state.timeout_seconds,
+        sinks=live,
+        log_sink=log_sink,
+    )
+    try:
+        report = coordinator.run(
+            state.specs,
+            machines=machine,
+            labels=state.labels,
+            store=store,
+            resume_from=state,
         )
-        try:
-            report = coordinator.run(
-                state.specs,
-                machines=machine,
-                labels=state.labels,
-                store=store,
-                resume_from=state,
-            )
-        except CampaignError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        finally:
-            log_sink.close()
-            _close_sinks(live)
-    else:
-        sinks = _sinks(args, args.verbose)
-        engine = ExecutionEngine(
-            jobs=_jobs(args),
-            retry=RetryPolicy(max_attempts=state.max_attempts,
-                              base_delay_seconds=0.0),
-            failure_policy=FailurePolicy(state.failure_policy),
-            timeout_seconds=state.timeout_seconds,
-            sinks=sinks,
-            checks=_checks(args),
-        )
-        try:
-            report = engine.run_many(
-                state.specs,
-                machines=machine,
-                labels=state.labels,
-                store=store,
-                resume_from=state,
-            )
-        except CampaignError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        finally:
-            _close_sinks(sinks)
+    except CampaignError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    finally:
+        log_sink.close()
+        _close_sinks(live)
     if report.failures:
         for outcome in report.failures:
             print(f"failed: {outcome.label}: {outcome.error}",
@@ -699,23 +670,18 @@ def cmd_figure(args) -> int:
     from pathlib import Path
 
     from repro.report.figures import render_fig06, render_fig07, render_fig12
-    from repro.runtime import ExecutionEngine
-    from repro.sim.campaign import Campaign
+    from repro.runtime import CallbackSink, CampaignFinished
 
     workloads = generate_workloads(args.programs)
-    campaign = Campaign(Path(args.cache_dir))
+    events = []
     sinks = _sinks(args, getattr(args, "verbose", False))
-    engine = ExecutionEngine(jobs=_jobs(args), sinks=sinks,
-                             checks=_checks(args),
-                             metrics=getattr(args, "metrics", False))
     try:
-        results = campaign.sweep(
-            args.machine,
-            workloads,
-            SCHEDULER_NAMES,
-            args.instructions,
-            engine=engine,
-        )
+        results = sweep(machine, workloads, SCHEDULER_NAMES,
+                        instructions=args.instructions, jobs=_jobs(args),
+                        sinks=[*sinks, CallbackSink(events.append)],
+                        checks=_checks(args),
+                        metrics=getattr(args, "metrics", False),
+                        store=args.cache_dir)
     except CampaignError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -730,8 +696,10 @@ def cmd_figure(args) -> int:
     else:
         print(f"error: unknown figure {args.id!r}", file=sys.stderr)
         return 2
-    print(f"\n({campaign.hits} cached runs, {campaign.misses} simulated; "
-          f"cache: {campaign.directory})")
+    totals = next(e for e in events if isinstance(e, CampaignFinished))
+    print(f"\n({totals.cached} cached runs, "
+          f"{totals.total - totals.cached} simulated; "
+          f"cache: {Path(args.cache_dir)})")
     return 0
 
 

@@ -214,18 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--verbose", action="store_true")
     resume.add_argument("--jobs", type=int, default=None,
                         help="worker processes for parallel execution "
-                             "(default: the REPRO_JOBS env var, else 1)")
+                             "(default: the worker count recorded in "
+                             "the log's plan by `repro shard`, else "
+                             "the REPRO_JOBS env var, else 1)")
     resume.add_argument("--event-log", default=None, metavar="FILE",
                         help="append the resumed run's events to FILE "
                              "(default: the resumed log itself)")
     resume.add_argument("--check", action="store_true",
                         help="validate every run against the paper "
                              "invariants (repro.check)")
-    resume.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="resume as a shard fleet of N workers "
-                             "(default: the shard count recorded in "
-                             "the log's plan; 1 forces a serial "
-                             "resume)")
     resume.set_defaults(func=commands.cmd_resume)
 
     avf = subparsers.add_parser("avf", help="suite AVF spectrum")

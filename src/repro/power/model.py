@@ -19,9 +19,12 @@ constants are plausible 32 nm-class values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config.machines import MachineConfig
-from repro.sim.results import RunResult
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.results import RunResult
 
 #: Static power per big core (W).
 BIG_STATIC_W = 0.8

@@ -20,7 +20,6 @@ from repro.runtime.engine import (
 )
 from repro.runtime.events import (
     CallbackSink,
-    CampaignCheckpoint,
     CampaignFinished,
     CampaignPlan,
     CampaignStarted,
@@ -59,7 +58,6 @@ from repro.runtime.store import ResultStore
 
 __all__ = [
     "CallbackSink",
-    "CampaignCheckpoint",
     "CampaignError",
     "CampaignFinished",
     "CampaignPlan",

@@ -22,13 +22,11 @@ Guarantees:
   killed.  A worker that dies on its own has its job re-run
   in-process, and an environment that cannot fork runs the batch
   serially.
-* **Cache safety** -- cache entries are written atomically (temp file
-  + ``os.replace``) so concurrent engines sharing a campaign
-  directory never observe partial files; corrupt entries are treated
-  as misses.
 * **Durability** -- with a :class:`~repro.runtime.store.ResultStore`
-  (``store=``), completed results persist across crashes; the event
-  log records the campaign plan and periodic checkpoints, and
+  (``store=``), completed results persist across crashes, written
+  atomically so concurrent engines sharing a store never observe a
+  partial entry, and a corrupt entry reads as a miss; the event log
+  records the campaign plan and every job's terminal event, and
   ``run_many(resume_from=...)`` (or ``repro resume``) finishes an
   interrupted campaign without re-running completed jobs.
 """
@@ -47,13 +45,12 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.ace.counters import AceCounterMode
-from repro.config.machines import STANDARD_MACHINES, MachineConfig
+from repro.config.machines import MachineConfig
 from repro.obs import context as obs_context
 from repro.obs import flight as obs_flight
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.runtime.events import (
-    CampaignCheckpoint,
     CampaignFinished,
     CampaignPlan,
     CampaignStarted,
@@ -72,16 +69,10 @@ from repro.runtime.events import (
 from repro.runtime.resume import ResumeState
 from repro.runtime.retry import CampaignError, FailurePolicy, RetryPolicy
 from repro.runtime.store import ResultStore
-from repro.sim.campaign import RunSpec
+from repro.sim.campaign import RunSpec, build_machine, machine_fields
 from repro.sim.experiment import run_workload
 from repro.sim.results import RunResult
-from repro.sim.serialize import (
-    ResultCacheError,
-    load_run,
-    run_result_from_dict,
-    run_result_to_dict,
-    save_run,
-)
+from repro.sim.serialize import run_result_from_dict, run_result_to_dict
 
 
 def default_jobs() -> int:
@@ -132,8 +123,9 @@ class Job:
     index: int
     spec: RunSpec
     label: str
+    #: ``spec.key()``, the job's result-store key.
+    key: str
     machine: MachineConfig | None = None
-    cache_path: str | None = None
 
 
 def _execute_job(
@@ -142,13 +134,16 @@ def _execute_job(
     fault_plan: FaultPlan | None,
     collect_metrics: bool = False,
     collect_spans: bool = False,
+    store: ResultStore | None = None,
 ) -> tuple[int, dict, int, float, dict | None, dict | None]:
     """Worker entry point: run one spec with retry, return plain data.
 
     Returns ``(index, result_dict, attempts, wall_seconds, metrics,
     spans)``; the result travels as the JSON-codec dict so the payload
-    is trivially picklable and byte-identical to what the disk cache
-    stores.  With ``collect_metrics``, the run executes under a fresh
+    is trivially picklable and byte-identical to what the result store
+    holds.  With a ``store``, the result is saved there under the
+    job's key before this returns.  With ``collect_metrics``, the run
+    executes under a fresh
     :class:`repro.obs.metrics.MetricsRegistry` (one per attempt, so a
     retried job reports only its successful attempt) and ``metrics``
     is its snapshot dict; with ``collect_spans``, likewise under a
@@ -195,8 +190,8 @@ def _execute_job(
             if attempt >= retry.max_attempts:
                 raise
             time.sleep(retry.delay(attempt))
-    if job.cache_path is not None:
-        save_run(result, job.cache_path)
+    if store is not None:
+        store.save(job.key, result)
     wall = time.perf_counter() - started
     return (
         job.index,
@@ -349,9 +344,6 @@ class ExecutionEngine:
             parent).  An in-process job (``jobs=1``) cannot be
             preempted, so the serial path enforces the budget after
             the job finishes.
-        checkpoint_every: emit a :class:`CampaignCheckpoint` event
-            after this many terminal job events (plus a final one),
-            so a killed campaign's log can be resumed cheaply.
         sinks: event sinks receiving the progress stream.
         fault_plan: optional deterministic fault injection hook.
         checks: opt-in per-job result checker -- a callable mapping a
@@ -399,7 +391,6 @@ class ExecutionEngine:
         retry: RetryPolicy | None = None,
         failure_policy: FailurePolicy = FailurePolicy.FAIL_FAST,
         timeout_seconds: float | None = None,
-        checkpoint_every: int = 10,
         sinks: Sequence[EventSink] = (),
         fault_plan: FaultPlan | None = None,
         checks=None,
@@ -410,15 +401,13 @@ class ExecutionEngine:
         self.retry = retry if retry is not None else RetryPolicy()
         self.failure_policy = failure_policy
         self.timeout_seconds = timeout_seconds
-        self.checkpoint_every = max(1, int(checkpoint_every))
         self.sinks = list(sinks)
         self.fault_plan = fault_plan
         self.checks = checks
         self.metrics = bool(metrics)
         self.spans = bool(spans)
-        # Per-run checkpoint bookkeeping (reset by run_many).
+        # Spec keys of the batch in flight (set by run_many).
         self._run_keys: list[str] | None = None
-        self._terminal_seen = 0
         # Per-run telemetry (armed/disarmed by run_many).
         self._trace: "obs_context.TraceContext | None" = None
         self._flight: "obs_flight.FlightRecorder | None" = None
@@ -506,12 +495,7 @@ class ExecutionEngine:
         """Write a postmortem bundle for a dead job; emit its marker."""
         if self._flight is None or self._flight_store is None:
             return
-        keys = self._run_keys
-        key = (
-            keys[job.index]
-            if keys is not None and 0 <= job.index < len(keys)
-            else job.spec.key()
-        )
+        key = job.key
         # A spec repeated in one batch shares its key, and so its
         # bundle path, with its twin; the first bundle wins.
         if key in self._postmortem_keys:
@@ -586,81 +570,47 @@ class ExecutionEngine:
             for position, item in enumerate(items)
         ]
 
-    # -- checkpoints -------------------------------------------------
-
-    def _checkpoint_tick(self, outcomes: dict) -> None:
-        """Count one terminal job event; emit a periodic checkpoint."""
-        if self._run_keys is None:
-            return
-        self._terminal_seen += 1
-        if self._terminal_seen % self.checkpoint_every == 0:
-            self._emit_checkpoint(outcomes)
-
-    def _emit_checkpoint(self, outcomes: dict) -> None:
-        if self._run_keys is None:
-            return
-        keys = self._run_keys
-        completed = sorted(
-            keys[i] for i, o in outcomes.items() if o.ok
-        )
-        failed = sorted(
-            keys[i] for i, o in outcomes.items() if o.error is not None
-        )
-        terminal = {keys[i] for i in outcomes}
-        pending = sorted(k for k in keys if k not in terminal)
-        self._emit(
-            CampaignCheckpoint(
-                completed=completed, failed=failed, pending=pending
-            )
-        )
+    # -- plan ------------------------------------------------------
 
     @staticmethod
     def _machine_descriptor(machines) -> dict | None:
         """Minimal plan descriptor of a single-machine override.
 
-        Only overrides rebuilt from ``STANDARD_MACHINES`` by the two
-        ``with_*`` calls :meth:`RunSpec.build_machine` makes (a
-        small-core frequency, sampling parameters) are describable;
-        anything else returns ``None`` and a resume falls back to
-        ``spec.build_machine()``.
+        Only machines that :func:`~repro.sim.campaign.machine_fields`
+        can describe (a standard topology with a small-core frequency
+        or sampling override) are describable; anything else returns
+        ``None`` and a resume falls back to ``spec.build_machine()``.
         """
         if not isinstance(machines, MachineConfig):
             return None
-        factory = STANDARD_MACHINES.get(machines.name)
-        if factory is None:
+        fields = machine_fields(machines)
+        if fields is None:
             return None
-        reference = factory()
-        descriptor: dict = {"name": machines.name}
-        if machines.small != reference.small:
-            descriptor["small_frequency_ghz"] = machines.small.frequency_ghz
-        sampling = (
-            machines.sampling_period_quanta,
-            machines.sampling_quantum_seconds,
-        )
-        if sampling != (
-            reference.sampling_period_quanta,
-            reference.sampling_quantum_seconds,
-        ):
-            descriptor["sampling_period_quanta"] = sampling[0]
-            descriptor["sampling_quantum_seconds"] = sampling[1]
-        rebuilt = ExecutionEngine.machine_from_descriptor(descriptor)
-        return descriptor if rebuilt == machines else None
+        descriptor: dict = {"name": fields["machine"]}
+        if fields["small_frequency_ghz"] is not None:
+            descriptor["small_frequency_ghz"] = fields["small_frequency_ghz"]
+        if fields["sampling"] is not None:
+            (
+                descriptor["sampling_period_quanta"],
+                descriptor["sampling_quantum_seconds"],
+            ) = fields["sampling"]
+        return descriptor
 
     @staticmethod
     def machine_from_descriptor(descriptor: dict | None) -> MachineConfig | None:
         """Rebuild a plan's machine override (inverse of the above)."""
         if descriptor is None:
             return None
-        machine = STANDARD_MACHINES[descriptor["name"]]()
-        small_ghz = descriptor.get("small_frequency_ghz")
-        if small_ghz is not None:
-            machine = machine.with_small_frequency(small_ghz)
         period = descriptor.get("sampling_period_quanta")
-        if period is not None:
-            machine = machine.with_sampling(
-                period, descriptor["sampling_quantum_seconds"]
-            )
-        return machine
+        return build_machine(
+            descriptor["name"],
+            descriptor.get("small_frequency_ghz"),
+            (
+                (period, descriptor["sampling_quantum_seconds"])
+                if period is not None
+                else None
+            ),
+        )
 
     # -- public API --------------------------------------------------
 
@@ -708,10 +658,9 @@ class ExecutionEngine:
             resume.check_specs(specs)
             if store is None and resume.store is not None:
                 store = ResultStore(resume.store)
-        jobs_list = self._build_jobs(specs, machines, store, labels)
-        keys = [spec.key() for spec in specs]
+        jobs_list = self._build_jobs(specs, machines, labels)
+        keys = [job.key for job in jobs_list]
         self._run_keys = keys
-        self._terminal_seen = 0
         self._queue_registry = (
             obs_metrics.MetricsRegistry()
             if self.metrics
@@ -731,31 +680,37 @@ class ExecutionEngine:
                     failure_policy=self.failure_policy.value,
                     timeout_seconds=self.timeout_seconds,
                     max_attempts=self.retry.max_attempts,
+                    metrics=self.metrics,
+                    spans=self.spans,
                 )
             )
 
             outcomes: dict[int, JobOutcome] = {}
             to_run = []
             for job in jobs_list:
-                cached = self._load_cached(job)
-                if cached is None:
+                loaded = time.perf_counter()
+                result = store.load(job.key) if store is not None else None
+                if result is None:
                     to_run.append(job)
                     continue
-                error = self._check_result(job, cached.result)
+                wall = time.perf_counter() - loaded
+                error = self._check_result(job, result)
                 if error is not None:
-                    self._record_failure(
-                        job, error, 0, cached.wall_seconds, outcomes
-                    )
+                    self._record_failure(job, error, 0, wall, outcomes)
                     continue
-                outcomes[job.index] = cached
+                outcomes[job.index] = JobOutcome(
+                    index=job.index,
+                    spec=job.spec,
+                    label=job.label,
+                    result=result,
+                    wall_seconds=wall,
+                    cached=True,
+                )
                 self._emit(
                     JobCached(
-                        index=job.index,
-                        label=job.label,
-                        wall_seconds=cached.wall_seconds,
+                        index=job.index, label=job.label, wall_seconds=wall
                     )
                 )
-                self._checkpoint_tick(outcomes)
 
             cached_failure = any(
                 outcomes[i].error is not None for i in outcomes
@@ -770,9 +725,9 @@ class ExecutionEngine:
                     )
             elif to_run:
                 if self.jobs == 1 or len(to_run) == 1:
-                    self._run_serial(to_run, outcomes)
+                    self._run_serial(to_run, outcomes, store)
                 else:
-                    self._run_parallel(to_run, outcomes)
+                    self._run_parallel(to_run, outcomes, store)
 
             report = ExecutionReport(
                 outcomes=[outcomes[i] for i in sorted(outcomes)],
@@ -805,7 +760,6 @@ class ExecutionEngine:
                     if o.spans is not None
                 )
             self._queue_registry = None
-            self._emit_checkpoint(outcomes)
             self._run_keys = None
             self._emit(
                 CampaignFinished(
@@ -824,7 +778,7 @@ class ExecutionEngine:
 
     # -- batch assembly ----------------------------------------------
 
-    def _build_jobs(self, specs, machines, store, labels) -> list[Job]:
+    def _build_jobs(self, specs, machines, labels) -> list[Job]:
         count = len(specs)
         if machines is None or isinstance(machines, MachineConfig):
             machines = [machines] * count
@@ -837,10 +791,8 @@ class ExecutionEngine:
                 index=index,
                 spec=spec,
                 label=label,
+                key=spec.key(),
                 machine=machine,
-                cache_path=(
-                    str(store.path_for(spec)) if store is not None else None
-                ),
             )
             for index, (spec, machine, label) in enumerate(
                 zip(specs, machines, labels)
@@ -851,27 +803,6 @@ class ExecutionEngine:
     def _default_label(spec: RunSpec) -> str:
         mix = "+".join(spec.benchmarks)
         return f"{spec.machine}/{spec.scheduler}/{mix}#{spec.seed}"
-
-    def _load_cached(self, job: Job) -> JobOutcome | None:
-        if job.cache_path is None:
-            return None
-        path = Path(job.cache_path)
-        if not path.exists():
-            return None
-        started = time.perf_counter()
-        try:
-            result = load_run(path)
-        except ResultCacheError:
-            return None  # corrupt or partial entry: recompute
-        return JobOutcome(
-            index=job.index,
-            spec=job.spec,
-            label=job.label,
-            result=result,
-            attempts=0,
-            wall_seconds=time.perf_counter() - started,
-            cached=True,
-        )
 
     # -- outcome recording -------------------------------------------
 
@@ -946,7 +877,6 @@ class ExecutionEngine:
                 stp=result.stp,
             )
         )
-        self._checkpoint_tick(outcomes)
         return True
 
     def _record_failure(
@@ -974,11 +904,12 @@ class ExecutionEngine:
         if not error.startswith(("skipped (", "cancelled (")):
             reason = "timeout" if error.startswith("timed out") else "failed"
             self._dump_postmortem(job, reason, error)
-        self._checkpoint_tick(outcomes)
 
     # -- serial path -------------------------------------------------
 
-    def _run_serial(self, jobs_list: Sequence[Job], outcomes: dict) -> None:
+    def _run_serial(
+        self, jobs_list: Sequence[Job], outcomes: dict, store
+    ) -> None:
         aborted = False
         self._batch_started = time.perf_counter()
         remaining = len(jobs_list)
@@ -1005,7 +936,7 @@ class ExecutionEngine:
                         spans_data,
                     ) = _execute_job(
                         job, self.retry, self.fault_plan, self.metrics,
-                        self.spans,
+                        self.spans, store,
                     )
             except Exception as error:
                 self._record_failure(
@@ -1045,7 +976,9 @@ class ExecutionEngine:
 
     # -- parallel path -----------------------------------------------
 
-    def _run_parallel(self, jobs_list: Sequence[Job], outcomes: dict) -> None:
+    def _run_parallel(
+        self, jobs_list: Sequence[Job], outcomes: dict, store
+    ) -> None:
         """Deal the batch to workers; run what they lose in-process."""
         total = len(jobs_list)
         fail_fast = self.failure_policy is FailurePolicy.FAIL_FAST
@@ -1055,7 +988,7 @@ class ExecutionEngine:
         def task(position):
             return _execute_job(
                 jobs_list[position], self.retry, self.fault_plan,
-                self.metrics, self.spans,
+                self.metrics, self.spans, store,
             )
 
         def started(position, slot) -> None:
@@ -1116,7 +1049,7 @@ class ExecutionEngine:
                     job, "cancelled (fail-fast abort)", 0, 0.0, outcomes
                 )
         elif remaining:
-            self._run_serial(remaining, outcomes)
+            self._run_serial(remaining, outcomes, store)
 
     def _deal(self, task, count, finished, *, started=None, expired=None):
         """Run ``task(position)`` for positions ``0..count-1`` on up to

@@ -74,11 +74,19 @@ class CampaignPlan(Event):
     (``{"name": ..., "small_frequency_ghz": ...}``) when one was
     supplied and is reconstructible from ``STANDARD_MACHINES``.
     ``failure_policy``, ``timeout_seconds`` and ``max_attempts``
-    record the engine settings so a resume runs under the same rules.
-    ``shards`` is the shard count when the plan was written by the
-    shard coordinator (``None`` for single-host campaigns), so
-    ``repro resume`` can put a sharded campaign back on the sharded
-    path.
+    record the engine settings so a resume runs under the same rules,
+    and ``metrics`` and ``spans`` whether each job emits its
+    :class:`MetricsSnapshot` and :class:`SpanSnapshot`, so a resume
+    collects what the interrupted campaign collected.  ``shards`` is
+    the worker count when the plan was written by the shard
+    coordinator (``None`` when the engine ran without one, as ``repro
+    sweep`` does), so ``repro resume`` puts the campaign back on the
+    same width.
+
+    Together with the terminal job events that follow it
+    (:data:`TERMINAL_EVENTS`), the plan is the log's half of a durable
+    campaign: :class:`~repro.runtime.resume.ResumeState` replays the
+    two into per-job statuses.
     """
 
     kind: ClassVar[str] = "campaign_plan"
@@ -92,24 +100,8 @@ class CampaignPlan(Event):
     timeout_seconds: float | None = None
     max_attempts: int = 1
     shards: int | None = None
-
-
-@dataclass(frozen=True)
-class CampaignCheckpoint(Event):
-    """Periodic snapshot of per-job completion state, for resume.
-
-    ``completed``/``failed``/``pending`` partition the campaign's spec
-    keys by their status at emission time.  The engine emits one every
-    few terminal events and a final one before
-    :class:`CampaignFinished`; on resume the *last* checkpoint plus
-    any later terminal events reconstruct exactly which work remains.
-    """
-
-    kind: ClassVar[str] = "campaign_checkpoint"
-
-    completed: list[str]
-    failed: list[str]
-    pending: list[str]
+    metrics: bool = False
+    spans: bool = False
 
 
 @dataclass(frozen=True)
@@ -285,7 +277,6 @@ _EVENT_TYPES: dict[str, type[Event]] = {
     for cls in (
         CampaignStarted,
         CampaignPlan,
-        CampaignCheckpoint,
         JobStarted,
         JobCached,
         CheckFailed,

@@ -1,21 +1,22 @@
-"""Checkpoint/resume state reconstruction for durable campaigns.
+"""Resume-state reconstruction for durable campaigns.
 
-A durable campaign leaves two artifacts behind: the JSONL event log
-(which jobs were planned, which completed or failed -- see
-:class:`~repro.runtime.events.CampaignPlan` and
-:class:`~repro.runtime.events.CampaignCheckpoint`) and the result
-store (the completed results themselves, one atomic file per spec
-key).  :class:`ResumeState` joins the two: it replays the log into
-per-key statuses so :meth:`ExecutionEngine.run_many(resume_from=...)
-<repro.runtime.engine.ExecutionEngine.run_many>` and the
-``repro resume`` CLI verb can skip completed jobs and re-run only
-pending or failed ones, producing a report identical to an
-uninterrupted run.
+A durable campaign leaves three pieces behind: the result store (the
+completed results, one atomic file per spec key), and in its JSONL
+event log the campaign plan (:class:`~repro.runtime.events.CampaignPlan`:
+which jobs were planned, under which settings) and the terminal job
+events that follow it (:class:`~repro.runtime.events.JobCached`,
+:class:`~repro.runtime.events.JobFinished`,
+:class:`~repro.runtime.events.JobFailed`).  :class:`ResumeState`
+replays the log into per-key statuses so
+:meth:`ExecutionEngine.run_many(resume_from=...)
+<repro.runtime.engine.ExecutionEngine.run_many>` and the ``repro
+resume`` CLI verb can skip completed jobs and re-run only pending or
+failed ones, producing a report identical to an uninterrupted run.
 
 The reconstruction is conservative: a job counts as completed only if
 the log says so *and* its result is actually loadable from the store
 (the engine re-verifies the second half through its normal cache
-path), so a checkpoint that outlived a lost store entry costs one
+path), so a terminal event that outlived a lost store entry costs one
 recomputation, never a wrong result.
 """
 
@@ -26,12 +27,10 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.runtime.events import (
-    CampaignCheckpoint,
     CampaignPlan,
     Event,
-    JobCached,
     JobFailed,
-    JobFinished,
+    TERMINAL_EVENTS,
     read_events,
 )
 from repro.sim.campaign import RunSpec
@@ -57,8 +56,10 @@ class ResumeState:
         failure_policy: engine failure-policy value from the plan.
         timeout_seconds: engine per-job timeout from the plan.
         max_attempts: engine retry attempts from the plan.
-        shards: shard count recorded by the shard coordinator's plan
-            (``None`` when the campaign ran single-host).
+        shards: worker count recorded by the shard coordinator's plan
+            (``None`` when ``repro sweep`` wrote it).
+        metrics: whether the campaign collected per-job metrics.
+        spans: whether the campaign collected per-job span trees.
         completed: keys the log records as successfully finished.
         failed: keys whose last terminal event is a failure.
     """
@@ -72,6 +73,8 @@ class ResumeState:
     timeout_seconds: float | None = None
     max_attempts: int = 1
     shards: int | None = None
+    metrics: bool = False
+    spans: bool = False
     completed: set[str] = field(default_factory=set)
     failed: set[str] = field(default_factory=set)
 
@@ -93,9 +96,11 @@ class ResumeState:
 
         The *last* :class:`CampaignPlan` wins (a resumed campaign
         appends a fresh plan to the same log), and only events after
-        it count.  Per-job status comes from the last checkpoint plus
-        any later terminal events; for a key with several terminal
-        events the most recent one decides.
+        it count.  Per-job status comes from the terminal job events;
+        for a key with several, the most recent one decides.  Events
+        of kinds this version does not know (such as the
+        ``campaign_checkpoint`` lines of older logs, which restated
+        the terminal events) change nothing.
         """
         plan: CampaignPlan | None = None
         plan_at = -1
@@ -119,28 +124,18 @@ class ResumeState:
             timeout_seconds=plan.timeout_seconds,
             max_attempts=plan.max_attempts,
             shards=plan.shards,
+            metrics=plan.metrics,
+            spans=plan.spans,
         )
-        known = set(state.keys)
-        status: dict[str, str] = {}
+        failed: dict[str, bool] = {}
         for event in events[plan_at + 1:]:
-            if isinstance(event, CampaignCheckpoint):
-                for key in event.completed:
-                    if key in known:
-                        status[key] = "completed"
-                for key in event.failed:
-                    if key in known:
-                        status[key] = "failed"
-                for key in event.pending:
-                    status.pop(key, None)
-            elif isinstance(event, (JobCached, JobFinished, JobFailed)):
-                if not 0 <= event.index < len(state.keys):
-                    continue
-                key = state.keys[event.index]
-                status[key] = (
-                    "failed" if isinstance(event, JobFailed) else "completed"
-                )
-        state.completed = {k for k, s in status.items() if s == "completed"}
-        state.failed = {k for k, s in status.items() if s == "failed"}
+            if (
+                isinstance(event, TERMINAL_EVENTS)
+                and 0 <= event.index < len(state.keys)
+            ):
+                failed[state.keys[event.index]] = isinstance(event, JobFailed)
+        state.completed = {key for key, bad in failed.items() if not bad}
+        state.failed = {key for key, bad in failed.items() if bad}
         return state
 
     @classmethod

@@ -10,7 +10,7 @@ coordinator adds what a fleet needs on top of the engine's event
 stream:
 
 * the campaign plan records ``shards``, so ``repro resume`` puts a
-  killed fleet back on the same width;
+  killed fleet back on the same width without being told;
 * a :class:`FleetStatus` counts the fleet's progress, fleet-wide and
   per worker slot, for the progress line, ``--status-socket`` and
   ``repro top``;
@@ -289,7 +289,6 @@ class ShardCoordinator:
         max_attempts: attempts per job, retried without backoff.
         timeout_seconds: per-job wall-clock budget; a worker that
             overruns it is killed and the job fails.
-        checkpoint_every: terminal events between checkpoints.
         sinks: live sinks (progress).
         log_sink: durable sink (usually a :class:`JsonlEventSink`);
             receives the same stream as it happens.
@@ -309,7 +308,6 @@ class ShardCoordinator:
         failure_policy: FailurePolicy = FailurePolicy.FAIL_FAST,
         max_attempts: int = 1,
         timeout_seconds: float | None = None,
-        checkpoint_every: int = 8,
         sinks: Sequence[EventSink] = (),
         log_sink: EventSink | None = None,
         fault_plan: FaultPlan | None = None,
@@ -324,7 +322,6 @@ class ShardCoordinator:
         self.failure_policy = failure_policy
         self.max_attempts = max_attempts
         self.timeout_seconds = timeout_seconds
-        self.checkpoint_every = checkpoint_every
         self.sinks = list(sinks)
         self.log_sink = log_sink
         self.fault_plan = fault_plan
@@ -384,7 +381,6 @@ class ShardCoordinator:
             ),
             failure_policy=self.failure_policy,
             timeout_seconds=self.timeout_seconds,
-            checkpoint_every=self.checkpoint_every,
             sinks=[CallbackSink(self._relay)],
             fault_plan=self.fault_plan,
             checks=checks,

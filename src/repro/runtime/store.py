@@ -9,25 +9,19 @@ as a miss (the :class:`~repro.sim.serialize.ResultCacheError`
 convention), so a damaged entry costs one recomputation, never a
 crashed campaign.
 
-The store is the durability half of checkpoint/resume: the engine's
-event log records *which* jobs completed (by spec key), the store
-holds *their results*, and ``repro resume`` joins the two to finish an
-interrupted campaign without re-running completed work.  The on-disk
-layout (``<key>.json`` inside one directory) is exactly what
-:class:`~repro.sim.campaign.Campaign` has always written, so existing
-campaign directories are valid stores as-is.
+The store is the durable half of a campaign: the engine's event log
+records *which* jobs completed (the plan's spec keys and the terminal
+job events), the store holds *their results*, and ``repro resume``
+joins the two to finish an interrupted campaign without re-running
+completed work.  ``repro figure --cache-dir`` is a store too.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
 
 from repro.sim.results import RunResult
 from repro.sim.serialize import ResultCacheError, load_run, save_run
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.campaign import RunSpec
 
 
 class ResultStore:
@@ -53,12 +47,6 @@ class ResultStore:
     def path(self, key: str) -> Path:
         """On-disk path for a spec key (the file may not exist)."""
         return self.directory / f"{key}.json"
-
-    def path_for(self, spec: "RunSpec") -> Path:
-        return self.path(spec.key())
-
-    def contains(self, key: str) -> bool:
-        return self.path(key).exists()
 
     def load(self, key: str) -> RunResult | None:
         """The stored result for ``key``, or ``None`` on any miss.
@@ -100,17 +88,3 @@ class ResultStore:
             acc.update(self.path(key).read_bytes())
             acc.update(b"\x00")
         return acc.hexdigest()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.keys())
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self.directory.glob("*.json"):
-            path.unlink()
-            removed += 1
-        return removed

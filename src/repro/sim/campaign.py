@@ -1,16 +1,11 @@
-"""Disk-cached experiment campaigns.
+"""Run specifications: the content-addressed key of a campaign's runs.
 
-A campaign is a named collection of simulation runs (machine ×
-workload × scheduler × parameters).  Each run's result is persisted as
-JSON under the campaign directory the first time it executes;
-re-running the campaign loads cached results, so large sweeps can be
-built up incrementally and analyses re-run cheaply.
-
-Batch execution (:meth:`Campaign.run_all`, :meth:`Campaign.sweep`)
-goes through the :mod:`repro.runtime` engine, so campaigns
-parallelize across CPU cores with ``jobs=N`` and tolerate worker
-failures; cache writes are atomic, and corrupt or partial cache
-entries are treated as misses rather than raising.
+A campaign is a list of :class:`RunSpec`s (planned by
+:func:`repro.sim.experiment.sweep_specs`) run through
+:meth:`repro.runtime.engine.ExecutionEngine.run_many`.  With a
+:class:`~repro.runtime.store.ResultStore` each run's result is
+persisted as JSON under its spec key the first time it executes, and
+re-running the campaign serves it from there.
 """
 
 from __future__ import annotations
@@ -19,18 +14,67 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
 
 from repro.ace.counters import AceCounterMode
 from repro.config.machines import STANDARD_MACHINES, MachineConfig
-from repro.sim.experiment import run_workload
-from repro.sim.results import RunResult
-from repro.workloads.mixes import WorkloadMix
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.engine import ExecutionEngine
-    from repro.runtime.store import ResultStore
+
+def build_machine(
+    machine: str,
+    small_frequency_ghz: float | None = None,
+    sampling: tuple[int, float] | None = None,
+) -> MachineConfig:
+    """A standard topology with the overrides a :class:`RunSpec` carries."""
+    try:
+        config = STANDARD_MACHINES[machine]()
+    except KeyError:
+        raise ValueError(
+            f"unknown machine {machine!r}; known machines: "
+            f"{', '.join(STANDARD_MACHINES)}.  Specs with a custom "
+            f"tag need an explicit machine override at run time."
+        ) from None
+    if small_frequency_ghz is not None:
+        config = config.with_small_frequency(small_frequency_ghz)
+    if sampling is not None:
+        config = config.with_sampling(sampling[0], sampling[1])
+    return config
+
+
+def machine_fields(machine: MachineConfig) -> dict | None:
+    """The spec fields that describe ``machine``: the inverse of
+    :func:`build_machine`.
+
+    A setting the standard topology already has reads ``None``, so a
+    standard machine's specs keep their keys.  Returns ``None`` when
+    :func:`build_machine` cannot rebuild ``machine``: a custom
+    topology, or one changed beyond the two overrides.
+    """
+    factory = STANDARD_MACHINES.get(machine.name)
+    if factory is None:
+        return None
+    reference = factory()
+    sampling = (
+        machine.sampling_period_quanta,
+        machine.sampling_quantum_seconds,
+    )
+    fields = {
+        "machine": machine.name,
+        "small_frequency_ghz": (
+            machine.small.frequency_ghz
+            if machine.small != reference.small
+            else None
+        ),
+        "sampling": (
+            sampling
+            if sampling
+            != (
+                reference.sampling_period_quanta,
+                reference.sampling_quantum_seconds,
+            )
+            else None
+        ),
+    }
+    return fields if build_machine(**fields) == machine else None
 
 
 @dataclass(frozen=True)
@@ -87,150 +131,6 @@ class RunSpec:
         return cls(**data)
 
     def build_machine(self) -> MachineConfig:
-        try:
-            machine = STANDARD_MACHINES[self.machine]()
-        except KeyError:
-            raise ValueError(
-                f"unknown machine {self.machine!r}; known machines: "
-                f"{', '.join(STANDARD_MACHINES)}.  Specs with a custom "
-                f"tag need an explicit machine override at run time."
-            ) from None
-        if self.small_frequency_ghz is not None:
-            machine = machine.with_small_frequency(self.small_frequency_ghz)
-        if self.sampling is not None:
-            machine = machine.with_sampling(self.sampling[0], self.sampling[1])
-        return machine
-
-
-class Campaign:
-    """A directory-backed collection of cached simulation runs.
-
-    The directory is a :class:`repro.runtime.store.ResultStore` --
-    one atomically-written ``<spec key>.json`` per completed run, with
-    corrupt entries read as misses -- so a campaign directory doubles
-    as the durable half of checkpoint/resume (``repro resume``).
-    """
-
-    def __init__(self, directory: str | Path):
-        from repro.runtime.store import ResultStore
-
-        self.store = ResultStore(directory)
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def directory(self) -> Path:
-        return self.store.directory
-
-    def _path(self, spec: RunSpec) -> Path:
-        return self.store.path_for(spec)
-
-    def is_cached(self, spec: RunSpec) -> bool:
-        return self.store.contains(spec.key())
-
-    def run(
-        self, spec: RunSpec, machine: MachineConfig | None = None
-    ) -> RunResult:
-        """Execute a spec, or load its cached result.
-
-        Args:
-            spec: the run to execute.
-            machine: optional machine override; required when
-                ``spec.machine`` is a custom tag rather than one of
-                the standard topology names.
-        """
-        key = spec.key()
-        result = self.store.load(key)
-        if result is not None:
-            self.hits += 1
-            return result
-        self.misses += 1
-        if machine is None:
-            machine = spec.build_machine()
-        result = run_workload(
-            machine,
-            spec.benchmarks,
-            spec.scheduler,
-            instructions=spec.instructions,
-            seed=spec.seed,
-            counter_mode=AceCounterMode(spec.counter_mode),
+        return build_machine(
+            self.machine, self.small_frequency_ghz, self.sampling
         )
-        self.store.save(key, result)
-        return result
-
-    def run_all(
-        self,
-        specs: Sequence[RunSpec],
-        *,
-        jobs: int = 1,
-        engine: "ExecutionEngine | None" = None,
-        machines: MachineConfig | Sequence[MachineConfig | None] | None = None,
-        checks=None,
-    ) -> list[RunResult]:
-        """Execute a batch of specs through the runtime engine.
-
-        Results come back in spec order, identically to running each
-        spec serially.  With the engine's default fail-fast policy a
-        permanent job failure raises
-        :class:`~repro.runtime.retry.CampaignError`; under a collect
-        policy, failed entries are ``None``.
-
-        ``checks`` is the engine's opt-in per-result invariant hook
-        (see :func:`repro.check.default_run_checks`); it validates
-        cached and freshly executed results alike.
-        """
-        from repro.runtime.engine import ExecutionEngine
-
-        if engine is None:
-            engine = ExecutionEngine(jobs=jobs, checks=checks)
-        elif checks is not None and engine.checks is None:
-            engine.checks = checks
-        report = engine.run_many(specs, machines=machines, store=self.store)
-        self.hits += report.cache_hits
-        self.misses += report.executed
-        return report.results
-
-    def sweep(
-        self,
-        machine: str,
-        workloads: Sequence[WorkloadMix | Sequence[str]],
-        schedulers: Sequence[str],
-        instructions: int | None,
-        *,
-        jobs: int = 1,
-        engine: "ExecutionEngine | None" = None,
-        checks=None,
-        **overrides,
-    ) -> dict[str, list[RunResult]]:
-        """Cached equivalent of :func:`repro.sim.experiment.sweep`.
-
-        Extra keyword ``overrides`` become :class:`RunSpec` fields
-        (e.g. ``counter_mode``, ``small_frequency_ghz``); ``jobs`` and
-        ``engine`` control parallel execution, and ``checks`` runs the
-        per-result invariant hook on every run.
-        """
-        specs = []
-        for index, mix in enumerate(workloads):
-            names = (
-                mix.benchmarks if isinstance(mix, WorkloadMix) else tuple(mix)
-            )
-            for scheduler in schedulers:
-                specs.append(
-                    RunSpec(
-                        machine=machine,
-                        benchmarks=names,
-                        scheduler=scheduler,
-                        instructions=instructions,
-                        seed=index,
-                        **overrides,
-                    )
-                )
-        flat = self.run_all(specs, jobs=jobs, engine=engine, checks=checks)
-        results: dict[str, list[RunResult]] = {s: [] for s in schedulers}
-        for spec, result in zip(specs, flat):
-            results[spec.scheduler].append(result)
-        return results
-
-    def clear(self) -> int:
-        """Delete every cached result; returns the number removed."""
-        return self.store.clear()

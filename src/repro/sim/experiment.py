@@ -7,7 +7,7 @@ sweep workload lists under several schedulers.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.ace.counters import AceCounterMode
 from repro.config.machines import MachineConfig
@@ -100,13 +100,18 @@ def sweep_specs(
     """The sweep's campaign plan: ``(specs, labels)`` in run order.
 
     This is the single definition of how a sweep turns into
-    :class:`~repro.sim.campaign.RunSpec`s, shared by the serial/
-    parallel engine path (:func:`sweep`) and the shard coordinator
-    (``repro shard``), so every execution mode runs the byte-identical
-    campaign.
+    :class:`~repro.sim.campaign.RunSpec`s, shared by every campaign
+    command (``repro sweep``, ``shard`` and ``figure``), so every
+    execution mode runs the byte-identical campaign.  Each spec
+    records the machine's small-core frequency and sampling overrides
+    (:func:`~repro.sim.campaign.machine_fields`), so runs on different
+    machines never share a result-store key; a machine those fields
+    cannot describe is recorded by name and must be passed to the
+    engine as ``machines=``.
     """
-    from repro.sim.campaign import RunSpec
+    from repro.sim.campaign import RunSpec, machine_fields
 
+    fields = machine_fields(machine) or {"machine": machine.name}
     specs: list[RunSpec] = []
     labels: list[str] = []
     for index, mix in enumerate(workloads):
@@ -115,12 +120,12 @@ def sweep_specs(
         for name in scheduler_names:
             specs.append(
                 RunSpec(
-                    machine=machine.name,
                     benchmarks=names,
                     scheduler=name,
                     instructions=instructions,
                     seed=index,
                     counter_mode=counter_mode.value,
+                    **fields,
                 )
             )
             labels.append(f"{category}/{index} {name}")
@@ -134,7 +139,6 @@ def sweep(
     *,
     instructions: int | None = None,
     counter_mode: AceCounterMode = AceCounterMode.FULL,
-    progress: Callable[[str], None] | None = None,
     jobs: int = 1,
     sinks: Sequence = (),
     checks=None,
@@ -143,16 +147,15 @@ def sweep(
 ) -> dict[str, list[RunResult]]:
     """Run a workload list under several schedulers.
 
-    Execution goes through the :mod:`repro.runtime` engine: ``jobs``
+    The sweep is planned by :func:`sweep_specs` and run by one
+    :meth:`~repro.runtime.engine.ExecutionEngine.run_many`: ``jobs``
     sets the worker-process count (1 = in-process serial), ``sinks``
-    receive the structured progress-event stream, ``checks`` is the
-    engine's opt-in per-result invariant hook (see
-    :func:`repro.check.default_run_checks`), and ``progress`` is
-    a legacy per-run text callback kept for compatibility.  With
-    ``metrics``, every job collects a :mod:`repro.obs.metrics`
-    registry whose snapshot is emitted as a
-    :class:`~repro.runtime.events.MetricsSnapshot` event (aggregate
-    with ``repro stats``).  ``store`` (a directory path or
+    receive the structured progress-event stream, and ``checks`` is
+    the engine's opt-in per-result invariant hook (see
+    :func:`repro.check.default_run_checks`).  With ``metrics``, every
+    job collects a :mod:`repro.obs.metrics` registry whose snapshot is
+    emitted as a :class:`~repro.runtime.events.MetricsSnapshot` event
+    (aggregate with ``repro stats``).  ``store`` (a directory path or
     :class:`~repro.runtime.store.ResultStore`) makes the sweep durable:
     completed results persist as atomically-written per-spec files, are
     reused as cache hits on re-run, and -- together with a
@@ -164,7 +167,6 @@ def sweep(
     Returns ``{scheduler_name: [RunResult per workload, in order]}``.
     """
     from repro.runtime.engine import ExecutionEngine
-    from repro.runtime.events import CallbackSink, JobFinished
 
     specs, labels = sweep_specs(
         machine,
@@ -173,17 +175,6 @@ def sweep(
         instructions=instructions,
         counter_mode=counter_mode,
     )
-
-    sinks = list(sinks)
-    if progress is not None:
-        callback = progress  # bind for the closure below
-
-        def _legacy_line(event) -> None:
-            if isinstance(event, JobFinished) and event.sser is not None:
-                callback(f"{event.label}: sser={event.sser:.3e}")
-
-        sinks.append(CallbackSink(_legacy_line))
-
     engine = ExecutionEngine(
         jobs=jobs, sinks=sinks, checks=checks, metrics=metrics
     )

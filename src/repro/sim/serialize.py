@@ -104,36 +104,3 @@ def load_run(path: str | Path) -> RunResult:
             f"unreadable result file {path}: {error}"
         ) from error
     return run_result_from_dict(data)
-
-
-def save_sweep(
-    results: dict[str, list[RunResult]], path: str | Path
-) -> Path:
-    """Write a whole sweep (scheduler -> runs) to one JSON file."""
-    path = Path(path)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "sweep": {
-            name: [run_result_to_dict(r) for r in runs]
-            for name, runs in results.items()
-        },
-    }
-    _atomic_write_text(path, json.dumps(payload))
-    return path
-
-
-def load_sweep(path: str | Path) -> dict[str, list[RunResult]]:
-    """Read a sweep written by :func:`save_sweep`."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ResultCacheError(
-            f"unreadable sweep file {path}: {error}"
-        ) from error
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ResultCacheError("unsupported sweep format")
-    return {
-        name: [run_result_from_dict(r) for r in runs]
-        for name, runs in data["sweep"].items()
-    }

@@ -157,6 +157,48 @@ class TestCommands:
         assert "status" in replay
         assert "108 jobs: 0 executed" in replay and "108 cached" in replay
 
+    def test_figure_small_frequency_renders_its_own_sweep(
+        self, capsys, tmp_path
+    ):
+        from repro.config import machine_1b1s
+        from repro.report.figures import render_fig06
+        from repro.sim.experiment import SCHEDULER_NAMES, sweep
+        from repro.workloads.mixes import generate_workloads
+
+        argv = ["figure", "fig06", "--machine", "1B1S", "--programs", "2",
+                "--instructions", "1000000", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--small-frequency", "1.33"]) == 0
+        slow = capsys.readouterr().out
+        expected = render_fig06(sweep(
+            machine_1b1s().with_small_frequency(1.33), generate_workloads(2),
+            SCHEDULER_NAMES, instructions=1_000_000,
+        ))
+        assert slow.startswith(expected + "\n")
+        assert not default.startswith(expected + "\n")
+        # The warm default cache serves none of the 1.33 GHz runs.
+        assert "(0 cached runs, 108 simulated" in slow
+
+    def test_small_frequency_sweep_misses_a_default_store(
+        self, capsys, tmp_path
+    ):
+        argv = ["sweep", "--machine", "1B1S", "--programs", "2",
+                "--instructions", "1000000"]
+        assert main([*argv, "--small-frequency", "1.33"]) == 0
+        expected = capsys.readouterr().out
+        store = ["--store", str(tmp_path / "store")]
+        assert main([*argv, *store]) == 0
+        assert capsys.readouterr().out != expected
+        log = tmp_path / "events.jsonl"
+        assert main([*argv, *store, "--small-frequency", "1.33",
+                     "--event-log", str(log)]) == 0
+        assert capsys.readouterr().out == expected
+        kinds = [json.loads(line)["event"]
+                 for line in log.read_text().splitlines()]
+        assert kinds.count("job_finished") == 108
+        assert "job_cached" not in kinds
+
     def test_events_missing_file(self, capsys):
         assert main(["events", "/nonexistent/events.jsonl"]) == 2
         assert "cannot replay" in capsys.readouterr().err
@@ -320,6 +362,39 @@ class TestResume:
         assert main(["resume", str(log)]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_resume_collects_the_metrics_of_every_job(
+        self, capsys, tmp_path
+    ):
+        log = tmp_path / "events.jsonl"
+        store = tmp_path / "store"
+        assert main([*self.SWEEP, "--jobs", "2", "--metrics",
+                     "--store", str(store), "--event-log", str(log)]) == 0
+        capsys.readouterr()
+
+        # Cut the log after 40 terminal events and drop the store
+        # entries of every job whose terminal event was cut.
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        terminal = [
+            position for position, event in enumerate(events)
+            if event["event"] in ("job_cached", "job_finished", "job_failed")
+        ]
+        kept = events[: terminal[39] + 1]
+        log.write_text("".join(json.dumps(e) + "\n" for e in kept))
+        plan = next(e for e in kept if e["event"] == "campaign_plan")
+        done = {plan["keys"][events[p]["index"]] for p in terminal[:40]}
+        for path in store.glob("*.json"):
+            if path.stem not in done:
+                path.unlink()
+
+        assert main(["resume", str(log)]) == 0
+        assert "68 executed" in capsys.readouterr().err
+        assert main(["stats", str(log)]) == 0
+        runs = next(
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("sim.runs ")
+        )
+        assert runs == ["sim.runs", "counter", "108"]
+
     def test_resume_without_plan_record_fails(self, capsys, tmp_path):
         log = tmp_path / "events.jsonl"
         log.write_text('{"kind": "campaign_started", "total": 3}\n')
@@ -479,9 +554,9 @@ class TestShard:
         assert args.status_socket == "fleet.sock"
         args = build_parser().parse_args(["shard"])
         assert args.shards == 2
-        args = build_parser().parse_args(["resume", "ev.jsonl",
-                                          "--shards", "3"])
-        assert args.shards == 3
+        # --jobs sets a resume's width.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["resume", "ev.jsonl", "--shards", "3"])
         args = build_parser().parse_args(["check", "--shard-cases", "1"])
         assert args.shard_cases == 1
         args = build_parser().parse_args(["bench",

@@ -3,24 +3,9 @@
 import pytest
 
 from repro.config import machine_2b2s
-from repro.sim.campaign import Campaign, RunSpec
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiling import measure_intervals
 from repro.workloads.spec2006 import benchmark
-
-
-class TestCampaignRunAll:
-    def test_run_all_order_preserved(self, tmp_path):
-        campaign = Campaign(tmp_path)
-        specs = [
-            RunSpec("2B2S", ("povray", "milc", "gobmk", "bzip2"),
-                    scheduler, 1_500_000)
-            for scheduler in ("random", "reliability")
-        ]
-        results = campaign.run_all(specs)
-        assert [r.scheduler_name for r in results] == [
-            "random", "reliability"
-        ]
 
 
 class TestCliVerboseSweep:

@@ -105,11 +105,46 @@ class TestEventSchemaFrozen:
 
 
 class TestOldLogsStillReplay:
-    def test_pr8_log_parses_without_unknowns(self):
+    def test_pr8_log_parses_with_its_checkpoint_unknown(self):
+        """The log's one ``campaign_checkpoint`` line, a kind that
+        restated the terminal job events and is no longer written,
+        reads as UnknownEvent, verbatim; every other line parses."""
         events = read_events(FIXTURES / "pr8_event_log.jsonl")
         assert events, "fixture must not be empty"
-        assert not any(isinstance(e, UnknownEvent) for e in events)
+        unknown = [e for e in events if isinstance(e, UnknownEvent)]
+        assert [e.to_dict()["event"] for e in unknown] == [
+            "campaign_checkpoint"
+        ]
+        assert unknown[0].to_dict()["pending"] == []
         assert all(e.trace is None for e in events)
+
+    def test_pr8_log_replays_as_before(self, capsys):
+        """What the log printed before checkpoints were retired."""
+        from repro.cli.main import main
+
+        log = FIXTURES / "pr8_event_log.jsonl"
+        assert ResumeState.load(log).summary() == (
+            "3 job(s): 3 completed, 0 failed, 0 pending"
+        )
+        assert [
+            (t.index, t.status, t.attempts, t.wall_seconds)
+            for t in replay_timings(log)
+        ] == [
+            (0, "ok", 1, 0.015117048998945393),
+            (1, "ok", 1, 0.007122967999748653),
+            (2, "ok", 1, 0.006905739999638172),
+        ]
+        assert main(["events", str(log)]) == 0
+        assert capsys.readouterr().out == (
+            "job                            label  status  attempts  wall s\n"
+            "----  ------------------------------  ------  --------  ------\n"
+            "0          1B1S/random/povray+milc#0      ok         1   0.015\n"
+            "1     1B1S/performance/povray+milc#1      ok         1   0.007\n"
+            "2     1B1S/reliability/povray+milc#2      ok         1   0.007\n"
+            "\n"
+            "3 jobs: 3 executed (0.03s simulated wall time), 0 cached, "
+            "0 failed\n"
+        )
 
     def test_pr8_log_replays_timings(self):
         timings = replay_timings(FIXTURES / "pr8_event_log.jsonl")
@@ -139,9 +174,13 @@ class TestOldLogsStillReplay:
         )
         events = read_events(log)
         unknown = [e for e in events if isinstance(e, UnknownEvent)]
-        assert len(unknown) == 1 and unknown[0].to_dict() == retired
+        # The fixture's own campaign_checkpoint line is unknown too.
+        assert len(unknown) == 2 and unknown[1].to_dict() == retired
         known = [e for e in events if not isinstance(e, UnknownEvent)]
-        assert known == read_events(FIXTURES / "pr8_event_log.jsonl")
+        assert known == [
+            e for e in read_events(FIXTURES / "pr8_event_log.jsonl")
+            if not isinstance(e, UnknownEvent)
+        ]
         assert ResumeState.from_events(events) == ResumeState.from_events(
             known
         )

@@ -24,7 +24,7 @@ from repro.runtime.events import (
     JobStarted,
 )
 from repro.runtime.retry import CampaignError, FailurePolicy, RetryPolicy
-from repro.sim.campaign import Campaign, RunSpec
+from repro.sim.campaign import RunSpec
 from repro.sim.serialize import run_result_to_dict
 
 NAMES_2B2S = ("povray", "milc", "gobmk", "bzip2")
@@ -262,16 +262,14 @@ class TestCheckHook:
             engine.run_many(specs_1b1s(2))
 
     def test_cached_results_are_checked_too(self, tmp_path):
-        campaign = Campaign(tmp_path)
         specs = specs_1b1s(2)
-        campaign.run_all(specs)
+        ExecutionEngine().run_many(specs, store=tmp_path)
 
         engine, events = recording_engine(
-            jobs=1, failure_policy=FailurePolicy.COLLECT
+            jobs=1, failure_policy=FailurePolicy.COLLECT,
+            checks=_fail_gobmk_mixes,
         )
-        again = Campaign(tmp_path)
-        results = again.run_all(specs, engine=engine,
-                                checks=_fail_gobmk_mixes)
+        results = engine.run_many(specs, store=tmp_path).results
         assert [r is None for r in results] == [False, False, True, True]
         cached = [e for e in events if isinstance(e, JobCached)]
         assert {e.index for e in cached} == {0, 1}
@@ -570,35 +568,30 @@ class TestGracefulDegradation:
 
 class TestEngineCache:
     def test_cache_hits_skip_execution(self, tmp_path):
-        campaign = Campaign(tmp_path)
         specs = specs_1b1s(2)
-        first = campaign.run_all(specs, jobs=2)
-        assert campaign.misses == len(specs) and campaign.hits == 0
+        first = ExecutionEngine(jobs=2).run_many(specs, store=tmp_path)
+        assert first.executed == len(specs) and first.cache_hits == 0
 
         engine, events = recording_engine(jobs=2)
-        again = Campaign(tmp_path)
-        second = again.run_all(specs, engine=engine)
-        assert again.hits == len(specs) and again.misses == 0
-        assert canonical(first) == canonical(second)
+        second = engine.run_many(specs, store=tmp_path)
+        assert second.cache_hits == len(specs) and second.executed == 0
+        assert canonical(first.results) == canonical(second.results)
         assert sum(1 for e in events if isinstance(e, JobCached)) == len(specs)
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
-        campaign = Campaign(tmp_path)
         specs = specs_1b1s(1)
-        first = campaign.run_all(specs)
+        first = ExecutionEngine().run_many(specs, store=tmp_path)
         # Corrupt one entry and truncate the other mid-JSON.
         paths = sorted(tmp_path.glob("*.json"))
         paths[0].write_text("{ not json")
         paths[1].write_text(paths[1].read_text()[:40])
 
-        again = Campaign(tmp_path)
-        second = again.run_all(specs, jobs=1)
-        assert again.misses == 2 and again.hits == 0
-        assert canonical(first) == canonical(second)
+        second = ExecutionEngine().run_many(specs, store=tmp_path)
+        assert second.executed == 2 and second.cache_hits == 0
+        assert canonical(first.results) == canonical(second.results)
         # The corrupt entries were rewritten and are valid again.
-        third = Campaign(tmp_path)
-        third.run_all(specs)
-        assert third.hits == 2
+        third = ExecutionEngine().run_many(specs, store=tmp_path)
+        assert third.cache_hits == 2
 
 
 class TestDefaultJobs:
@@ -623,21 +616,23 @@ class TestRunSpecMachine:
     def test_campaign_run_accepts_machine_override(self, tmp_path):
         from repro.config import machine_1b1s
 
-        campaign = Campaign(tmp_path)
         spec = RunSpec(
             "custom-tag", ("povray", "milc"), "random", 500_000
         )
-        result = campaign.run(spec, machine=machine_1b1s())
+        first = ExecutionEngine().run_many(
+            [spec], machines=machine_1b1s(), store=tmp_path
+        )
+        result = first.results[0]
         assert result.machine_name == "1B1S"
         # Cached under the custom tag; the override is only needed on miss.
-        assert campaign.run(spec).sser == pytest.approx(result.sser)
-        assert campaign.hits == 1
+        again = ExecutionEngine().run_many([spec], store=tmp_path)
+        assert again.results[0].sser == pytest.approx(result.sser)
+        assert again.cache_hits == 1
 
     def test_campaign_run_unknown_machine_message(self, tmp_path):
-        campaign = Campaign(tmp_path)
         spec = RunSpec("custom-tag", ("povray", "milc"), "random", 500_000)
-        with pytest.raises(ValueError, match="machine override"):
-            campaign.run(spec)
+        with pytest.raises(CampaignError, match="machine override"):
+            ExecutionEngine().run_many([spec], store=tmp_path)
 
 
 class TestExperimentSweepJobs:
@@ -657,18 +652,6 @@ class TestExperimentSweepJobs:
                          instructions=500_000, jobs=2)
         for name in serial:
             assert canonical(serial[name]) == canonical(parallel[name])
-
-    def test_sweep_progress_callback_still_works(self):
-        from repro.config import machine_1b1s
-        from repro.sim.experiment import sweep
-        from repro.workloads.mixes import WorkloadMix
-
-        lines = []
-        sweep(machine_1b1s(), [WorkloadMix("MH", ("povray", "milc"))],
-              ("random",), instructions=500_000, progress=lines.append)
-        assert len(lines) == 1
-        assert lines[0].startswith("MH/0 random: sser=")
-
 
 #: Short runs for the seed-handoff tests.
 INSTRUCTIONS = 150_000

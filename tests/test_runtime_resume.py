@@ -1,5 +1,5 @@
-"""Tests for the durable-campaign pieces: result store, checkpoint
-events, resume-state reconstruction and engine resume."""
+"""Tests for the durable-campaign pieces: result store, the plan and
+terminal job events, resume-state reconstruction and engine resume."""
 
 import json
 
@@ -8,17 +8,20 @@ import pytest
 from repro.check import check_resume
 from repro.runtime import (
     CallbackSink,
-    CampaignCheckpoint,
     CampaignPlan,
     ExecutionEngine,
     FailurePolicy,
     FaultPlan,
+    JobFailed,
     JsonlEventSink,
     ResultStore,
     ResumeError,
     ResumeState,
+    ShardCoordinator,
+    event_from_dict,
     read_events,
 )
+from repro.runtime.events import TERMINAL_EVENTS
 from repro.sim.campaign import RunSpec
 from repro.sim.serialize import run_result_to_dict
 
@@ -47,13 +50,11 @@ class TestResultStore:
     def test_roundtrip_and_keys(self, tmp_path):
         specs = specs_1b1s(2)
         store = ResultStore(tmp_path / "store")
-        assert len(store) == 0 and store.keys() == []
+        assert store.keys() == []
         report = ExecutionEngine().run_many(specs, store=store)
         keys = [spec.key() for spec in specs]
         assert store.keys() == sorted(keys)
-        assert list(store) == sorted(keys)
         for key, result in zip(keys, report.results):
-            assert store.contains(key)
             assert canonical([store.load(key)]) == canonical([result])
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
@@ -67,14 +68,11 @@ class TestResultStore:
         store.save(key, report.results[0])
         assert canonical([store.load(key)]) == canonical(report.results)
 
-    def test_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
-        ExecutionEngine().run_many(specs_1b1s(2), store=store)
-        assert store.clear() == 2
-        assert len(store) == 0
-
 
 class TestPlanAndCheckpointEvents:
+    """The plan and the terminal job events after it, which are a
+    campaign's checkpoints."""
+
     def test_plan_records_specs_and_settings(self, tmp_path):
         specs = specs_1b1s(3)
         events = []
@@ -91,23 +89,21 @@ class TestPlanAndCheckpointEvents:
         assert plan.failure_policy == "fail-fast"
         assert plan.timeout_seconds == 30.0
 
-    def test_checkpoint_cadence_and_final_state(self):
-        specs = specs_1b1s(5, instructions=60_000)
+    def test_plan_records_what_jobs_collect(self, tmp_path):
         events = []
         engine = ExecutionEngine(
-            checkpoint_every=2, sinks=[CallbackSink(events.append)]
+            metrics=True, spans=True, sinks=[CallbackSink(events.append)]
         )
-        engine.run_many(specs)
-        checkpoints = [
-            e for e in events if isinstance(e, CampaignCheckpoint)
-        ]
-        # One every two terminal jobs plus the final one.
-        assert len(checkpoints) == 3
-        final = checkpoints[-1]
-        assert sorted(final.completed) == sorted(s.key() for s in specs)
-        assert final.failed == [] and final.pending == []
-        partial = checkpoints[0]
-        assert len(partial.completed) == 2 and len(partial.pending) == 3
+        engine.run_many(specs_1b1s(1), store=tmp_path)
+        plan = next(e for e in events if isinstance(e, CampaignPlan))
+        assert plan.metrics and plan.spans
+        state = ResumeState.from_events(events)
+        assert state.metrics and state.spans
+        # Plans written before the two fields existed read False.
+        old = plan.to_dict()
+        del old["metrics"], old["spans"]
+        state = ResumeState.from_events([event_from_dict(old)])
+        assert not state.metrics and not state.spans
 
     def test_events_roundtrip_through_jsonl(self, tmp_path):
         log = tmp_path / "events.jsonl"
@@ -115,7 +111,7 @@ class TestPlanAndCheckpointEvents:
         engine.run_many(specs_1b1s(2), store=tmp_path / "store")
         engine.close()
         kinds = [type(e).__name__ for e in read_events(log)]
-        assert "CampaignPlan" in kinds and "CampaignCheckpoint" in kinds
+        assert "CampaignPlan" in kinds and kinds.count("JobFinished") == 2
         assert "UnknownEvent" not in kinds
 
 
@@ -128,7 +124,6 @@ class TestResumeState:
             fault_plan=FaultPlan(fail_attempts={fail: 99})
             if fail is not None
             else None,
-            checkpoint_every=2,
             sinks=[CallbackSink(events.append)],
         )
         engine.run_many(specs, store=store)
@@ -170,6 +165,41 @@ class TestResumeState:
         state.check_specs(specs)
         with pytest.raises(ResumeError, match="different campaigns"):
             state.check_specs(specs[:-1])
+
+    def test_every_cut_of_a_fleet_log_matches_its_terminal_events(
+        self, tmp_path
+    ):
+        """A two-worker fleet with one permanent failure, cut at every
+        position: the statuses are exactly the keys of the terminal
+        events before the cut."""
+        specs = specs_1b1s(6, instructions=60_000)
+        log = tmp_path / "fleet.jsonl"
+        sink = JsonlEventSink(log)
+        ShardCoordinator(
+            2,
+            failure_policy=FailurePolicy.COLLECT,
+            fault_plan=FaultPlan(fail_attempts={3: 99}),
+            log_sink=sink,
+        ).run(specs, store=tmp_path / "store")
+        sink.close()
+        events = read_events(log)
+        keys = [spec.key() for spec in specs]
+        plan_at = next(
+            i for i, e in enumerate(events) if isinstance(e, CampaignPlan)
+        )
+        for cut in range(plan_at + 1, len(events) + 1):
+            terminal = [
+                e for e in events[:cut] if isinstance(e, TERMINAL_EVENTS)
+            ]
+            state = ResumeState.from_events(events[:cut])
+            assert state.completed == {
+                keys[e.index] for e in terminal
+                if not isinstance(e, JobFailed)
+            }
+            assert state.failed == {
+                keys[e.index] for e in terminal if isinstance(e, JobFailed)
+            }
+        assert state.failed == {keys[3]} and len(state.completed) == 5
 
     def test_last_plan_wins(self, tmp_path):
         specs = specs_1b1s(2, instructions=60_000)

@@ -1,4 +1,5 @@
-"""Tests for the disk-cached campaign runner."""
+"""Tests for run specs and store-backed campaigns: ``sweep_specs``
+followed by ``ExecutionEngine.run_many(store=...)``."""
 
 import dataclasses
 import hashlib
@@ -6,7 +7,11 @@ import json
 
 import pytest
 
-from repro.sim.campaign import Campaign, RunSpec
+from repro.config import machine_1b1s
+from repro.config.machines import STANDARD_MACHINES, MachineConfig
+from repro.runtime import ExecutionEngine, ResultStore
+from repro.sim.campaign import RunSpec, machine_fields
+from repro.sim.experiment import sweep, sweep_specs
 from repro.workloads.mixes import WorkloadMix
 
 NAMES = ("povray", "milc", "gobmk", "bzip2")
@@ -107,34 +112,101 @@ class TestRunSpec:
         assert machine.sampling_period_quanta == 20
 
 
+class TestMachineFields:
+    def test_standard_machines_keep_their_keys(self):
+        mixes = [WorkloadMix("MHLM", NAMES)]
+        for name, factory in STANDARD_MACHINES.items():
+            assert machine_fields(factory()) == {
+                "machine": name, "small_frequency_ghz": None,
+                "sampling": None,
+            }
+        specs, _ = sweep_specs(
+            STANDARD_MACHINES["2B2S"](), mixes, ("reliability",),
+            instructions=2_000_000,
+        )
+        assert specs == [_spec()]
+
+    def test_overrides_round_trip_through_build_machine(self):
+        base = STANDARD_MACHINES["2B2S"]()
+        for machine in (
+            base.with_small_frequency(1.33),
+            base.with_sampling(20, 5e-5),
+            base.with_small_frequency(1.33).with_sampling(20, 5e-5),
+        ):
+            fields = machine_fields(machine)
+            spec = _spec(**fields)
+            assert spec.build_machine() == machine
+            assert spec.key() != _spec().key()
+
+    def test_sweep_specs_record_the_overrides(self):
+        machine = STANDARD_MACHINES["2B2S"]().with_small_frequency(1.33)
+        specs, _ = sweep_specs(
+            machine, [WorkloadMix("MHLM", NAMES)], ("reliability",),
+            instructions=2_000_000,
+        )
+        assert specs == [_spec(small_frequency_ghz=1.33)]
+
+    def test_undescribable_machines_read_none(self):
+        custom = MachineConfig(big_cores=2, small_cores=3)
+        assert machine_fields(custom) is None
+        changed = dataclasses.replace(machine_1b1s(), quantum_seconds=2e-3)
+        assert machine_fields(changed) is None
+        # sweep_specs records such a machine by name only.
+        specs, _ = sweep_specs(
+            custom, [WorkloadMix("MHLMH", NAMES + ("mcf",))], ("random",),
+            instructions=1_000,
+        )
+        assert specs[0].machine == "2B3S"
+        assert specs[0].small_frequency_ghz is None
+
+
 class TestCampaign:
+    """A campaign is ``run_many`` over a :class:`ResultStore`."""
+
     def test_cache_hit_on_second_run(self, tmp_path):
-        campaign = Campaign(tmp_path)
         spec = _spec()
-        first = campaign.run(spec)
-        assert campaign.misses == 1 and campaign.hits == 0
-        second = campaign.run(spec)
-        assert campaign.hits == 1
-        assert second.sser == pytest.approx(first.sser)
-        assert campaign.is_cached(spec)
+        first = ExecutionEngine().run_many([spec], store=tmp_path)
+        assert (first.executed, first.cache_hits) == (1, 0)
+        second = ExecutionEngine().run_many([spec], store=tmp_path)
+        assert (second.executed, second.cache_hits) == (0, 1)
+        assert second.results[0].sser == pytest.approx(first.results[0].sser)
+        assert ResultStore(tmp_path).keys() == [spec.key()]
 
     def test_cache_persists_across_instances(self, tmp_path):
-        Campaign(tmp_path).run(_spec())
-        again = Campaign(tmp_path)
-        again.run(_spec())
-        assert again.hits == 1 and again.misses == 0
+        ExecutionEngine().run_many([_spec()], store=ResultStore(tmp_path))
+        again = ExecutionEngine().run_many(
+            [_spec()], store=ResultStore(tmp_path)
+        )
+        assert again.cache_hits == 1 and again.executed == 0
+
+    def test_corrupt_entry_recomputed(self, tmp_path):
+        store = ResultStore(tmp_path)
+        first = ExecutionEngine().run_many([_spec()], store=store)
+        store.path(_spec().key()).write_text("{ not json")
+        second = ExecutionEngine().run_many([_spec()], store=store)
+        assert second.executed == 1 and second.cache_hits == 0
+        assert second.results[0].sser == first.results[0].sser
+        assert store.load(_spec().key()) is not None  # repaired
+
+    def test_custom_tag_with_machine_override(self, tmp_path):
+        spec = RunSpec("custom-tag", ("povray", "milc"), "random", 500_000)
+        first = ExecutionEngine().run_many(
+            [spec], machines=machine_1b1s(), store=tmp_path
+        )
+        assert first.results[0].machine_name == "1B1S"
+        # Stored under the custom tag; the override is only needed on
+        # a miss.
+        second = ExecutionEngine().run_many([spec], store=tmp_path)
+        assert second.cache_hits == 1
+        assert second.results[0].sser == first.results[0].sser
 
     def test_sweep_shapes(self, tmp_path):
-        campaign = Campaign(tmp_path)
         workloads = [WorkloadMix("MHLM", NAMES)]
-        results = campaign.sweep(
-            "2B2S", workloads, ("random", "reliability"), 2_000_000
+        results = sweep(
+            STANDARD_MACHINES["2B2S"](), workloads,
+            ("random", "reliability"), instructions=2_000_000,
+            store=tmp_path,
         )
         assert set(results) == {"random", "reliability"}
         assert len(results["random"]) == 1
-
-    def test_clear(self, tmp_path):
-        campaign = Campaign(tmp_path)
-        campaign.run(_spec())
-        assert campaign.clear() == 1
-        assert not campaign.is_cached(_spec())
+        assert len(ResultStore(tmp_path).keys()) == 2

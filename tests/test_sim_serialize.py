@@ -8,11 +8,9 @@ from repro.config import machine_2b2s
 from repro.sim.experiment import run_workload
 from repro.sim.serialize import (
     load_run,
-    load_sweep,
     run_result_from_dict,
     run_result_to_dict,
     save_run,
-    save_sweep,
 )
 
 NAMES = ("povray", "milc", "gobmk", "bzip2")
@@ -46,22 +44,11 @@ class TestRoundTrip:
         assert isinstance(data["apps"], list)
 
 
-class TestSweepRoundTrip:
-    def test_sweep_file(self, result, tmp_path):
-        sweep = {"reliability": [result], "random": [result]}
-        path = save_sweep(sweep, tmp_path / "sweep.json")
-        restored = load_sweep(path)
-        assert set(restored) == {"reliability", "random"}
-        assert restored["reliability"][0].sser == pytest.approx(result.sser)
-
-
 class TestAtomicityAndCacheErrors:
     def test_save_leaves_no_temp_files(self, result, tmp_path):
         save_run(result, tmp_path / "run.json")
-        save_sweep({"r": [result]}, tmp_path / "sweep.json")
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "run.json", "sweep.json",
-        ]
+        save_run(result, tmp_path / "run.json")  # an overwrite, too
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_save_creates_parent_directories(self, result, tmp_path):
         path = save_run(result, tmp_path / "deep" / "nested" / "run.json")
@@ -85,13 +72,6 @@ class TestAtomicityAndCacheErrors:
         from repro.sim.serialize import ResultCacheError
         with pytest.raises(ResultCacheError, match="unreadable"):
             load_run(tmp_path / "absent.json")
-
-    def test_load_sweep_corrupt(self, tmp_path):
-        from repro.sim.serialize import ResultCacheError
-        path = tmp_path / "sweep.json"
-        path.write_text("[1, 2")
-        with pytest.raises(ResultCacheError):
-            load_sweep(path)
 
     def test_cache_error_is_value_error(self):
         from repro.sim.serialize import ResultCacheError
