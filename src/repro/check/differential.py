@@ -456,10 +456,10 @@ def _kernel_cache_state_equivalence(
 ) -> Iterator[Finding]:
     """Kernel and reference leave identical cache state behind.
 
-    Covers the batched access path *and* the budget-break rollback:
-    LRU contents, per-level statistics and hierarchy counters must all
-    match after the window, including the documented extra access for
-    the first uncommitted instruction.
+    Covers the kernels' walk in program order up to the budget break:
+    LRU contents, per-level statistics and hierarchy counters (the
+    shared L3's included) must all match after the window, including
+    the documented extra access for the first uncommitted instruction.
     """
     if comparison.kernel_cache_state != comparison.reference_cache_state:
         yield (
@@ -471,7 +471,7 @@ def _kernel_cache_state_equivalence(
 
 def _kernel_case(index: int, rng: np.random.Generator) -> CheckReport:
     from repro.config import MemoryConfig, big_core_config, small_core_config
-    from repro.cores.base import ISOLATED
+    from repro.cores.base import MemoryEnvironment
     from repro.cores.inorder import InOrderCoreModel
     from repro.cores.ooo import OutOfOrderCoreModel
     from repro.cores.tracebase import TraceApplication
@@ -479,49 +479,77 @@ def _kernel_case(index: int, rng: np.random.Generator) -> CheckReport:
         reference_inorder_run,
         reference_ooo_window,
     )
+    from repro.memory.cache import SetAssociativeCache
     from repro.workloads.generator import generate_trace
     from repro.workloads.spec2006 import benchmark
 
     name = BENCHMARK_NAMES[int(rng.integers(len(BENCHMARK_NAMES)))]
     instructions = int(rng.integers(4_000, 20_000))
     trace_seed = int(rng.integers(0, 2**16))
-    # Tiny budgets exercise the budget-break rollback; larger ones the
+    # Tiny budgets exercise the budget break; larger ones the
     # full-window path.  Starts beyond the trace length exercise the
     # wrap-around windowing.
     budget = float(rng.choice([3, 40, 700, 6_000, 60_000]))
     start = int(rng.integers(0, 2 * instructions))
     label = f"kernel/{index} {name}#{trace_seed}x{instructions}@{start}"
+    # The DRAM contention and the second window's budget come from a
+    # generator of their own, seeded by this case's draws, so the
+    # families drawn after this one keep their inputs.
+    extra = np.random.default_rng((trace_seed, instructions, start))
+    env = MemoryEnvironment(
+        dram_latency_multiplier=float(extra.choice([1.0, 1.37, 2.5]))
+    )
+    second_budget = float(extra.choice([3, 40, 700, 6_000]))
+
+    def machine():
+        # One OoO and one in-order model sharing an L3, as in a
+        # trace-driven run.
+        l3 = SetAssociativeCache(MemoryConfig().l3, "shared-l3")
+        return {
+            "ooo": OutOfOrderCoreModel(
+                big_core_config(), MemoryConfig(), shared_l3=l3
+            ),
+            "inorder": InOrderCoreModel(
+                small_core_config(), MemoryConfig(), shared_l3=l3
+            ),
+        }
 
     trace = generate_trace(benchmark(name), instructions, seed=trace_seed)
+    kernel_models, reference_models = machine(), machine()
+    ak, ar = TraceApplication(trace), TraceApplication(trace)
+    positions = {"ooo": start, "inorder": start}
     reports = []
-    for model_name in ("ooo", "inorder"):
-        if model_name == "ooo":
-            mk = OutOfOrderCoreModel(big_core_config(), MemoryConfig())
-            mr = OutOfOrderCoreModel(big_core_config(), MemoryConfig())
-        else:
-            mk = InOrderCoreModel(small_core_config(), MemoryConfig())
-            mr = InOrderCoreModel(small_core_config(), MemoryConfig())
-        ak, ar = TraceApplication(trace), TraceApplication(trace)
-        if model_name == "ooo":
-            kernel_out = mk.simulate_window(ak, start, budget, ISOLATED)
-            reference_out = reference_ooo_window(
-                mr, ar, start, budget, ISOLATED
+    # Each model's first window, then a second one on the warm caches.
+    for window, window_budget in enumerate((budget, second_budget)):
+        for model_name in ("ooo", "inorder"):
+            mk = kernel_models[model_name]
+            mr = reference_models[model_name]
+            at = positions[model_name]
+            if model_name == "ooo":
+                kernel_out = mk.simulate_window(ak, at, window_budget, env)
+                reference_out = reference_ooo_window(
+                    mr, ar, at, window_budget, env
+                )
+                positions[model_name] += kernel_out.committed
+            else:
+                kernel_out = mk.run_cycles(ak, at, window_budget, env)
+                reference_out = reference_inorder_run(
+                    mr, ar, at, window_budget, env
+                )
+                positions[model_name] += kernel_out.instructions
+            comparison = KernelComparison(
+                model=model_name,
+                kernel=kernel_out,
+                reference=reference_out,
+                kernel_cache_state=_cache_state(mk.hierarchy_for(ak)),
+                reference_cache_state=_cache_state(mr.hierarchy_for(ar)),
             )
-        else:
-            kernel_out = mk.run_cycles(ak, start, budget, ISOLATED)
-            reference_out = reference_inorder_run(
-                mr, ar, start, budget, ISOLATED
+            reports.append(
+                _apply(
+                    "kernel", f"{label} {model_name} window {window}",
+                    comparison,
+                )
             )
-        comparison = KernelComparison(
-            model=model_name,
-            kernel=kernel_out,
-            reference=reference_out,
-            kernel_cache_state=_cache_state(mk.hierarchy_for(ak)),
-            reference_cache_state=_cache_state(mr.hierarchy_for(ar)),
-        )
-        reports.append(
-            _apply("kernel", f"{label} {model_name}", comparison)
-        )
     from repro.check.invariants import merge_reports
 
     return merge_reports(reports, subject=label)

@@ -1,7 +1,7 @@
 """Vectorized hot-path kernels for the trace-driven simulation.
 
-- :mod:`repro.kernels.window` -- batched/precomputed window kernels
-  backing ``OutOfOrderCoreModel.simulate_window`` and
+- :mod:`repro.kernels.window` -- one-pass window kernels backing
+  ``OutOfOrderCoreModel.simulate_window`` and
   ``InOrderCoreModel.run_cycles``.
 - :mod:`repro.kernels.reference` -- the pre-kernel straight-line
   implementations, kept verbatim as correctness oracles.

@@ -1,31 +1,30 @@
-"""Vectorized window kernels for the trace-driven core models.
+"""Window kernels for the trace-driven core models.
 
 The pre-kernel implementations (kept verbatim in
 :mod:`repro.kernels.reference`) spent most of their time on
 per-instruction Python overhead: one :class:`InstructionClass` enum
 construction, several numpy scalar reads, and one scalar cache walk
-per load/store.  The kernels here restructure
-``simulate_window``/``run_cycles`` into:
+per load/store.  The kernels here run ``simulate_window``/``run_cycles``
+as one pass in program order:
 
-1. a **batched precompute pass** per chunk -- instruction-class codes,
-   static latencies, I-cache penalties and dependency distances are
-   extracted as plain Python lists in vectorized numpy operations, and
-   all of the chunk's load/store addresses run through
-   :meth:`~repro.memory.hierarchy.CacheHierarchy.access_data_batch`
-   in one pass.  Chunks start at :data:`_FIRST_CHUNK` instructions and
-   double up to :data:`_CHUNK`, so a short budget does not precompute
-   (and roll back) far past its break; then
+1. each **chunk's static columns** -- kernel kind code, static
+   latency, I-cache penalty, both dependency distances, the
+   misprediction flag and the data address -- are converted to plain
+   Python lists in vectorized numpy operations.  Chunks start at
+   :data:`_FIRST_CHUNK` instructions and double up to :data:`_CHUNK`,
+   so a short budget does not convert far past its break; then
 2. a **minimal max-plus recurrence loop** over local-variable-bound
    floats -- no enum construction, no dict lookups, no numpy scalar
-   round-trips.
+   round-trips -- sends each load and store address to the
+   hierarchy's :meth:`~repro.memory.hierarchy.CacheHierarchy.data_walk`
+   at the point where the recurrence reaches it.
 
 Results are identical to the reference implementations: the
 recurrence performs the same float operations in the same order, and
-the cache state is kept exact across the budget break by rolling back
-the batched accesses that over-ran the break instruction (the
-reference accesses the cache for instructions up to and including the
-first *uncommitted* instruction; see docs/performance.md and
-DESIGN.md).  The differential fuzzer cross-checks kernel vs reference
+the caches see the same accesses in the same order -- those of the
+committed instructions plus the break instruction's, the first
+*uncommitted* one (see docs/performance.md and DESIGN.md), and none
+after it.  The differential fuzzer cross-checks kernel vs reference
 on every ``repro check`` run.
 """
 
@@ -50,18 +49,15 @@ _WINDOW_SLACK = 1024
 #: Cycles a committed store occupies the in-order store queue.
 _STORE_DRAIN = 3.0
 
-#: Instructions in a window's first precompute/recurrence chunk.  Each
-#: later chunk doubles, up to :data:`_CHUNK`, so the instructions
-#: precomputed stay within ``2 x committed + _FIRST_CHUNK`` however
-#: the window's length compares with its budget.  Below 256 the
-#: batched accesses stop falling while the chunk count keeps rising
-#: (docs/performance.md).
+#: Instructions in a window's first chunk.  Each later chunk doubles,
+#: up to :data:`_CHUNK`, so the instructions whose columns are
+#: converted stay within ``2 x committed + _FIRST_CHUNK`` however the
+#: window's length compares with its budget (docs/performance.md).
 _FIRST_CHUNK = 256
 
-#: Largest precompute/recurrence chunk, in instructions.  Bounds the
-#: transient memory of the per-chunk buffers and, once chunks reach
-#: it, the batched-access overrun past the budget break (rolled back,
-#: but wasted work).
+#: Largest chunk, in instructions.  Bounds the transient memory of the
+#: per-chunk column lists and, once chunks reach it, the conversion
+#: wasted past the budget break.
 _CHUNK = 4096
 
 #: Class -> kernel kind code: 0 plain, 1 load, 2 store, 3 integer
@@ -88,57 +84,30 @@ def _chunk_bounds(n):
         c0, size = c1, min(2 * size, _CHUNK)
 
 
-def _chunk_inputs(window, c0, c1, hierarchy, icache_penalty, dram_extra):
-    """Precompute one chunk's per-instruction kernel inputs.
-
-    Runs the chunk's load/store addresses through the batched cache
-    walk (recording an undo journal) and returns plain Python lists
-    for the recurrence plus what a budget-break rollback needs.
-    """
-    kind = _KIND[window.classes[c0:c1]]
-    eff_lat = _STATIC_LATENCY[window.classes[c0:c1]]
-    mem_rel = np.nonzero((kind == 1) | (kind == 2))[0]
-    journal: list = []
-    levels = None
-    if mem_rel.size:
-        addresses = window.addresses[c0:c1][mem_rel]
-        lat_mem, levels = hierarchy.access_data_batch(addresses, journal)
-        is_load = kind[mem_rel] == 1
-        if is_load.any():
-            load_lat = lat_mem[is_load]
-            if dram_extra:
-                load_lat = load_lat + np.where(
-                    levels[is_load] == 3, dram_extra, 0.0
-                )
-            eff_lat[mem_rel[is_load]] = load_lat
-    icx = np.where(
-        window.icache_miss[c0:c1], icache_penalty, 0.0
-    ).tolist()
-    return (
-        kind.tolist(),
-        eff_lat,
-        icx,
+def _chunk_columns(window, c0, c1, icache_penalty):
+    """One chunk's static kernel inputs, per instruction, as plain
+    Python values: kind code, static latency, I-cache penalty, both
+    dependency distances, the misprediction flag and the address."""
+    classes = window.classes[c0:c1]
+    return zip(
+        _KIND[classes].tolist(),
+        _STATIC_LATENCY[classes].tolist(),
+        np.where(window.icache_miss[c0:c1], icache_penalty, 0.0).tolist(),
         window.dep1[c0:c1].tolist(),
         window.dep2[c0:c1].tolist(),
         window.mispredicted[c0:c1].tolist(),
-        mem_rel,
-        journal,
-        levels,
+        window.addresses[c0:c1].tolist(),
     )
 
 
-def _rollback_overrun(hierarchy, mem_rel, journal, levels, c0, break_abs):
-    """Undo batched accesses of instructions past the budget break.
-
-    The reference implementation accesses the cache for instructions
-    up to *and including* the break instruction (the first
-    uncommitted one); everything later in the chunk is rolled back.
-    """
-    if levels is None:
-        return
-    keep = int(np.searchsorted(mem_rel, break_abs - c0, side="right"))
-    if keep < len(journal):
-        hierarchy.rollback_data(journal, levels, keep)
+def _latencies(classes, load_latencies):
+    """Per-instruction latencies of a committed prefix: static ones,
+    with each load's walked latency in place.  ``load_latencies`` may
+    hold one more, the break instruction's."""
+    latency = _STATIC_LATENCY[classes]
+    loads = np.flatnonzero(classes == InstructionClass.LOAD)
+    latency[loads] = load_latencies[:loads.size]
+    return latency
 
 
 def ooo_simulate_window(model, app, start_instruction, cycles, env):
@@ -161,6 +130,8 @@ def ooo_simulate_window(model, app, start_instruction, cycles, env):
     dram_extra = (
         model.dram_latency_cycles(env) - hierarchy.dram_latency_cycles
     )
+    lat1, lat2, lat3, lat4 = hierarchy.data_latencies
+    load_lat = (lat1, lat2, lat3, lat4 + dram_extra)
     width = core.width
     rob_size = core.rob.entries
     iq_size = core.issue_queue.entries
@@ -175,13 +146,17 @@ def ooo_simulate_window(model, app, start_instruction, cycles, env):
     commit_l: list[float] = []
     load_commits: list[float] = []
     store_commits: list[float] = []
-    lat_chunks: list[np.ndarray] = []
+    load_lats: list[float] = []
     dispatch_append = dispatch_l.append
     issue_append = issue_l.append
     finish_append = finish_l.append
     commit_append = commit_l.append
     load_append = load_commits.append
     store_append = store_commits.append
+    load_lat_append = load_lats.append
+    walk = hierarchy.data_walk()
+    access = walk.send
+    access(None)
 
     fetch_ready = 0.0
     int_div_free = 0.0
@@ -196,115 +171,114 @@ def ooo_simulate_window(model, app, start_instruction, cycles, env):
     nll = -lq_size
     nss = -sq_size
     broke = False
-    for c0, c1 in _chunk_bounds(n):
-        (kind, eff_lat, icx, dep1, dep2, misp,
-         mem_rel, journal, levels) = _chunk_inputs(
-            window, c0, c1, hierarchy, icache_penalty, dram_extra
-        )
-        lat_chunks.append(eff_lat)
-        for k, lat, ic, d1, d2, mp in zip(
-            kind, eff_lat.tolist(), icx, dep1, dep2, misp
-        ):
-            if ic:
-                fetch_ready += ic
-            td = fetch_ready
-            if iw >= 0:
-                x = dispatch_l[iw] + 1.0
-                if x > td:
-                    td = x
-            if irob >= 0:
-                x = commit_l[irob]
-                if x > td:
-                    td = x
-            if iiq >= 0:
-                x = issue_l[iiq]
-                if x > td:
-                    td = x
-            if k:
-                if k == 1:
-                    if nll >= 0:
-                        x = load_commits[nll]
-                        if x > td:
-                            td = x
-                elif k == 2:
-                    if nss >= 0:
-                        x = store_commits[nss]
-                        if x > td:
-                            td = x
-            dispatch_append(td)
-            ready = td + 1.0
-            if d1:
-                x = finish_l[i - d1]
-                if x > ready:
-                    ready = x
-            if d2:
-                x = finish_l[i - d2]
-                if x > ready:
-                    ready = x
-            if k > 2:
-                if k == 3:
-                    if int_div_free > ready:
-                        ready = int_div_free
-                    fin = ready + lat
-                    int_div_free = fin
+    try:
+        for c0, c1 in _chunk_bounds(n):
+            for k, lat, ic, d1, d2, mp, addr in _chunk_columns(
+                window, c0, c1, icache_penalty
+            ):
+                if ic:
+                    fetch_ready += ic
+                td = fetch_ready
+                if iw >= 0:
+                    x = dispatch_l[iw] + 1.0
+                    if x > td:
+                        td = x
+                if irob >= 0:
+                    x = commit_l[irob]
+                    if x > td:
+                        td = x
+                if iiq >= 0:
+                    x = issue_l[iiq]
+                    if x > td:
+                        td = x
+                if k:
+                    if k == 1:
+                        if nll >= 0:
+                            x = load_commits[nll]
+                            if x > td:
+                                td = x
+                        lat = load_lat[access(addr)]
+                        load_lat_append(lat)
+                    elif k == 2:
+                        if nss >= 0:
+                            x = store_commits[nss]
+                            if x > td:
+                                td = x
+                        # Stores write back at commit: the access is for
+                        # the cache state, the pipeline sees unit latency.
+                        access(addr)
+                dispatch_append(td)
+                ready = td + 1.0
+                if d1:
+                    x = finish_l[i - d1]
+                    if x > ready:
+                        ready = x
+                if d2:
+                    x = finish_l[i - d2]
+                    if x > ready:
+                        ready = x
+                if k > 2:
+                    if k == 3:
+                        if int_div_free > ready:
+                            ready = int_div_free
+                        fin = ready + lat
+                        int_div_free = fin
+                    else:
+                        if fp_div_free > ready:
+                            ready = fp_div_free
+                        fin = ready + lat
+                        fp_div_free = fin
                 else:
-                    if fp_div_free > ready:
-                        ready = fp_div_free
                     fin = ready + lat
-                    fp_div_free = fin
-            else:
-                fin = ready + lat
-            issue_append(ready)
-            finish_append(fin)
-            if mp:
-                x = fin + depth
-                if x > fetch_ready:
-                    fetch_ready = x
-            tc = fin + 1.0
-            if prev_commit > tc:
-                tc = prev_commit
-            if iw >= 0:
-                x = commit_l[iw] + 1.0
-                if x > tc:
-                    tc = x
-            commit_append(tc)
-            prev_commit = tc
-            if k:
-                if k == 1:
-                    load_append(tc)
-                    nll += 1
-                elif k == 2:
-                    store_append(tc)
-                    nss += 1
-            iw += 1
-            irob += 1
-            iiq += 1
-            if tc > budget:
-                broke = True
+                issue_append(ready)
+                finish_append(fin)
+                if mp:
+                    x = fin + depth
+                    if x > fetch_ready:
+                        fetch_ready = x
+                tc = fin + 1.0
+                if prev_commit > tc:
+                    tc = prev_commit
+                if iw >= 0:
+                    x = commit_l[iw] + 1.0
+                    if x > tc:
+                        tc = x
+                commit_append(tc)
+                prev_commit = tc
+                if k:
+                    if k == 1:
+                        load_append(tc)
+                        nll += 1
+                    elif k == 2:
+                        store_append(tc)
+                        nss += 1
+                iw += 1
+                irob += 1
+                iiq += 1
+                if tc > budget:
+                    broke = True
+                    break
+                i += 1
+                committed = i
+                end_time = tc
+            if broke:
                 break
-            i += 1
-            committed = i
-            end_time = tc
-        if broke:
-            _rollback_overrun(hierarchy, mem_rel, journal, levels, c0, i)
-            break
+    finally:
+        walk.close()
 
     elapsed = budget if committed < n else max(end_time, 1.0)
-    if lat_chunks:
-        latency_out = np.concatenate(lat_chunks)[:committed]
-    else:
-        latency_out = np.zeros(0, dtype=np.float64)
+    classes = window.classes[:committed]
     reg = obs_metrics.ACTIVE
     if reg is not None:
         reg.counter("kernel.windows", kernel="ooo").inc()
         reg.counter("kernel.instructions", kernel="ooo").inc(committed)
     return WindowTiming(
-        classes=window.classes[:committed].copy(),
+        classes=classes.copy(),
         dispatch=np.array(dispatch_l[:committed], dtype=np.float64),
         issue=np.array(issue_l[:committed], dtype=np.float64),
         finish=np.array(finish_l[:committed], dtype=np.float64),
         commit=np.array(commit_l[:committed], dtype=np.float64),
-        latency=latency_out,
+        latency=_latencies(classes, load_lats),
         mispredicted=window.mispredicted[:committed].copy(),
         committed=committed,
         elapsed_cycles=elapsed,
@@ -334,7 +308,11 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
     if n == 0:
         return QuantumResult(instructions=0, cycles=budget)
     hierarchy = model.hierarchy_for(app)
-    dram_extra = model.dram_latency_cycles(env) - hierarchy.dram_latency_cycles
+    dram_extra = (
+        model.dram_latency_cycles(env) - hierarchy.dram_latency_cycles
+    )
+    lat1, lat2, lat3, lat4 = hierarchy.data_latencies
+    load_lat = (lat1, lat2, lat3, lat4 + dram_extra)
     l3_start = hierarchy.l3_accesses
     dram_start = hierarchy.dram_accesses
 
@@ -347,11 +325,15 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
     issue_l: list[float] = []
     finish_l: list[float] = []
     wb_l: list[float] = []
-    lat_chunks: list[np.ndarray] = []
+    load_lats: list[float] = []
     fetch_append = fetch_l.append
     issue_append = issue_l.append
     finish_append = finish_l.append
     wb_append = wb_l.append
+    load_lat_append = load_lats.append
+    walk = hierarchy.data_walk()
+    access = walk.send
+    access(None)
 
     fetch_ready = 0.0
     int_div_free = 0.0
@@ -363,86 +345,91 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
     iw = -width
     ilatch = -latch_slots
     broke = False
-    for c0, c1 in _chunk_bounds(n):
-        (kind, eff_lat, icx, dep1, dep2, misp,
-         mem_rel, journal, levels) = _chunk_inputs(
-            window, c0, c1, hierarchy, icache_penalty, dram_extra
-        )
-        lat_chunks.append(eff_lat)
-        for k, lat, ic, d1, d2, mp in zip(
-            kind, eff_lat.tolist(), icx, dep1, dep2, misp
-        ):
-            if ic:
-                fetch_ready += ic
-            # Fetch: at most `width` per cycle, and only when a
-            # pipeline-latch slot is free (slots are held from fetch
-            # to writeback, so stalls back-pressure the front end).
-            tf = fetch_ready
-            if iw >= 0:
-                x = fetch_l[iw] + 1.0
-                if x > tf:
-                    tf = x
-            if ilatch >= 0:
-                x = wb_l[ilatch]
-                if x > tf:
-                    tf = x
-            fetch_append(tf)
-            # In-order issue after traversing the front-end stages:
-            # after the previous instruction, at most `width` per
-            # cycle, once operands are ready (stall-on-use).
-            ti = tf + depth - 2.0
-            if prev_issue > ti:
-                ti = prev_issue
-            if iw >= 0:
-                x = issue_l[iw] + 1.0
-                if x > ti:
-                    ti = x
-            if d1:
-                x = finish_l[i - d1]
-                if x > ti:
-                    ti = x
-            if d2:
-                x = finish_l[i - d2]
-                if x > ti:
-                    ti = x
-            if k > 2:
-                if k == 3:
-                    if int_div_free > ti:
-                        ti = int_div_free
-                    fin = ti + lat
-                    int_div_free = fin
+    try:
+        for c0, c1 in _chunk_bounds(n):
+            for k, lat, ic, d1, d2, mp, addr in _chunk_columns(
+                window, c0, c1, icache_penalty
+            ):
+                if ic:
+                    fetch_ready += ic
+                # Fetch: at most `width` per cycle, and only when a
+                # pipeline-latch slot is free (slots are held from fetch
+                # to writeback, so stalls back-pressure the front end).
+                tf = fetch_ready
+                if iw >= 0:
+                    x = fetch_l[iw] + 1.0
+                    if x > tf:
+                        tf = x
+                if ilatch >= 0:
+                    x = wb_l[ilatch]
+                    if x > tf:
+                        tf = x
+                fetch_append(tf)
+                # In-order issue after traversing the front-end stages:
+                # after the previous instruction, at most `width` per
+                # cycle, once operands are ready (stall-on-use).
+                ti = tf + depth - 2.0
+                if prev_issue > ti:
+                    ti = prev_issue
+                if iw >= 0:
+                    x = issue_l[iw] + 1.0
+                    if x > ti:
+                        ti = x
+                if d1:
+                    x = finish_l[i - d1]
+                    if x > ti:
+                        ti = x
+                if d2:
+                    x = finish_l[i - d2]
+                    if x > ti:
+                        ti = x
+                if k:
+                    if k == 1:
+                        lat = load_lat[access(addr)]
+                        load_lat_append(lat)
+                        fin = ti + lat
+                    elif k == 2:
+                        access(addr)
+                        fin = ti + lat
+                    elif k == 3:
+                        if int_div_free > ti:
+                            ti = int_div_free
+                        fin = ti + lat
+                        int_div_free = fin
+                    else:
+                        if fp_div_free > ti:
+                            ti = fp_div_free
+                        fin = ti + lat
+                        fp_div_free = fin
                 else:
-                    if fp_div_free > ti:
-                        ti = fp_div_free
                     fin = ti + lat
-                    fp_div_free = fin
-            else:
-                fin = ti + lat
-            issue_append(ti)
-            finish_append(fin)
-            prev_issue = ti
-            if mp:
-                x = fin + depth
-                if x > fetch_ready:
-                    fetch_ready = x
-            w = fin + 1.0
-            wb_append(w)
-            iw += 1
-            ilatch += 1
-            if w > budget:
-                broke = True
+                issue_append(ti)
+                finish_append(fin)
+                prev_issue = ti
+                if mp:
+                    x = fin + depth
+                    if x > fetch_ready:
+                        fetch_ready = x
+                w = fin + 1.0
+                wb_append(w)
+                iw += 1
+                ilatch += 1
+                if w > budget:
+                    broke = True
+                    break
+                i += 1
+                committed = i
+                end_time = w
+            if broke:
                 break
-            i += 1
-            committed = i
-            end_time = w
-        if broke:
-            _rollback_overrun(hierarchy, mem_rel, journal, levels, c0, i)
-            break
+    finally:
+        walk.close()
 
     elapsed = budget if committed < n else max(end_time, 1.0)
+    classes = window.classes[:committed]
     ace, occupancy = _inorder_account(
-        model, window, lat_chunks, fetch_l, issue_l, wb_l,
-        committed, elapsed, TIMESTAMP_CLIP,
+        model, classes, _latencies(classes, load_lats),
+        fetch_l, issue_l, wb_l, elapsed, TIMESTAMP_CLIP,
     )
     reg = obs_metrics.ACTIVE
     if reg is not None:
@@ -462,24 +449,20 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
 
 
 def _inorder_account(
-    model, window, lat_chunks, fetch_l, issue_l, wb_l,
-    committed, elapsed, timestamp_clip,
+    model, classes, latency, fetch_l, issue_l, wb_l, elapsed, timestamp_clip,
 ):
-    """Vectorized in-order ACE/occupancy accounting (Section 4.2)."""
+    """Vectorized in-order ACE/occupancy accounting (Section 4.2) of a
+    committed prefix of ``classes``."""
     from repro.cores.inorder import _ARCH_REG_LIVE_FRACTION
 
     core = model.core
     latch_bits = core.pipeline_latches.bits_per_entry
     iq_bits = core.issue_queue.bits_per_entry
     sq_bits = core.store_queue.bits_per_entry
-    classes = window.classes[:committed]
+    committed = len(classes)
     fetch = np.array(fetch_l[:committed], dtype=np.float64)
     issue = np.array(issue_l[:committed], dtype=np.float64)
     wb = np.array(wb_l[:committed], dtype=np.float64)
-    if lat_chunks:
-        latency = np.concatenate(lat_chunks)[:committed]
-    else:
-        latency = np.zeros(0, dtype=np.float64)
 
     non_nop = classes != InstructionClass.NOP
     residency = np.minimum(wb - fetch, timestamp_clip)

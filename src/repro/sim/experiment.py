@@ -7,6 +7,7 @@ sweep workload lists under several schedulers.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Sequence
 
 from repro.ace.counters import AceCounterMode
@@ -105,13 +106,17 @@ def sweep_specs(
     execution mode runs the byte-identical campaign.  Each spec
     records the machine's small-core frequency and sampling overrides
     (:func:`~repro.sim.campaign.machine_fields`), so runs on different
-    machines never share a result-store key; a machine those fields
-    cannot describe is recorded by name and must be passed to the
-    engine as ``machines=``.
+    machines never share a result-store key.  A machine those fields
+    cannot describe is recorded under its name and a digest of its
+    whole configuration, never under a bare topology name, and must
+    be passed to the engine as ``machines=``.
     """
     from repro.sim.campaign import RunSpec, machine_fields
 
-    fields = machine_fields(machine) or {"machine": machine.name}
+    fields = machine_fields(machine)
+    if fields is None:
+        digest = hashlib.sha256(repr(machine).encode()).hexdigest()[:12]
+        fields = {"machine": f"{machine.name}~{digest}"}
     specs: list[RunSpec] = []
     labels: list[str] = []
     for index, mix in enumerate(workloads):

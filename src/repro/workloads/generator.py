@@ -94,28 +94,38 @@ def _draw_addresses(
     # An LRU stack of distinct lines: re-referencing the line at stack
     # distance d guarantees it hits in any LRU cache holding >= d
     # lines and misses in smaller ones, so the bands map directly to
-    # hierarchy levels.
+    # hierarchy levels.  The first access and every DRAM-level one
+    # stream to a fresh line, which pushes the stack; a reuse moves its
+    # line to the top.  So before access j the stack holds
+    # min(fresh lines before j, cap) lines, and every reuse distance's
+    # bounds are known before the walk: one RNG call draws them all,
+    # each element exactly as a scalar ``integers(lo, hi + 1)`` would.
+    cap = _L3_BAND[1] + 1
+    fresh = levels == 3
+    fresh[0] = True
+    depth = np.minimum(np.cumsum(fresh), cap)  # read at reuses only
+    reuse = ~fresh
+    bands = np.array([_L1_BAND, _L2_BAND, _L3_BAND])[levels[reuse]]
+    hi = np.minimum(bands[:, 1], depth[reuse])
+    lo = np.minimum(bands[:, 0], hi)
+    # Distance 0 marks a fresh line; every reuse distance is >= 1.
+    distances = np.zeros(mem_count, dtype=np.int64)
+    distances[reuse] = rng.integers(lo, hi + 1)
     stack: list[int] = []
-    fresh = start_address
-    bands = {0: _L1_BAND, 1: _L2_BAND, 2: _L3_BAND}
-    mem_addresses = np.zeros(mem_count, dtype=np.int64)
-    for j in range(mem_count):
-        level = int(levels[j])
-        if level == 3 or not stack:
-            line = fresh
-            fresh += _LINE
+    lines: list[int] = []
+    pop, push, emit = stack.pop, stack.append, lines.append
+    next_fresh = start_address
+    for distance in distances.tolist():
+        if distance:
+            line = pop(-distance)
         else:
-            lo, hi = bands[level]
-            hi = min(hi, len(stack))
-            lo = min(lo, hi)
-            distance = int(rng.integers(lo, hi + 1))
-            line = stack[-distance]
-            del stack[-distance]
-        mem_addresses[j] = line
-        stack.append(line)
-        if len(stack) > _L3_BAND[1] + 1:
-            del stack[0]
-    addresses[is_mem] = mem_addresses
+            line = next_fresh
+            next_fresh += _LINE
+            if len(stack) == cap:
+                del stack[0]
+        push(line)
+        emit(line)
+    addresses[is_mem] = lines
     return addresses
 
 

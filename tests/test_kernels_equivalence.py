@@ -3,14 +3,15 @@
 The vectorized kernels in `repro.kernels.window` must reproduce the
 straight-line references in `repro.kernels.reference` exactly:
 element-wise identical timings, identical committed counts, and
-identical cache state (including across the budget-break rollback).
+identical cache state (including at the budget break, and with an L3
+shared between an out-of-order and an in-order model).
 """
 
 import numpy as np
 import pytest
 
 from repro.config import MemoryConfig, big_core_config, small_core_config
-from repro.cores.base import ISOLATED
+from repro.cores.base import ISOLATED, MemoryEnvironment
 from repro.cores.inorder import InOrderCoreModel
 from repro.cores.ooo import OutOfOrderCoreModel
 from repro.cores.tracebase import TraceApplication
@@ -20,6 +21,7 @@ from repro.kernels.reference import (
     reference_inorder_run,
     reference_ooo_window,
 )
+from repro.memory.cache import SetAssociativeCache
 from repro.workloads import benchmark
 from repro.workloads.generator import generate_trace
 
@@ -312,11 +314,11 @@ def _first_chunks(count):
 class TestChunkEdges:
     """Exact at the edges of the doubling chunk schedule.
 
-    The precompute pass batches a chunk's cache accesses up front and
-    rolls back those past the break instruction, so the edges of a
-    chunk are where an off-by-one would show.  Instructions can only be
-    placed at a chunk edge in a window whose commit times strictly
-    increase, hence the chained traces.
+    The kernels convert a chunk's columns up front and walk the caches
+    as the recurrence reaches each access, so the edges of a chunk are
+    where an off-by-one would show.  Instructions can only be placed
+    at a chunk edge in a window whose commit times strictly increase,
+    hence the chained traces.
     """
 
     @pytest.mark.parametrize("kernel", ("ooo", "inorder"))
@@ -360,11 +362,11 @@ class TestChunkEdges:
 
 
 class TestPrecomputeWaste:
-    """The doubling schedule bounds the instructions precomputed (and
-    their batched cache accesses) by about twice those committed.  With
-    a fixed 4096-instruction first chunk, a 40-cycle big-core window
-    precomputed all of its 40 x 4 + 1024 = 1,184 instructions to commit
-    a few dozen."""
+    """The doubling schedule bounds the instructions whose columns are
+    converted by about twice those committed.  With a fixed
+    4096-instruction first chunk, a 40-cycle big-core window converted
+    all of its 40 x 4 + 1024 = 1,184 instructions to commit a few
+    dozen."""
 
     @pytest.mark.parametrize("kernel", ("ooo", "inorder"))
     @pytest.mark.parametrize("name", ("soplex", "mcf"))
@@ -372,20 +374,79 @@ class TestPrecomputeWaste:
     def test_precompute_within_twice_committed(
         self, monkeypatch, kernel, name, budget
     ):
-        precomputed = []
-        chunk_inputs = window._chunk_inputs
+        converted = []
+        chunk_columns = window._chunk_columns
 
         def spy(trace, c0, c1, *args):
-            precomputed.append(c1 - c0)
-            return chunk_inputs(trace, c0, c1, *args)
+            converted.append(c1 - c0)
+            return chunk_columns(trace, c0, c1, *args)
 
         new_model, run, _ = _KERNELS[kernel]
         model, app = new_model(), _app(name)
         # Mid-run, as a sampling slice is: warm caches first.
         start = _committed(run(model, app, 10_000.0))
-        monkeypatch.setattr(window, "_chunk_inputs", spy)
+        monkeypatch.setattr(window, "_chunk_columns", spy)
         committed = _committed(run(model, app, budget, start))
         assert 0 < committed
-        assert sum(precomputed) <= (
+        assert converted, "the spy saw no chunk"
+        assert sum(converted) <= (
             2 * (committed + 1) + window._FIRST_CHUNK
-        ), (committed, precomputed)
+        ), (committed, converted)
+
+
+def _shared_l3_models():
+    """One OoO and one in-order model sharing an L3, as the two core
+    types of a trace-driven run do."""
+    l3 = SetAssociativeCache(MemoryConfig().l3, "shared-l3")
+    return (
+        OutOfOrderCoreModel(big_core_config(), MemoryConfig(), shared_l3=l3),
+        InOrderCoreModel(small_core_config(), MemoryConfig(), shared_l3=l3),
+    )
+
+
+class TestSharedL3UnderContention:
+    """Chained windows on two applications, alternating between an OoO
+    and an in-order model that share an L3, under DRAM contention --
+    the conditions of every window ``run_trace_workload`` runs."""
+
+    @pytest.mark.parametrize("multiplier", (1.0, 1.37, 2.5))
+    def test_alternating_windows_match_reference(self, multiplier):
+        env = MemoryEnvironment(dram_latency_multiplier=multiplier)
+        kernel_models, reference_models = (
+            _shared_l3_models(), _shared_l3_models()
+        )
+        specs = (("mcf", 0), ("soplex", 1))
+        apps_k = [_app(name, 20_000, seed) for name, seed in specs]
+        apps_r = [_app(name, 20_000, seed) for name, seed in specs]
+        positions = [0, 0]
+        budgets = (3.0, 40.0, 400.0, 4_000.0)
+        for step in range(2 * len(budgets)):
+            budget = budgets[step % len(budgets)]
+            core = step % 2  # 0: OoO, 1: in-order
+            j = (step // 2) % 2
+            model_k, model_r = kernel_models[core], reference_models[core]
+            context = (multiplier, step, core, j, budget)
+            if core == 0:
+                result_k = model_k.simulate_window(
+                    apps_k[j], positions[j], budget, env
+                )
+                result_r = reference_ooo_window(
+                    model_r, apps_r[j], positions[j], budget, env
+                )
+                _assert_timing_equal(result_k, result_r, context)
+                positions[j] += result_k.committed
+            else:
+                result_k = model_k.run_cycles(
+                    apps_k[j], positions[j], budget, env
+                )
+                result_r = reference_inorder_run(
+                    model_r, apps_r[j], positions[j], budget, env
+                )
+                _assert_inorder_equal(result_k, result_r, context)
+                positions[j] += result_k.instructions
+            for model_k, model_r in zip(kernel_models, reference_models):
+                for app_k, app_r in zip(apps_k, apps_r):
+                    assert _cache_state(
+                        model_k.hierarchy_for(app_k)
+                    ) == _cache_state(model_r.hierarchy_for(app_r)), context
+        assert all(positions)

@@ -91,55 +91,85 @@ class TestHierarchyBatchEquivalence:
         assert latencies.tolist() == [o.latency_cycles for o in outcomes]
         assert _hierarchy_state(batch) == _hierarchy_state(scalar)
 
-    def test_rollback_restores_exact_prefix_state(self):
-        rng = np.random.default_rng(9)
-        addresses = _random_addresses(rng, 600, 1 << 20)
-        for keep in (0, 1, 137, 599, 600):
-            prefix_only = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
-            prefix_only.access_data_batch(addresses[:keep])
-            rolled = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
-            journal = []
-            _, levels = rolled.access_data_batch(addresses, journal)
-            rolled.rollback_data(journal, levels, keep)
-            assert _hierarchy_state(rolled) == _hierarchy_state(
-                prefix_only
-            ), keep
-            assert len(journal) == keep
-
-    def test_rollback_decrements_obs_counters(self):
-        # Regression: rollback_data undid the cache statistics but
-        # left the observability counters at their overcounted values,
-        # so `repro stats` disagreed with the simulation's own figures
-        # whenever a window kernel rolled back past a budget break.
-        from repro.obs import metrics as obs_metrics
-
-        rng = np.random.default_rng(5)
-        addresses = _random_addresses(rng, 500, 1 << 20)
-        keep = 123
-
-        with obs_metrics.collecting() as straight_reg:
-            straight = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
-            straight.access_data_batch(addresses[:keep])
-        with obs_metrics.collecting() as rolled_reg:
-            rolled = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
-            journal = []
-            _, levels = rolled.access_data_batch(addresses, journal)
-            rolled.rollback_data(journal, levels, keep)
-        assert _hierarchy_state(rolled) == _hierarchy_state(straight)
-        assert rolled_reg.snapshot() == straight_reg.snapshot()
-        for level in ("l1", "l2", "l3", "dram"):
-            value = rolled_reg.counter("cache.accesses", level=level).value
-            assert value >= 0
-
-    def test_rollback_then_continue_matches_straight_run(self):
+    def test_walks_closed_midway_match_scalar_walk(self):
+        # Each window kernel opens and closes one walk; state written
+        # back at one close must be what the next walk starts from.
         rng = np.random.default_rng(21)
         addresses = _random_addresses(rng, 400, 1 << 19)
-        straight = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
-        straight.access_data_batch(addresses[:150])
-        straight.access_data_batch(addresses[150:])
-        replayed = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
-        journal = []
-        _, levels = replayed.access_data_batch(addresses[:250], journal)
-        replayed.rollback_data(journal, levels, 150)
-        replayed.access_data_batch(addresses[150:])
-        assert _hierarchy_state(replayed) == _hierarchy_state(straight)
+        scalar = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
+        for a in addresses:
+            scalar.access_data(int(a))
+        split = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
+        for part in (addresses[:150], addresses[150:151], addresses[151:]):
+            split.access_data_batch(part)
+        assert _hierarchy_state(split) == _hierarchy_state(scalar)
+
+    def test_empty_batch_leaves_state(self):
+        hierarchy = CacheHierarchy(MemoryConfig(), frequency_ghz=2.66)
+        before = _hierarchy_state(hierarchy)
+        latencies, levels = hierarchy.access_data_batch(
+            np.zeros(0, dtype=np.int64)
+        )
+        assert latencies.shape == levels.shape == (0,)
+        assert (latencies.dtype, levels.dtype) == (np.float64, np.int8)
+        assert _hierarchy_state(hierarchy) == before
+
+
+class TestWindowMetrics:
+    """``cache.accesses{level}`` counts exactly the accesses a window
+    walks: those of its committed instructions and of the break
+    instruction, none after it."""
+
+    @pytest.mark.parametrize("kernel", ("ooo", "inorder"))
+    def test_break_mid_chunk_counts_the_walked_accesses(self, kernel):
+        from repro.config import big_core_config, small_core_config
+        from repro.cores.base import MemoryEnvironment
+        from repro.cores.inorder import InOrderCoreModel
+        from repro.cores.ooo import OutOfOrderCoreModel
+        from repro.cores.tracebase import TraceApplication
+        from repro.isa.instruction import InstructionClass
+        from repro.kernels.window import _chunk_bounds
+        from repro.obs import metrics as obs_metrics
+        from repro.workloads import benchmark
+        from repro.workloads.generator import generate_trace
+
+        if kernel == "ooo":
+            model = OutOfOrderCoreModel(big_core_config(), MemoryConfig())
+
+            def run(start, budget):
+                return model.simulate_window(app, start, budget, env).committed
+        else:
+            model = InOrderCoreModel(small_core_config(), MemoryConfig())
+
+            def run(start, budget):
+                return model.run_cycles(app, start, budget, env).instructions
+
+        app = TraceApplication(generate_trace(benchmark("mcf"), 20_000))
+        env = MemoryEnvironment(dram_latency_multiplier=1.37)
+        start = run(0, 5_000.0)  # warm caches, as mid-run
+        hierarchy = model.hierarchy_for(app)
+
+        def counts():
+            return (
+                hierarchy.l1d.stats.accesses,
+                hierarchy.l2.stats.accesses,
+                hierarchy.l3.stats.accesses,
+                hierarchy.dram_accesses,
+            )
+
+        before = counts()
+        with obs_metrics.collecting() as registry:
+            committed = run(start, 400.0)
+        after = counts()
+        # The window broke inside a chunk that holds memory
+        # instructions after its break instruction.
+        (c1,) = [c1 for c0, c1 in _chunk_bounds(10**6) if c0 <= committed < c1]
+        tail = app.trace.classes[start + committed + 1:start + c1]
+        assert 0 < committed and np.isin(
+            tail, (InstructionClass.LOAD, InstructionClass.STORE)
+        ).any()
+        for level, first, last in zip(
+            ("l1", "l2", "l3", "dram"), before, after
+        ):
+            value = registry.counter("cache.accesses", level=level).value
+            assert value == last - first, level

@@ -151,13 +151,47 @@ class TestMachineFields:
         assert machine_fields(custom) is None
         changed = dataclasses.replace(machine_1b1s(), quantum_seconds=2e-3)
         assert machine_fields(changed) is None
-        # sweep_specs records such a machine by name only.
+        # sweep_specs records such a machine under its name and a
+        # digest of its whole configuration.
         specs, _ = sweep_specs(
             custom, [WorkloadMix("MHLMH", NAMES + ("mcf",))], ("random",),
             instructions=1_000,
         )
-        assert specs[0].machine == "2B3S"
+        assert specs[0].machine.startswith("2B3S~")
         assert specs[0].small_frequency_ghz is None
+        again, _ = sweep_specs(
+            MachineConfig(big_cores=2, small_cores=3),
+            [WorkloadMix("MHLMH", NAMES + ("mcf",))], ("random",),
+            instructions=1_000,
+        )
+        assert again == specs
+        other, _ = sweep_specs(
+            custom.with_small_frequency(1.33),
+            [WorkloadMix("MHLMH", NAMES + ("mcf",))], ("random",),
+            instructions=1_000,
+        )
+        assert other[0].machine.startswith("2B3S~")
+        assert other[0].key() != specs[0].key()
+
+    def test_undescribable_machine_misses_a_standard_store(self, tmp_path):
+        # A 1B1S with a longer quantum is not the standard 1B1S: its
+        # sweep must simulate, not read the standard runs' results.
+        mixes = [WorkloadMix("MH", ("povray", "milc"))]
+        sweep(
+            machine_1b1s(), mixes, ("reliability",),
+            instructions=5_000_000, store=tmp_path,
+        )
+        changed = dataclasses.replace(machine_1b1s(), quantum_seconds=2e-3)
+        stored = sweep(
+            changed, mixes, ("reliability",),
+            instructions=5_000_000, store=tmp_path,
+        )["reliability"][0]
+        fresh = sweep(
+            changed, mixes, ("reliability",), instructions=5_000_000
+        )["reliability"][0]
+        assert stored.quanta == fresh.quanta
+        assert stored.sser == fresh.sser
+        assert len(ResultStore(tmp_path).keys()) == 2
 
 
 class TestCampaign:

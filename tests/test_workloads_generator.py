@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.instruction import InstructionClass
-from repro.workloads.characteristics import PhaseCharacteristics
+from repro.workloads import generator
+from repro.workloads.characteristics import InstructionMix, PhaseCharacteristics
 from repro.workloads.generator import generate_phase_trace, generate_trace
-from repro.workloads.spec2006 import benchmark
+from repro.workloads.spec2006 import BENCHMARK_NAMES, benchmark
 
 
 def _chars(**kwargs):
@@ -119,3 +120,95 @@ class TestFullTrace:
         trace = generate_trace(benchmark("soplex"), n, seed=seed)
         assert len(trace) == n
         assert (trace.dep1 <= np.arange(n)).all()
+
+
+def _per_access_draw_addresses(chars, classes, rng, start_address):
+    """The generator's address draw as one scalar ``rng.integers`` call
+    per reused line: the reference for the batched draw."""
+    n = len(classes)
+    addresses = np.zeros(n, dtype=np.int64)
+    is_mem = np.isin(classes, np.array(generator._MEMORY_CLASSES, dtype=np.int8))
+    mem_count = int(is_mem.sum())
+    if mem_count == 0:
+        return addresses
+    accesses_pki = 1000.0 * (chars.mix.load + chars.mix.store)
+    p_l2 = min(1.0, (chars.l1d_mpki - chars.l2_mpki) / accesses_pki)
+    p_l3 = min(1.0, (chars.l2_mpki - chars.l3_mpki) / accesses_pki)
+    p_mem = min(1.0, chars.l3_mpki / accesses_pki)
+    p_l1 = max(0.0, 1.0 - p_l2 - p_l3 - p_mem)
+    levels = rng.choice(
+        4, size=mem_count, p=np.array([p_l1, p_l2, p_l3, p_mem])
+    )
+    stack: list[int] = []
+    fresh = start_address
+    bands = {0: generator._L1_BAND, 1: generator._L2_BAND, 2: generator._L3_BAND}
+    mem_addresses = np.zeros(mem_count, dtype=np.int64)
+    for j in range(mem_count):
+        level = int(levels[j])
+        if level == 3 or not stack:
+            line = fresh
+            fresh += generator._LINE
+        else:
+            lo, hi = bands[level]
+            hi = min(hi, len(stack))
+            lo = min(lo, hi)
+            distance = int(rng.integers(lo, hi + 1))
+            line = stack[-distance]
+            del stack[-distance]
+        mem_addresses[j] = line
+        stack.append(line)
+        if len(stack) > generator._L3_BAND[1] + 1:
+            del stack[0]
+    addresses[is_mem] = mem_addresses
+    return addresses
+
+
+_TRACE_FIELDS = (
+    "classes", "dep1", "dep2", "addresses", "mispredicted", "icache_miss",
+)
+
+
+class TestBatchedAddressDraws:
+    """One ``rng.integers`` call over per-access bound arrays draws each
+    reuse distance exactly as one scalar call per access did, and
+    leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_every_profile_byte_identical(self, monkeypatch, seed):
+        cases = [
+            (name, n) for name in BENCHMARK_NAMES for n in (10_000, 20_000)
+        ]
+        batched = [
+            generate_trace(benchmark(name), n, seed=seed) for name, n in cases
+        ]
+        monkeypatch.setattr(
+            generator, "_draw_addresses", _per_access_draw_addresses
+        )
+        for (name, n), trace in zip(cases, batched):
+            expected = generate_trace(benchmark(name), n, seed=seed)
+            for field in _TRACE_FIELDS:
+                a, b = getattr(trace, field), getattr(expected, field)
+                assert a.dtype == b.dtype, (name, n, field)
+                assert a.tobytes() == b.tobytes(), (name, n, field)
+
+    def test_stack_past_its_cap(self):
+        # A phase of all memory accesses, three quarters of them fresh
+        # lines: the LRU stack fills to its cap and lines leave its
+        # bottom, which no standard profile reaches at trace scale.
+        chars = _chars(
+            mix=InstructionMix(
+                nop=0.0, int_alu=0.2, int_mul=0.0, load=0.6, store=0.2,
+                branch=0.0,
+            ),
+            branch_mpki=0.0, l1d_mpki=760.0, l2_mpki=700.0, l3_mpki=600.0,
+        )
+        classes = np.full(100_000, InstructionClass.LOAD, dtype=np.int8)
+        classes[::4] = InstructionClass.STORE
+        rng_batched = np.random.default_rng(11)
+        rng_scalar = np.random.default_rng(11)
+        batched = generator._draw_addresses(chars, classes, rng_batched, 1 << 20)
+        scalar = _per_access_draw_addresses(chars, classes, rng_scalar, 1 << 20)
+        assert batched.tobytes() == scalar.tobytes()
+        assert rng_batched.bit_generator.state == rng_scalar.bit_generator.state
+        # Distinct lines are the fresh ones: more than the stack holds.
+        assert len(np.unique(batched)) > generator._L3_BAND[1] + 1
