@@ -3,7 +3,7 @@
 Unlike the figure benches, this bench measures the *simulator itself*:
 trace generation, the trace cache, batched cache access, the OoO and
 in-order window kernels against their straight-line references, and
-sharded campaigns at 1/2/4 shards.  It writes ``BENCH_PERF.json`` next
+a sweep on 1, 2 and 4 engine workers.  It writes ``BENCH_PERF.json`` next
 to the repository root (override with ``--output``) so the performance
 trajectory is tracked PR-over-PR; see docs/performance.md.
 

@@ -37,7 +37,6 @@ from repro.check.invariants import (
     check_schedule,
     check_segment_paths,
     check_service,
-    check_shard_resume_states,
     check_stack,
     default_run_checks,
     merge_reports,
@@ -69,7 +68,6 @@ __all__ = [
     "check_schedule",
     "check_segment_paths",
     "check_service",
-    "check_shard_resume_states",
     "check_stack",
     "compare_goldens",
     "default_run_checks",

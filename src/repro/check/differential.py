@@ -19,10 +19,11 @@ invariants:
   inputs must satisfy oracle dominance.
 * **stack cases** -- a random isolated run's ABC stack must conserve
   ABC across structures.
-* **resume cases** -- a campaign is interrupted at a random event
-  (optionally with a corrupt store entry, the SIGKILL signature) and
-  resumed; the resumed report must be bit-identical to an
-  uninterrupted run's.
+* **resume cases** -- a campaign runs on 1-4 engine workers, its
+  JSONL log is cut after a random job event (optionally with a corrupt
+  store entry, the SIGKILL signature) and the campaign resumes on the
+  same width; the resumed report must be bit-identical to an
+  uninterrupted run's (``resume_equivalence``).
 * **service cases** -- one seeded arrival stream runs through a fresh
   :class:`~repro.service.server.OpenSystem` in-process, then twice as
   a load point on :class:`~repro.runtime.engine.ExecutionEngine`
@@ -32,13 +33,6 @@ invariants:
   (``service_feed_determinism``), every result must conserve jobs
   (``open_system_conservation``), and the in-process decision trace
   must chain-validate.
-* **shard cases** -- a random campaign runs on a random shard fleet;
-  the fleet log's job events, split into per-shard streams and each
-  cut at a random point, must replay to one canonical resume state
-  however the merge is ordered (``shard_resume_state_canonical``),
-  and a sharded resume over the cut streams (optionally with a
-  corrupt store entry) must match the uninterrupted fleet
-  bit-for-bit (``resume_equivalence``).
 * **mode cases** -- a (placement x protection-mode) run must satisfy
   run accounting, schedule legality, checker-slot legality
   (``mode_slot_legality``), mode-model conservation of the accounting
@@ -647,14 +641,15 @@ def _decision_case(index: int, rng: np.random.Generator) -> CheckReport:
 
 
 def _resume_case(index: int, rng: np.random.Generator) -> CheckReport:
-    """Interrupt a campaign at a random point, resume it, and demand
-    the resumed report match an uninterrupted run's bit-for-bit."""
+    """Interrupt a campaign on a random number of workers at a random
+    point of its log, resume it on the same width, and demand the
+    resumed report match an uninterrupted run's bit-for-bit."""
     import tempfile
     from pathlib import Path
 
     from repro.check.invariants import check_resume
     from repro.runtime.engine import ExecutionEngine, FaultPlan
-    from repro.runtime.events import CallbackSink, CampaignPlan
+    from repro.runtime.events import CampaignPlan, JsonlEventSink, read_events
     from repro.runtime.resume import ResumeState
     from repro.runtime.retry import FailurePolicy
     from repro.sim.campaign import RunSpec
@@ -678,6 +673,7 @@ def _resume_case(index: int, rng: np.random.Generator) -> CheckReport:
                 seed=spec_index,
             )
         )
+    workers = int(rng.integers(1, 5))
     # One job may fail permanently; the same fault plan applies to the
     # interrupted, resumed and baseline runs so their statuses agree.
     fail_index = int(rng.integers(count + 1))  # == count: no failure
@@ -687,13 +683,13 @@ def _resume_case(index: int, rng: np.random.Generator) -> CheckReport:
         else None
     )
     label = (
-        f"resume/{index} {machine_name} x{count} "
+        f"resume/{index} {machine_name} x{count} workers={workers} "
         f"fail@{fail_index if plan is not None else '-'}"
     )
 
     def engine(**kwargs) -> ExecutionEngine:
         return ExecutionEngine(
-            jobs=1,
+            jobs=workers,
             failure_policy=FailurePolicy.COLLECT,
             fault_plan=plan,
             **kwargs,
@@ -701,17 +697,25 @@ def _resume_case(index: int, rng: np.random.Generator) -> CheckReport:
 
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
-        events: list = []
-        engine(sinks=[CallbackSink(events.append)]).run_many(
-            specs, store=tmp / "store"
+        log = tmp / "log.jsonl"
+        sink = JsonlEventSink(log)
+        try:
+            engine(sinks=[sink]).run_many(specs, store=tmp / "store")
+        finally:
+            sink.close()
+        # Simulate a SIGKILL: keep the plan record (written first) and
+        # the job events up to a random cut.  Workers finish in wall
+        # clock order, so the cut goes through the job events sorted
+        # (stably) by job index, and no draw depends on which worker
+        # finished first.
+        events = read_events(log)
+        plan_event = next(e for e in events if isinstance(e, CampaignPlan))
+        job_events = sorted(
+            (e for e in events if getattr(e, "index", -1) >= 0),
+            key=lambda e: e.index,
         )
-        # Simulate a SIGKILL: drop a random suffix of the event stream
-        # (the plan record survives -- it is emitted at the start).
-        plan_at = next(
-            i for i, e in enumerate(events) if isinstance(e, CampaignPlan)
-        )
-        cut = int(rng.integers(plan_at + 1, len(events) + 1))
-        state = ResumeState.from_events(events[:cut])
+        cut = int(rng.integers(len(job_events) + 1))
+        state = ResumeState.from_events([plan_event] + job_events[:cut])
         # Sometimes the kill also left a truncated store entry behind;
         # resume must recompute it, not crash or trust it.
         if state.completed and int(rng.integers(2)):
@@ -826,127 +830,6 @@ def _service_case(index: int, rng: np.random.Generator) -> CheckReport:
             check_service(point.result, label=f"{label} worker {k}")
         )
     return merge_reports(reports, subject=label)
-
-
-def _shard_case(index: int, rng: np.random.Generator) -> CheckReport:
-    """Run a campaign on a random shard fleet, kill it at random cuts
-    of its per-shard streams, and demand the replayed resume state is
-    canonical under merge reordering and a sharded resume (possibly
-    over a corrupted store entry) matches the uninterrupted fleet
-    bit-for-bit."""
-    import tempfile
-    from pathlib import Path
-
-    from repro.check.invariants import (
-        check_resume,
-        check_shard_resume_states,
-        merge_reports,
-    )
-    from repro.runtime.engine import FaultPlan
-    from repro.runtime.events import (
-        CampaignPlan,
-        JsonlEventSink,
-        merge_event_streams,
-        read_events,
-    )
-    from repro.runtime.resume import ResumeState
-    from repro.runtime.retry import FailurePolicy
-    from repro.runtime.shard import ShardCoordinator
-    from repro.sim.campaign import RunSpec
-
-    machine_name = FUZZ_MACHINES[int(rng.integers(len(FUZZ_MACHINES)))]
-    machine = STANDARD_MACHINES[machine_name]()
-    count = int(rng.integers(3, 6))
-    specs = []
-    for spec_index in range(count):
-        picks = rng.choice(
-            len(BENCHMARK_NAMES), size=machine.num_cores, replace=False
-        )
-        names = tuple(BENCHMARK_NAMES[i] for i in sorted(picks.tolist()))
-        scheduler = FUZZ_SCHEDULERS[int(rng.integers(len(FUZZ_SCHEDULERS)))]
-        specs.append(
-            RunSpec(
-                machine_name,
-                names,
-                scheduler,
-                int(rng.integers(60_000, 150_000)),
-                seed=spec_index,
-            )
-        )
-    shards = int(rng.integers(2, 5))
-    fail_index = int(rng.integers(count + 1))  # == count: no failure
-    plan = (
-        FaultPlan(fail_attempts={fail_index: 99})
-        if fail_index < count
-        else None
-    )
-    label = (
-        f"shard/{index} {machine_name} x{count} shards={shards} "
-        f"fail@{fail_index if plan is not None else '-'}"
-    )
-
-    def coordinator(**kwargs) -> ShardCoordinator:
-        return ShardCoordinator(
-            shards,
-            failure_policy=FailurePolicy.COLLECT,
-            fault_plan=plan,
-            **kwargs,
-        )
-
-    with tempfile.TemporaryDirectory() as tmp_name:
-        tmp = Path(tmp_name)
-        log = tmp / "log.jsonl"
-        log_sink = JsonlEventSink(log)
-        try:
-            full = coordinator(log_sink=log_sink).run(
-                specs, store=tmp / "store"
-            )
-        finally:
-            log_sink.close()
-
-        # Simulate a fleet SIGKILL: split the fleet log's job events
-        # into one stream per shard by job index, each in job-index
-        # order (so no draw depends on which worker finished first),
-        # and keep each stream only up to an independent random cut.
-        # The plan record, written first, survives by construction.
-        events = read_events(log)
-        plan_event = next(e for e in events if isinstance(e, CampaignPlan))
-        job_events = sorted(
-            (e for e in events if getattr(e, "index", -1) >= 0),
-            key=lambda e: e.index,
-        )
-        streams = [
-            [e for e in job_events if e.index % shards == shard]
-            for shard in range(shards)
-        ]
-        cut_streams = [
-            stream[: int(rng.integers(len(stream) + 1))]
-            for stream in streams
-        ]
-        merged = merge_event_streams(cut_streams)
-        state = ResumeState.from_events([plan_event] + merged)
-        # Permuting the shard completion order must replay to the
-        # same canonical state.
-        order = rng.permutation(len(cut_streams)).tolist()
-        permuted = merge_event_streams([cut_streams[i] for i in order])
-        state_permuted = ResumeState.from_events([plan_event] + permuted)
-        state_report = check_shard_resume_states(
-            state, state_permuted, label=label
-        )
-
-        # Sometimes the kill also left a truncated store entry behind;
-        # the resumed fleet must recompute it, not crash or trust it.
-        if state.completed and int(rng.integers(2)):
-            completed = sorted(state.completed)
-            victim = tmp / "store" / (
-                completed[int(rng.integers(len(completed)))] + ".json"
-            )
-            victim.write_text(victim.read_text()[:25])
-        resumed = coordinator().run(
-            specs, resume_from=state, store=tmp / "store"
-        )
-        resume_report = check_resume(full, resumed, label=label)
-    return merge_reports([state_report, resume_report], subject=label)
 
 
 def _mode_case(index: int, rng: np.random.Generator) -> CheckReport:
@@ -1115,7 +998,6 @@ def fuzz(
     decision_cases: int = 2,
     resume_cases: int = 2,
     service_cases: int = 2,
-    shard_cases: int = 2,
     mode_cases: int = 2,
     segment_cases: int = 2,
     gates: FuzzGates | None = None,
@@ -1125,10 +1007,10 @@ def fuzz(
     All randomness derives from ``seed`` through one
     :class:`numpy.random.Generator`; nothing reads the clock, so the
     findings are reproducible byte-for-byte.  Newer case kinds (kernel,
-    then decision, then resume, then service, then shard, then mode,
-    then segment) draw from the rng after the older ones, so adding them
-    kept existing seeds' earlier cases identical; removing a kind shifts
-    the inputs of every kind after it.
+    then decision, then resume, then service, then mode, then segment)
+    draw from the rng after the older ones, so adding them kept existing
+    seeds' earlier cases identical; removing a kind, or changing what
+    one draws, shifts the inputs of every kind after it.
     """
     gates = gates if gates is not None else FuzzGates()
     rng = np.random.default_rng(seed)
@@ -1147,8 +1029,6 @@ def fuzz(
         reports.append(_resume_case(index, rng))
     for index in range(service_cases):
         reports.append(_service_case(index, rng))
-    for index in range(shard_cases):
-        reports.append(_shard_case(index, rng))
     for index in range(mode_cases):
         reports.append(_mode_case(index, rng))
     for index in range(segment_cases):

@@ -1063,35 +1063,6 @@ def check_resume(full, resumed, *, label: str = "resume") -> CheckReport:
     return _apply("resume", label, full, resumed)
 
 
-# -- shard invariants --------------------------------------------------
-
-
-@invariant("shard_resume_state_canonical", subject="shard_resume")
-def _shard_resume_state_canonical(state_a, state_b) -> Iterator[Finding]:
-    """Sharded logs replay to one canonical :class:`ResumeState`.
-
-    However per-shard event streams are cut, merged, or reordered,
-    the replayed job statuses must agree -- resume decisions cannot
-    depend on which shard's stream was read first.
-    """
-    for field_name in ("completed", "failed", "pending", "shards"):
-        a = getattr(state_a, field_name)
-        b = getattr(state_b, field_name)
-        if a != b:
-            yield (
-                f"resume states disagree on {field_name}",
-                {
-                    "a": len(a) if isinstance(a, set) else a,
-                    "b": len(b) if isinstance(b, set) else b,
-                },
-            )
-
-
-def check_shard_resume_states(state_a, state_b, *, label: str = "shard"):
-    """Check two replayed resume states for canonical agreement."""
-    return _apply("shard_resume", label, state_a, state_b)
-
-
 # -- open-system service invariants -----------------------------------
 
 

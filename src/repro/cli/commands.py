@@ -11,7 +11,13 @@ import sys
 from repro.ace.counters import AceCounterMode
 from repro.runtime import (
     CampaignError,
+    ExecutionEngine,
+    FailurePolicy,
+    FleetStatus,
+    FleetStatusServer,
     JsonlEventSink,
+    ResumeState,
+    RetryPolicy,
     StderrProgressSink,
     default_jobs,
     replay_timings,
@@ -36,6 +42,7 @@ from repro.sim.experiment import (
     make_scheduler,
     run_workload,
     sweep,
+    sweep_specs,
 )
 from repro.sim.isolated import isolated_stats
 from repro.sim.multicore import default_models
@@ -198,37 +205,77 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Run the paper's 36-workload sweep on a machine."""
+    """Run the paper's 36-workload sweep on a machine.
+
+    The campaign plan comes from
+    :func:`repro.sim.experiment.sweep_specs` and runs as one
+    :meth:`ExecutionEngine.run_many` on ``--jobs`` workers, which
+    records the width in the plan, so ``repro resume`` keeps it.
+    stdout is byte-identical for any worker count; a
+    :class:`~repro.runtime.shard.FleetStatus` sink counts the progress
+    for the closing stderr line and, with ``--status-socket``, a live
+    UNIX socket speaking the ``repro serve`` framing.
+    """
     machine = _machine(args)
     if machine is None:
         return 2
-    workloads = generate_workloads(args.programs, seed=args.workload_seed)
-    sinks = _sinks(args, args.verbose)
     try:
-        results = sweep(machine, workloads, SCHEDULER_NAMES,
-                        instructions=args.instructions,
-                        jobs=_jobs(args), sinks=sinks,
-                        checks=_checks(args),
-                        metrics=getattr(args, "metrics", False),
-                        store=getattr(args, "store", None))
+        fault_plan = _fault_plan(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    workloads = generate_workloads(args.programs, seed=args.workload_seed)
+    specs, labels = sweep_specs(machine, workloads, SCHEDULER_NAMES,
+                                instructions=args.instructions)
+    fleet = FleetStatus(len(specs))
+    sinks = _sinks(args, args.verbose)
+    engine = ExecutionEngine(
+        _jobs(args),
+        failure_policy=FailurePolicy(args.failures),
+        timeout_seconds=args.timeout,
+        sinks=[fleet, *sinks],
+        fault_plan=fault_plan,
+        checks=_checks(args),
+        metrics=args.metrics,
+        spans=args.spans,
+    )
+    server = None
+    if args.status_socket:
+        server = FleetStatusServer(fleet, args.status_socket)
+        server.start()
+        print(f"fleet status on {args.status_socket}", file=sys.stderr)
+    try:
+        report = engine.run_many(specs, machines=machine, labels=labels,
+                                 store=args.store)
     except CampaignError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     finally:
+        if server is not None:
+            server.close()
         _close_sinks(sinks)
-    if getattr(args, "modes", False):
-        mode_results, sections, ok = _mode_sweep(
-            machine, workloads, args.instructions,
-            check=getattr(args, "check", False),
-        )
-        results["modes"] = mode_results
-        print(sweep_summary(results))
-        for section in sections:
-            print()
-            print(section)
-        return 0 if ok else 1
-    print(sweep_summary(results))
-    return 0
+    sections, ok = [], not report.failures
+    if report.failures:
+        # Failed jobs have no result: the per-job table stands in.
+        summary = _campaign_stdout(specs, report)
+    else:
+        results = _by_scheduler(specs, report.results)
+        if args.modes:
+            results["modes"], sections, ok = _mode_sweep(
+                machine, workloads, args.instructions, check=args.check,
+            )
+        summary = sweep_summary(results)
+    print(summary)
+    for section in sections:
+        print()
+        print(section)
+    print(f"\n{fleet.format_line()}", file=sys.stderr)
+    for outcome in report.failures:
+        print(f"failed: {outcome.label}: {outcome.error}", file=sys.stderr)
+    if report.failures and args.store:
+        print(f"postmortems: repro postmortem --list --store {args.store}",
+              file=sys.stderr)
+    return 0 if ok else 1
 
 
 def _mode_sweep(machine, workloads, instructions, check=False):
@@ -313,19 +360,26 @@ def _mode_sweep(machine, workloads, instructions, check=False):
     return results, sections, ok
 
 
+def _by_scheduler(specs, results) -> dict[str, list]:
+    """A campaign's results grouped by scheduler, in spec order."""
+    grouped: dict[str, list] = {}
+    for spec, result in zip(specs, results):
+        grouped.setdefault(spec.scheduler, []).append(result)
+    return grouped
+
+
 def _campaign_stdout(specs, report) -> str:
     """The canonical stdout for a finished campaign.
 
     A scheduler sweep prints the same summary ``repro sweep`` would
-    have; other campaign shapes get a per-job table.  Shared by
-    ``repro resume`` and ``repro shard`` so every execution path's
-    stdout is byte-identical for the same specs and results.
+    have; other campaign shapes get a per-job table.  ``repro resume``
+    prints it, and so does ``repro sweep --failures collect`` when
+    jobs failed, so a resumed campaign's stdout is byte-identical to
+    the uninterrupted one's.
     """
     results = report.results
     if all(result is not None for result in results):
-        by_scheduler: dict[str, list] = {}
-        for spec, result in zip(specs, results):
-            by_scheduler.setdefault(spec.scheduler, []).append(result)
+        by_scheduler = _by_scheduler(specs, results)
         lengths = {len(v) for v in by_scheduler.values()}
         if "random" in by_scheduler and len(lengths) == 1:
             return sweep_summary(by_scheduler)
@@ -348,18 +402,11 @@ def cmd_resume(args) -> int:
     The log's campaign-plan record supplies the specs, result store
     and engine settings; jobs the log records as completed are served
     from the store, pending and failed ones re-run.  The campaign runs
-    on one shard coordinator whose width is ``--jobs``, else the
-    plan's shard count, else ``REPRO_JOBS``.  Progress goes to stderr;
+    on one engine whose width is ``--jobs``, else the plan's worker
+    count, else ``REPRO_JOBS``.  Progress goes to stderr;
     the final summary (matching what the uninterrupted command would
     have printed) goes to stdout.
     """
-    from repro.runtime import (
-        ExecutionEngine,
-        FailurePolicy,
-        ResumeState,
-        ShardCoordinator,
-    )
-
     try:
         state = ResumeState.load(args.path)
     except (OSError, ValueError) as error:
@@ -381,19 +428,20 @@ def cmd_resume(args) -> int:
     # Resumed events append to the original log by default, so the log
     # stays the single source of truth (and remains resumable again).
     log_sink = JsonlEventSink(args.event_log or args.path)
-    coordinator = ShardCoordinator(
+    engine = ExecutionEngine(
         max(1, args.jobs) if args.jobs else state.shards or default_jobs(),
+        retry=RetryPolicy(
+            max_attempts=state.max_attempts, base_delay_seconds=0.0
+        ),
+        failure_policy=FailurePolicy(state.failure_policy),
+        timeout_seconds=state.timeout_seconds,
+        sinks=[*live, log_sink],
+        checks=_checks(args),
         metrics=state.metrics,
         spans=state.spans,
-        checks=bool(_checks(args)),
-        failure_policy=FailurePolicy(state.failure_policy),
-        max_attempts=state.max_attempts,
-        timeout_seconds=state.timeout_seconds,
-        sinks=live,
-        log_sink=log_sink,
     )
     try:
-        report = coordinator.run(
+        report = engine.run_many(
             state.specs,
             machines=machine,
             labels=state.labels,
@@ -418,93 +466,6 @@ def cmd_resume(args) -> int:
     return 0
 
 
-def cmd_shard(args) -> int:
-    """Run the paper's sweep on a fleet of N worker processes.
-
-    The campaign plan is the exact one ``repro sweep`` runs (same
-    specs, same order, via :func:`repro.sim.experiment.sweep_specs`);
-    the shard coordinator deals it to N engine workers one spec at a
-    time and records the shard count in the plan, so ``repro resume``
-    keeps the width.  stdout is byte-identical across shard counts;
-    fleet telemetry goes to stderr (and, with --status-socket, a live
-    UNIX socket speaking the ``repro serve`` framing).
-    """
-    from repro.runtime import (
-        FailurePolicy,
-        FleetStatus,
-        FleetStatusServer,
-        ShardCoordinator,
-    )
-    from repro.sim.experiment import sweep_specs
-
-    machine = _machine(args)
-    if machine is None:
-        return 2
-    workloads = generate_workloads(args.programs, seed=args.workload_seed)
-    specs, labels = sweep_specs(machine, workloads, SCHEDULER_NAMES,
-                                instructions=args.instructions)
-
-    try:
-        fault_plan = _fault_plan(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    failure_policy = (FailurePolicy.COLLECT
-                      if getattr(args, "failures", "fail-fast") == "collect"
-                      else FailurePolicy.FAIL_FAST)
-    live = [StderrProgressSink()] if args.verbose else []
-    log_sink = (JsonlEventSink(args.event_log)
-                if getattr(args, "event_log", None) else None)
-    fleet = FleetStatus(len(specs))
-    coordinator = ShardCoordinator(
-        args.shards,
-        metrics=getattr(args, "metrics", False),
-        spans=getattr(args, "spans", False),
-        checks=bool(_checks(args)),
-        failure_policy=failure_policy,
-        timeout_seconds=getattr(args, "timeout", None),
-        fault_plan=fault_plan,
-        sinks=live,
-        log_sink=log_sink,
-        status=fleet,
-    )
-    server = None
-    if args.status_socket:
-        server = FleetStatusServer(
-            fleet, args.status_socket,
-            metrics_source=coordinator.openmetrics,
-        )
-        server.start()
-        print(f"fleet status on {args.status_socket}", file=sys.stderr)
-    try:
-        report = coordinator.run(
-            specs,
-            machines=machine,
-            labels=labels,
-            store=getattr(args, "store", None),
-        )
-    except CampaignError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if server is not None:
-            server.close()
-        if log_sink is not None:
-            log_sink.close()
-        _close_sinks(live)
-    print(_campaign_stdout(specs, report))
-    print(f"\n{fleet.format_line()}", file=sys.stderr)
-    if report.failures:
-        for outcome in report.failures:
-            print(f"failed: {outcome.label}: {outcome.error}",
-                  file=sys.stderr)
-        if getattr(args, "store", None):
-            print(f"postmortems: repro postmortem --list --store "
-                  f"{args.store}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _fault_plan(args):
     """Build a FaultPlan from the chaos-drill flags, or None."""
     from repro.runtime.engine import FaultPlan
@@ -526,11 +487,11 @@ def _fault_plan(args):
 
     fail_attempts = (
         parse_pairs(args.inject_fail, int, "--inject-fail")
-        if getattr(args, "inject_fail", None) else {}
+        if args.inject_fail else {}
     )
     sleep_seconds = (
         parse_pairs(args.inject_sleep, float, "--inject-sleep")
-        if getattr(args, "inject_sleep", None) else {}
+        if args.inject_sleep else {}
     )
     if not fail_attempts and not sleep_seconds:
         return None
@@ -940,7 +901,6 @@ def cmd_check(args) -> int:
             decision_cases=args.decision_cases,
             resume_cases=args.resume_cases,
             service_cases=args.service_cases,
-            shard_cases=args.shard_cases,
             mode_cases=args.mode_cases,
         )
         print(report.format())
@@ -1204,7 +1164,7 @@ def cmd_postmortem(args) -> int:
 
 
 def cmd_top(args) -> int:
-    """Live fleet view polling a `repro shard --status-socket` socket."""
+    """Live fleet view polling a `repro sweep --status-socket` socket."""
     import json
     import socket
     import time

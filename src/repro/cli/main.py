@@ -5,7 +5,6 @@ Subcommands:
 * ``repro run``       -- run one workload under one scheduler
 * ``repro compare``   -- compare the three schedulers on a workload
 * ``repro sweep``     -- the 36-workload evaluation sweep
-* ``repro shard``     -- the sweep on a fleet of N worker processes
 * ``repro avf``       -- suite AVF spectrum and H/M/L classes (Fig. 1)
 * ``repro oracle``    -- static-schedule enumeration (Section 2.4)
 * ``repro workloads`` -- list the canonical workload mixes
@@ -31,8 +30,10 @@ structured JSONL progress events for post-hoc analysis, and
 ``--metrics`` makes every job emit a mergeable metrics snapshot into
 the event stream (aggregate with ``repro stats``).  ``repro sweep
 --store DIR --event-log FILE`` makes the sweep durable: if the process
-is killed, ``repro resume FILE`` finishes the remaining jobs and
-reports results identical to an uninterrupted run.  ``repro run
+is killed, ``repro resume FILE`` finishes the remaining jobs on the
+same number of workers and reports results identical to an
+uninterrupted run.  ``repro sweep --status-socket PATH`` serves the
+campaign's live progress to ``repro top``.  ``repro run
 --profile`` prints the span tree and metrics of one run, and ``repro
 trace --spans FILE`` renders a span tree saved with ``--obs-out``
 (see ``docs/observability.md``).
@@ -137,70 +138,39 @@ def build_parser() -> argparse.ArgumentParser:
                             "uncore-extended per-component SSER "
                             "breakdown")
     _add_runtime_arguments(sweep)
-    sweep.set_defaults(func=commands.cmd_sweep)
-
-    shard = subparsers.add_parser(
-        "shard",
-        help="run the sweep on a fleet of N worker processes",
-    )
-    _add_machine_arguments(shard)
-    shard.add_argument("--programs", type=int, default=4, choices=(2, 4, 8))
-    shard.add_argument("--instructions", type=int,
-                       default=DEFAULT_INSTRUCTIONS)
-    shard.add_argument("--workload-seed", type=int, default=42)
-    shard.add_argument("--shards", type=int, default=2, metavar="N",
-                       help="worker count; the workers take the "
-                            "specs one at a time (stdout, store and "
-                            "metrics are byte-identical for any N)")
-    shard.add_argument("--verbose", action="store_true")
-    shard.add_argument("--store", default=None, metavar="DIR",
-                       help="shared content-addressed result store; "
-                            "with --event-log, a killed fleet can be "
-                            "finished with `repro resume`")
-    shard.add_argument("--status-socket", default=None, metavar="PATH",
-                       help="serve live fleet status (done/failed/"
-                            "queued, per-worker done/failed, runs/s, "
-                            "ETA) on a "
-                            "UNIX socket speaking the `repro serve` "
-                            "framing")
-    shard.add_argument("--event-log", default=None, metavar="FILE",
-                       help="append the fleet's JSONL event stream "
-                            "to FILE as it happens (replay with `repro "
-                            "events`; resume with `repro resume`)")
-    shard.add_argument("--check", action="store_true",
-                       help="validate every run against the paper "
-                            "invariants (repro.check)")
-    shard.add_argument("--metrics", action="store_true",
-                       help="collect a metrics registry per job and "
-                            "fold them into one fleet snapshot")
-    shard.add_argument("--spans", action="store_true",
+    sweep.add_argument("--spans", action="store_true",
                        help="collect per-job span trees as "
                             "span_snapshot events, grafted into a "
-                            "fleet-wide span forest (render with "
+                            "campaign-wide span forest (render with "
                             "`repro stats --spans`)")
-    shard.add_argument("--timeout", type=float, default=None,
+    sweep.add_argument("--status-socket", default=None, metavar="PATH",
+                       help="serve live progress (done/failed/queued, "
+                            "per-worker done/failed, runs/s, ETA) and "
+                            "the metrics so far on a UNIX socket "
+                            "speaking the `repro serve` framing (read "
+                            "with `repro top`)")
+    sweep.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-job wall-clock timeout; the worker "
                             "of a job that overruns it is killed, and "
                             "the job fails and dumps a postmortem "
                             "bundle")
-    shard.add_argument("--failures", default="fail-fast",
+    sweep.add_argument("--failures", default="fail-fast",
                        choices=("fail-fast", "collect"),
-                       help="fail-fast: kill the fleet's workers at "
-                            "the first failure and cancel the rest "
-                            "(default); collect: report failures in "
-                            "the job table and exit 1")
-    shard.add_argument("--inject-fail", default=None, metavar="INDEX:N",
-                       help="chaos drill: fail global job INDEX for its "
-                            "first N attempts (repeatable as a comma "
-                            "list, e.g. 3:99,7:1)")
-    shard.add_argument("--inject-sleep", default=None,
+                       help="fail-fast: kill the workers at the first "
+                            "failure and cancel the rest (default); "
+                            "collect: report failures in the job table "
+                            "and exit 1")
+    sweep.add_argument("--inject-fail", default=None, metavar="INDEX:N",
+                       help="chaos drill: fail job INDEX for its first "
+                            "N attempts (repeatable as a comma list, "
+                            "e.g. 3:99,7:1)")
+    sweep.add_argument("--inject-sleep", default=None,
                        metavar="INDEX:SECONDS",
-                       help="chaos drill: stall global job INDEX by "
-                            "SECONDS per attempt (comma list; pair "
-                            "with --timeout to force timeout "
-                            "postmortems)")
-    shard.set_defaults(func=commands.cmd_shard)
+                       help="chaos drill: stall job INDEX by SECONDS "
+                            "per attempt (comma list; pair with "
+                            "--timeout to force timeout postmortems)")
+    sweep.set_defaults(func=commands.cmd_sweep)
 
     resume = subparsers.add_parser(
         "resume",
@@ -215,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--jobs", type=int, default=None,
                         help="worker processes for parallel execution "
                              "(default: the worker count recorded in "
-                             "the log's plan by `repro shard`, else "
-                             "the REPRO_JOBS env var, else 1)")
+                             "the log's plan, else the REPRO_JOBS env "
+                             "var, else 1)")
     resume.add_argument("--event-log", default=None, metavar="FILE",
                         help="append the resumed run's events to FILE "
                              "(default: the resumed log itself)")
@@ -279,14 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scheduler decision-trace replay/consistency "
                             "cases")
     check.add_argument("--resume-cases", type=int, default=2,
-                       help="interrupt-and-resume equivalence cases")
+                       help="interrupt-and-resume equivalence cases "
+                            "(1-4 workers, a random log cut, store "
+                            "corruption)")
     check.add_argument("--service-cases", type=int, default=2,
                        help="open-system serial-vs-parallel feed "
                             "equivalence cases")
-    check.add_argument("--shard-cases", type=int, default=2,
-                       help="sharded-campaign resume equivalence "
-                            "cases (random per-shard stream cuts + "
-                            "store corruption)")
     check.add_argument("--mode-cases", type=int, default=2,
                        help="protection-mode scheduler cases: mode "
                             "model conservation, checker-slot "
@@ -321,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "more than this fraction on the OoO kernel "
                             "path (e.g. 0.03 = 3%%)")
     bench.add_argument("--min-shard-speedup", type=float, default=None,
-                       help="fail unless `repro shard` at 2 shards "
-                            "beats 1 shard by this factor in runs/s")
+                       help="fail unless the bench's shard row, a "
+                            "sweep on 2 engine workers, beats the "
+                            "in-process run by this factor in runs/s")
     bench.set_defaults(func=commands.cmd_bench)
 
     figure = subparsers.add_parser(
@@ -494,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = subparsers.add_parser(
         "top",
-        help="live fleet view over a `repro shard --status-socket` "
+        help="live fleet view over a `repro sweep --status-socket` "
              "socket",
     )
     top.add_argument("socket", help="UNIX socket path served by "
-                                    "`repro shard --status-socket`")
+                                    "`repro sweep --status-socket`")
     top.add_argument("--once", action="store_true",
                      help="print one snapshot and exit (for scripts "
                           "and CI)")

@@ -3,7 +3,7 @@
 Times the layers the `repro.kernels` work optimizes -- trace
 generation (and the trace cache), batched cache access, the OoO and
 in-order window kernels (against their straight-line references) and
-sharded campaigns -- and emits a machine-readable report
+a sweep on 1, 2 and 4 engine workers -- and emits a machine-readable report
 (``BENCH_PERF.json``) so the performance trajectory is tracked
 PR-over-PR.  End-to-end campaign time is measured by
 ``benchmarks/e2e`` (``paper_fig06``), not here.  Run via ``repro bench``
@@ -254,18 +254,18 @@ def run_bench(quick: bool = False) -> dict:
         ),
     }
 
-    # -- sharded campaign at 1/2/4 worker processes --
-    # One shard runs in-process, as --jobs 1 does; 2 and 4 shards deal
-    # the specs to forked engine workers, so they pay the worker start
+    # -- sweep on 1/2/4 engine workers (the "shard" row) --
+    # One worker runs in-process, as --jobs 1 does; 2 and 4 deal the
+    # specs to forked engine workers, so they pay the worker start
     # (a few ms per fork) that shards_1 does not.  The regression gate
-    # (--min-shard-speedup) applies at 2 shards; 4 is reported for the
+    # (--min-shard-speedup) applies at 2 workers; 4 is reported for the
     # scaling curve.  Sized so the serial compute (~2 s quick)
     # dominates worker start: on a >= 2-core host the model predicts
-    # ~1.9x at 2 shards, leaving headroom over the 1.6x CI floor.  On
+    # ~1.9x at 2 workers, leaving headroom over the 1.6x CI floor.  On
     # a single-core host the speedup honestly reads <= 1.0 (workers
     # time-slice one CPU) -- apply the gate only where cores exist.
     from repro.config import STANDARD_MACHINES
-    from repro.runtime.shard import ShardCoordinator
+    from repro.runtime.engine import ExecutionEngine
     from repro.sim.experiment import sweep_specs
     from repro.workloads.mixes import generate_workloads
 
@@ -283,7 +283,7 @@ def run_bench(quick: bool = False) -> dict:
     shard_base_runs_per_s = None
     for count in (1, 2, 4):
         t0 = time.perf_counter()
-        ShardCoordinator(count).run(
+        ExecutionEngine(jobs=count).run_many(
             shard_specs, machines=shard_machine, labels=shard_labels
         )
         wall = time.perf_counter() - t0

@@ -37,10 +37,6 @@ class CacheStats:
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def reset(self) -> None:
-        self.accesses = 0
-        self.misses = 0
-
 
 class SetAssociativeCache:
     """A single cache level with LRU replacement.
@@ -130,11 +126,6 @@ class SetAssociativeCache:
         """Whether the line holding an address is resident (no update)."""
         index, tag = self._index_tag(int(address))
         return tag in self._sets[index]
-
-    def flush(self) -> None:
-        """Invalidate every line (statistics are kept)."""
-        for lru in self._sets:
-            lru.clear()
 
     @property
     def resident_lines(self) -> int:

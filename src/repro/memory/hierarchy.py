@@ -1,6 +1,6 @@
 """Multi-level cache hierarchy for the trace-driven core models.
 
-Each core owns private L1I/L1D/L2 caches; the L3 is shared between the
+Each core owns private L1D/L2 caches; the L3 is shared between the
 cores of one machine (pass the same :class:`SetAssociativeCache`
 instance to several hierarchies to model sharing).  A data access
 walks the levels and returns the load-to-use latency in cycles.
@@ -46,7 +46,10 @@ class AccessOutcome:
 
 
 class CacheHierarchy:
-    """Private L1I/L1D/L2 in front of a (possibly shared) L3.
+    """Private L1D/L2 in front of a (possibly shared) L3.
+
+    Only data accesses walk the hierarchy: the trace-driven models take
+    instruction-cache misses from the trace's ``icache_miss`` flags.
 
     Attributes:
         dram_accesses: number of accesses serviced by DRAM.
@@ -61,7 +64,6 @@ class CacheHierarchy:
     ):
         self.memory = memory
         self.frequency_ghz = frequency_ghz
-        self.l1i = SetAssociativeCache(memory.l1i, "l1i")
         self.l1d = SetAssociativeCache(memory.l1d, "l1d")
         self.l2 = SetAssociativeCache(memory.l2, "l2")
         self.l3 = shared_l3 if shared_l3 is not None else SetAssociativeCache(
@@ -227,28 +229,3 @@ class CacheHierarchy:
         walk.close()
         latencies = np.array(self.data_latencies, dtype=np.float64)[levels]
         return latencies, levels
-
-    def access_instruction(self, address: int) -> AccessOutcome:
-        """Access the instruction path: L1I -> L2 (-> L3 -> DRAM)."""
-        if self.l1i.access(address):
-            return AccessOutcome(0.0, "l1")  # hit latency hidden by pipelining
-        if self.l2.access(address):
-            return AccessOutcome(self.memory.l2.latency_cycles, "l2")
-        self.l3_accesses += 1
-        if self.l3.access(address):
-            return AccessOutcome(
-                self.memory.l2.latency_cycles + self.memory.l3.latency_cycles, "l3"
-            )
-        self.dram_accesses += 1
-        return AccessOutcome(
-            self.memory.l2.latency_cycles
-            + self.memory.l3.latency_cycles
-            + self.dram_latency_cycles,
-            "dram",
-        )
-
-    def reset_stats(self) -> None:
-        for cache in (self.l1i, self.l1d, self.l2, self.l3):
-            cache.stats.reset()
-        self.dram_accesses = 0
-        self.l3_accesses = 0

@@ -1,12 +1,12 @@
 """Campaign execution runtime: worker-dealing engine, events, retry.
 
 This package is the single execution path for campaigns, sweeps,
-benches and the CLI: it fans independent simulation runs out across
-CPU cores, retries transient worker failures, and narrates progress
-through a structured event stream.  :mod:`repro.runtime.shard` runs a
-campaign as a fleet: one engine whose workers are the shards, plus the
-fleet's live status and the shard count in the plan
-(``docs/sharding.md``).
+benches and the CLI: one :class:`ExecutionEngine` fans independent
+simulation runs out across CPU cores, retries transient worker
+failures, and narrates progress through a structured event stream.
+:mod:`repro.runtime.shard` watches that stream for a fleet's live
+status and metrics (``repro sweep --jobs N --status-socket``,
+``docs/sharding.md``).
 """
 
 from repro.runtime.engine import (
@@ -42,13 +42,7 @@ from repro.runtime.events import (
     replay_timings,
 )
 from repro.runtime.resume import ResumeError, ResumeState
-from repro.runtime.retry import (
-    DEFAULT_RETRY,
-    NO_RETRY,
-    CampaignError,
-    FailurePolicy,
-    RetryPolicy,
-)
+from repro.runtime.retry import CampaignError, FailurePolicy, RetryPolicy
 from repro.runtime.shard import (
     FleetStatus,
     FleetStatusServer,
@@ -63,7 +57,6 @@ __all__ = [
     "CampaignPlan",
     "CampaignStarted",
     "CheckFailed",
-    "DEFAULT_RETRY",
     "Event",
     "EventSink",
     "ExecutionEngine",
@@ -82,7 +75,6 @@ __all__ = [
     "JobTiming",
     "JsonlEventSink",
     "MetricsSnapshot",
-    "NO_RETRY",
     "ResultStore",
     "ResumeError",
     "ResumeState",

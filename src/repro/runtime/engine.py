@@ -329,9 +329,10 @@ class ExecutionEngine:
     """Deal :class:`RunSpec` jobs to worker processes the engine owns.
 
     Args:
-        jobs: worker-process count; ``1`` runs everything in-process
-            (no workers), which is also the graceful-degradation path
-            when forking is unavailable.
+        jobs: worker-process count, recorded in the campaign plan as
+            ``shards`` so a resume keeps it; ``1`` runs everything
+            in-process (no workers), which is also the
+            graceful-degradation path when forking is unavailable.
         retry: per-job :class:`RetryPolicy` (applied inside workers).
         failure_policy: what a permanent job failure means for the
             batch (abort vs. collect partial results).
@@ -680,6 +681,7 @@ class ExecutionEngine:
                     failure_policy=self.failure_policy.value,
                     timeout_seconds=self.timeout_seconds,
                     max_attempts=self.retry.max_attempts,
+                    shards=self.jobs,
                     metrics=self.metrics,
                     spans=self.spans,
                 )

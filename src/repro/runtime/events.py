@@ -78,10 +78,9 @@ class CampaignPlan(Event):
     and ``metrics`` and ``spans`` whether each job emits its
     :class:`MetricsSnapshot` and :class:`SpanSnapshot`, so a resume
     collects what the interrupted campaign collected.  ``shards`` is
-    the worker count when the plan was written by the shard
-    coordinator (``None`` when the engine ran without one, as ``repro
-    sweep`` does), so ``repro resume`` puts the campaign back on the
-    same width.
+    the engine's worker count, so ``repro resume`` puts the campaign
+    back on the same width (``None`` in logs written before the engine
+    recorded it).
 
     Together with the terminal job events that follow it
     (:data:`TERMINAL_EVENTS`), the plan is the log's half of a durable

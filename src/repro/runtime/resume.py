@@ -56,8 +56,8 @@ class ResumeState:
         failure_policy: engine failure-policy value from the plan.
         timeout_seconds: engine per-job timeout from the plan.
         max_attempts: engine retry attempts from the plan.
-        shards: worker count recorded by the shard coordinator's plan
-            (``None`` when ``repro sweep`` wrote it).
+        shards: the engine's worker count recorded in the plan
+            (``None`` in logs written before the engine recorded it).
         metrics: whether the campaign collected per-job metrics.
         spans: whether the campaign collected per-job span trees.
         completed: keys the log records as successfully finished.

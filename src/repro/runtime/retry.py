@@ -65,13 +65,6 @@ class RetryPolicy:
         return min(raw, self.max_delay_seconds)
 
 
-#: Convenience policy: a single attempt, no backoff.
-NO_RETRY = RetryPolicy(max_attempts=1)
-
-#: Convenience policy used by the CLI: three attempts, fast backoff.
-DEFAULT_RETRY = RetryPolicy(max_attempts=3, base_delay_seconds=0.1)
-
-
 class CampaignError(RuntimeError):
     """A campaign aborted (or, under ``COLLECT``, finished with
     failures the caller asked to be raised).

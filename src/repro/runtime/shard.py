@@ -1,40 +1,33 @@
-"""Sharded campaign execution: the coordinator and its fleet view.
+"""Fleet telemetry for a campaign run on N engine workers.
 
-A shard fleet is one :class:`~repro.runtime.engine.ExecutionEngine`
-run whose N workers are the shards.  The engine deals the campaign's
-:class:`~repro.sim.campaign.RunSpec` jobs to them one at a time, kills
-a worker that overruns the job timeout or is still running when a
-fail-fast abort fires, and stamps the slot of the worker that ran a
-job as ``trace["shard"]`` on every event of that job.  The
-coordinator adds what a fleet needs on top of the engine's event
-stream:
+A fleet is one :class:`~repro.runtime.engine.ExecutionEngine` run
+(``repro sweep --jobs N``): the engine deals the campaign's
+:class:`~repro.sim.campaign.RunSpec` jobs to its N workers one at a
+time, records its width in the campaign plan (``shards``), and stamps
+the slot of the worker that ran a job as ``trace["shard"]`` on every
+event of that job.  This module watches that event stream:
 
-* the campaign plan records ``shards``, so ``repro resume`` puts a
-  killed fleet back on the same width without being told;
-* a :class:`FleetStatus` counts the fleet's progress, fleet-wide and
-  per worker slot, for the progress line, ``--status-socket`` and
-  ``repro top``;
-* each job's metrics snapshot folds into
-  :meth:`ShardCoordinator.openmetrics` as it arrives.
+* :class:`FleetStatus` is an event sink that counts the fleet's
+  progress, fleet-wide and per worker slot, and keeps each job's
+  metrics snapshot for its OpenMetrics exposition;
+* :class:`FleetStatusServer` serves both on a UNIX socket
+  (``--status-socket``, read by ``repro top``).
 
-Results, stdout and result-store bytes are those of ``repro sweep`` at
-any shard count, because the fleet is the same engine.
+:class:`ShardCoordinator` is a thin shim over the engine, kept for
+``benchmarks/e2e``'s ``fleet_2w`` workload, which constructs it and
+times :meth:`ShardCoordinator.run` as a layer.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.config.machines import MachineConfig
 from repro.obs import metrics as obs_metrics
-from repro.runtime.engine import ExecutionEngine, ExecutionReport, FaultPlan
+from repro.runtime.engine import ExecutionEngine, ExecutionReport
 from repro.runtime.events import (
-    CallbackSink,
-    CampaignPlan,
     Event,
     EventSink,
     JobCached,
@@ -42,9 +35,6 @@ from repro.runtime.events import (
     JobFinished,
     MetricsSnapshot,
 )
-from repro.runtime.resume import ResumeState
-from repro.runtime.retry import FailurePolicy, RetryPolicy
-from repro.runtime.store import ResultStore
 from repro.service.framing import FramingError, decode_line, encode_line
 from repro.sim.campaign import RunSpec
 
@@ -52,18 +42,20 @@ from repro.sim.campaign import RunSpec
 # -- fleet telemetry ---------------------------------------------------
 
 
-class FleetStatus:
-    """Thread-safe live view of a sharded campaign.
+class FleetStatus(EventSink):
+    """Thread-safe live view of a campaign, fed as one of its engine's
+    sinks.
 
-    The coordinator feeds it the campaign's events; the status socket
-    server and the progress line read consistent snapshots.  The
-    fleet-wide counts take every terminal job, cache hits included.
-    Each per-shard row counts the jobs that worker slot ran, read from
-    the events' ``trace["shard"]``; a job run in the coordinator's
-    process (a cache hit, a one-shard fleet, or the serial fallback)
-    shows in no row.  ``runs_per_s`` counts terminal jobs over elapsed
-    wall time and the ETA extrapolates the remaining queue at that
-    rate.
+    The status socket server and the closing progress line read
+    consistent snapshots.  The fleet-wide counts take every terminal
+    job, cache hits included.  Each per-shard row counts the jobs that
+    worker slot ran, read from the events' ``trace["shard"]``; a job
+    run in the engine's own process (a cache hit, a one-worker
+    campaign, or the serial fallback) shows in no row.  ``runs_per_s``
+    counts terminal jobs over elapsed wall time and the ETA
+    extrapolates the remaining queue at that rate.  Every
+    :class:`MetricsSnapshot` the stream carries is kept for
+    :meth:`openmetrics`.
     """
 
     def __init__(self, total: int):
@@ -71,9 +63,14 @@ class FleetStatus:
         self._lock = threading.Lock()
         self._counts = {"done": 0, "failed": 0, "cached": 0}
         self._shards: dict[int, dict] = {}
+        self._snapshots: list[dict] = []
         self._started_at = time.monotonic()
 
-    def record_event(self, event: Event) -> None:
+    def emit(self, event: Event) -> None:
+        if isinstance(event, MetricsSnapshot):
+            with self._lock:
+                self._snapshots.append(event.metrics)
+            return
         if isinstance(event, JobFailed):
             column, cached = "failed", False
         elif isinstance(event, JobCached):
@@ -126,6 +123,21 @@ class FleetStatus:
             + (f" [{per_shard}]" if per_shard else "")
         )
 
+    def openmetrics(self) -> str:
+        """OpenMetrics exposition of the campaign so far: the status
+        gauges plus every metrics snapshot seen, folded per call (on
+        the status server's thread, so :meth:`emit` only appends)."""
+        from repro.obs import openmetrics as obs_openmetrics
+
+        with self._lock:
+            snapshots = list(self._snapshots)
+        snapshot = (
+            obs_metrics.merge_snapshots(snapshots) if snapshots else None
+        )
+        return obs_openmetrics.render_snapshot(
+            snapshot, fleet=self.snapshot()
+        )
+
 
 class FleetStatusServer:
     """Live fleet progress over a unix socket, framed like the
@@ -140,22 +152,15 @@ class FleetStatusServer:
         {"op": "ping"}    ->  {"ok": true, "pong": true}
         {"op": "metrics"} ->  {"ok": true, "openmetrics": "..."}
 
-    ``metrics`` answers with an OpenMetrics text exposition (see
-    :mod:`repro.obs.openmetrics`): fleet-status gauges always, plus the
-    campaign's metric series when a ``metrics_source`` callable was
-    wired in (the shard CLI wires the coordinator's).
+    ``metrics`` answers with :meth:`FleetStatus.openmetrics`, an
+    OpenMetrics text exposition (see :mod:`repro.obs.openmetrics`) of
+    the fleet-status gauges and the metric series of every job finished
+    so far.
     """
 
-    def __init__(
-        self,
-        status: FleetStatus,
-        path: str | Path,
-        *,
-        metrics_source: Callable[[], "str | None"] | None = None,
-    ):
+    def __init__(self, status: FleetStatus, path: str | Path):
         self.status = status
         self.path = Path(path)
-        self.metrics_source = metrics_source
         self._socket = None
         self._thread: threading.Thread | None = None
         self._closed = threading.Event()
@@ -178,21 +183,9 @@ class FleetStatusServer:
             return encode_line({"ok": True, "pong": True})
         if op == "metrics":
             return encode_line(
-                {"ok": True, "openmetrics": self._render_metrics()}
+                {"ok": True, "openmetrics": self.status.openmetrics()}
             )
         return encode_line({"ok": False, "error": f"unknown op {op!r}"})
-
-    def _render_metrics(self) -> str:
-        text = None
-        if self.metrics_source is not None:
-            text = self.metrics_source()
-        if text is None:
-            from repro.obs import openmetrics
-
-            text = openmetrics.render_snapshot(
-                None, fleet=self.status.snapshot()
-            )
-        return text
 
     def start(self) -> None:
         import socket as socket_module
@@ -265,37 +258,16 @@ class FleetStatusServer:
         self.path.unlink(missing_ok=True)
 
 
-# -- coordinator -------------------------------------------------------
+# -- coordinator shim ---------------------------------------------------
 
 
 class ShardCoordinator:
-    """Run a campaign as a fleet of N engine workers.
+    """One :class:`ExecutionEngine` run of width ``shards``, logging to
+    ``log_sink``, with per-job metrics when ``metrics`` is set.
 
-    :meth:`run` is one ``ExecutionEngine(jobs=shards)`` run built from
-    these settings.  One relay sink sits in front of ``sinks`` and
-    ``log_sink``: it writes ``shards`` into the campaign plan, feeds
-    :attr:`status` and keeps the metrics snapshots that
-    :meth:`openmetrics` folds.
-
-    Args:
-        shards: worker count (>= 1); one shard runs the campaign
-            in-process, as ``--jobs 1`` does.
-        metrics / spans / checks: per-job metrics, span trees and
-            paper-invariant checks, as on :class:`ExecutionEngine`.
-        failure_policy: ``COLLECT`` reports failures in the report;
-            ``FAIL_FAST`` kills the in-flight workers at the first
-            failure, records the rest as cancelled and raises
-            :class:`~repro.runtime.retry.CampaignError`.
-        max_attempts: attempts per job, retried without backoff.
-        timeout_seconds: per-job wall-clock budget; a worker that
-            overruns it is killed and the job fails.
-        sinks: live sinks (progress).
-        log_sink: durable sink (usually a :class:`JsonlEventSink`);
-            receives the same stream as it happens.
-        fault_plan: deterministic fault injection, keyed by job index
-            (tests and chaos drills).
-        status: optional :class:`FleetStatus` to feed (one is created
-            per run otherwise; read it via :attr:`status`).
+    ``benchmarks/e2e`` builds its ``fleet_2w`` passes on this class and
+    times :meth:`run` as a layer; every other campaign builds the
+    engine directly.
     """
 
     def __init__(
@@ -303,94 +275,18 @@ class ShardCoordinator:
         shards: int,
         *,
         metrics: bool = False,
-        spans: bool = False,
-        checks: bool = False,
-        failure_policy: FailurePolicy = FailurePolicy.FAIL_FAST,
-        max_attempts: int = 1,
-        timeout_seconds: float | None = None,
-        sinks: Sequence[EventSink] = (),
         log_sink: EventSink | None = None,
-        fault_plan: FaultPlan | None = None,
-        status: FleetStatus | None = None,
     ):
-        if shards < 1:
-            raise ValueError(f"shard count must be >= 1, got {shards}")
         self.shards = shards
         self.metrics = metrics
-        self.spans = spans
-        self.checks = checks
-        self.failure_policy = failure_policy
-        self.max_attempts = max_attempts
-        self.timeout_seconds = timeout_seconds
-        self.sinks = list(sinks)
         self.log_sink = log_sink
-        self.fault_plan = fault_plan
-        self.status = status
-        self._snapshots: list[dict] = []
 
-    def openmetrics(self) -> str:
-        """OpenMetrics exposition of the fleet so far: status gauges
-        plus every metrics snapshot the run has emitted.  Wired into
-        :class:`FleetStatusServer` as its ``metrics_source``."""
-        from repro.obs import openmetrics as obs_openmetrics
-
-        # Folded per call, on the status server's thread, so the relay
-        # only appends; list() copies the list in one step.
-        snapshots = list(self._snapshots)
-        snapshot = (
-            obs_metrics.merge_snapshots(snapshots) if snapshots else None
-        )
-        fleet = self.status.snapshot() if self.status is not None else None
-        return obs_openmetrics.render_snapshot(snapshot, fleet=fleet)
-
-    def _relay(self, event: Event) -> None:
-        if isinstance(event, CampaignPlan):
-            event = dataclasses.replace(event, shards=self.shards)
-        elif isinstance(event, MetricsSnapshot):
-            self._snapshots.append(event.metrics)
-        self.status.record_event(event)
-        for sink in self.sinks:
-            sink.emit(event)
-        if self.log_sink is not None:
-            self.log_sink.emit(event)
-
-    def run(
-        self,
-        specs: Sequence[RunSpec],
-        *,
-        machines: MachineConfig | Sequence[MachineConfig | None] | None = None,
-        labels: Sequence[str] | None = None,
-        store: "ResultStore | str | Path | None" = None,
-        resume_from: "ResumeState | str | Path | None" = None,
-    ) -> ExecutionReport:
-        """Execute ``specs`` on the fleet; the arguments and the report
-        are those of :meth:`ExecutionEngine.run_many`."""
-        specs = list(specs)
-        if self.status is None:
-            self.status = FleetStatus(len(specs))
-        self._snapshots = []
-        checks = None
-        if self.checks:
-            from repro.check import default_run_checks
-
-            checks = default_run_checks
+    def run(self, specs: Sequence[RunSpec], **kwargs) -> ExecutionReport:
+        """:meth:`ExecutionEngine.run_many` on ``specs``; ``kwargs``
+        (``machines``, ``labels``, ``store``, ``resume_from``) pass
+        through."""
+        sinks = [self.log_sink] if self.log_sink is not None else []
         engine = ExecutionEngine(
-            jobs=self.shards,
-            retry=RetryPolicy(
-                max_attempts=self.max_attempts, base_delay_seconds=0.0
-            ),
-            failure_policy=self.failure_policy,
-            timeout_seconds=self.timeout_seconds,
-            sinks=[CallbackSink(self._relay)],
-            fault_plan=self.fault_plan,
-            checks=checks,
-            metrics=self.metrics,
-            spans=self.spans,
+            self.shards, sinks=sinks, metrics=self.metrics
         )
-        return engine.run_many(
-            specs,
-            machines=machines,
-            labels=labels,
-            store=store,
-            resume_from=resume_from,
-        )
+        return engine.run_many(specs, **kwargs)

@@ -75,8 +75,8 @@ class ResultStore:
         """Content hash over every entry's name and exact bytes.
 
         Two stores digest equal iff they hold the same keys with
-        byte-identical files -- the check behind the shard-count
-        invariance guarantee (``--shards 1/2/4`` must leave identical
+        byte-identical files -- the check behind the worker-count
+        invariance guarantee (``--jobs 1/2/4`` must leave identical
         stores) and the CI kill-and-resume byte-for-byte diff.
         """
         import hashlib

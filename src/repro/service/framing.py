@@ -1,7 +1,7 @@
 """Line framing shared by the scheduler service and the fleet status socket.
 
 Both ``repro serve`` (the open-system scheduler service) and the
-status socket of ``repro shard --status-socket`` (read by
+status socket of ``repro sweep --status-socket`` (read by
 ``repro top``) speak the same wire format: **newline-delimited JSON
 objects**, one message per line, keys sorted so identical messages
 are identical bytes.  This module is the single definition of that

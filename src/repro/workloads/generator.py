@@ -136,19 +136,26 @@ def _link_branches_to_loads(
     chars: PhaseCharacteristics,
     rng: np.random.Generator,
 ) -> None:
-    """Make mispredicted branches depend on their most recent load."""
+    """Make mispredicted branches depend on their most recent load.
+
+    Each mispredicted branch is linked with probability
+    ``branch_depends_on_load_prob``, one uniform draw per branch in
+    program order; a linked branch with no earlier load keeps its
+    dependence.
+    """
     p = chars.branch_depends_on_load_prob
     if p <= 0:
         return
     load_positions = np.nonzero(classes == InstructionClass.LOAD)[0]
     if load_positions.size == 0:
         return
-    for i in np.nonzero(mispredicted)[0]:
-        if rng.random() >= p:
-            continue
-        prior = load_positions[load_positions < i]
-        if prior.size:
-            dep1[i] = i - int(prior[-1])
+    branches = np.nonzero(mispredicted)[0]
+    linked = branches[rng.random(branches.size) < p]
+    # Index of the last load strictly before each linked branch.
+    prior = np.searchsorted(load_positions, linked) - 1
+    has_prior = prior >= 0
+    linked = linked[has_prior]
+    dep1[linked] = linked - load_positions[prior[has_prior]]
 
 
 def generate_phase_trace(

@@ -114,8 +114,8 @@ class TestFuzz:
         assert isinstance(session, FuzzReport)
         assert session.ok, session.format()
         # + default kernel_cases=2, decision_cases=2, resume_cases=2,
-        # service_cases=2, shard_cases=2, mode_cases=2, segment_cases=2
-        assert len(session.reports) == 18
+        # service_cases=2, mode_cases=2, segment_cases=2
+        assert len(session.reports) == 16
 
     def test_same_seed_reproduces_byte_identical_findings(self, session):
         again = fuzz(0, model_cases=1, run_cases=2, stack_cases=1)
@@ -156,6 +156,8 @@ class TestFuzz:
         assert len(resumes) == 2
         for report in resumes:
             assert report.checked == ("resume_equivalence",)
+            workers = int(report.subject.split("workers=")[1].split()[0])
+            assert 1 <= workers <= 4
 
     def test_service_cases_check_feeds_and_conservation(self, session):
         services = [r for r in session.reports
@@ -177,7 +179,9 @@ class TestFuzz:
     def test_case_counts_respected(self):
         tiny = fuzz(5, model_cases=0, run_cases=1, stack_cases=0,
                     kernel_cases=0, decision_cases=0, resume_cases=0,
-                    service_cases=0, shard_cases=0, mode_cases=0,
-                    segment_cases=0)
+                    service_cases=0, mode_cases=0, segment_cases=0)
         assert len(tiny.reports) == 1
         assert tiny.reports[0].subject.startswith("run/0")
+        # The shard family folded into the resume family.
+        with pytest.raises(TypeError):
+            fuzz(5, shard_cases=0)

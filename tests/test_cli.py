@@ -542,50 +542,61 @@ class TestServiceCommands:
 
 
 class TestShard:
+    """`repro sweep --jobs N` is the one campaign command: a fleet of N
+    engine workers, its width recorded in the plan."""
+
     SWEEP = ["--machine", "1B1S", "--programs", "2",
              "--instructions", "1000000"]
 
     def test_parser_flags(self):
         args = build_parser().parse_args(
-            ["shard", "--shards", "4", "--event-log", "ev.jsonl",
-             "--status-socket", "fleet.sock", "--timeout", "30"]
+            ["sweep", "--jobs", "4", "--event-log", "ev.jsonl",
+             "--status-socket", "fleet.sock", "--timeout", "30",
+             "--spans", "--failures", "collect", "--inject-fail", "3:99",
+             "--inject-sleep", "5:3"]
         )
-        assert args.shards == 4 and args.timeout == 30.0
-        assert args.status_socket == "fleet.sock"
-        args = build_parser().parse_args(["shard"])
-        assert args.shards == 2
-        # --jobs sets a resume's width.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["resume", "ev.jsonl", "--shards", "3"])
-        args = build_parser().parse_args(["check", "--shard-cases", "1"])
-        assert args.shard_cases == 1
+        assert args.jobs == 4 and args.timeout == 30.0
+        assert args.status_socket == "fleet.sock" and args.spans
+        assert args.failures == "collect"
+        assert (args.inject_fail, args.inject_sleep) == ("3:99", "5:3")
+        args = build_parser().parse_args(["sweep"])
+        assert args.failures == "fail-fast" and args.timeout is None
         args = build_parser().parse_args(["bench",
                                           "--min-shard-speedup", "1.6"])
         assert args.min_shard_speedup == 1.6
-        for gone in (["--transport", "process"], ["--shard-logs"]):
+        # --jobs sets a fleet's width; `repro shard` and the shard fuzz
+        # family are gone.
+        for gone in (["shard"], ["sweep", "--shards", "2"],
+                     ["resume", "ev.jsonl", "--shards", "3"],
+                     ["check", "--shard-cases", "1"]):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["shard", *gone])
+                build_parser().parse_args(gone)
 
     def test_shard_stdout_matches_sweep(self, capsys, tmp_path):
+        from repro.runtime import ResultStore
+
         assert main(["sweep", *self.SWEEP,
                      "--store", str(tmp_path / "sweep")]) == 0
         expected = capsys.readouterr().out
         assert "SSER mean" in expected
-        for shards in ("1", "2", "4"):
-            assert main(["shard", *self.SWEEP, "--shards", shards,
-                         "--store", str(tmp_path / f"s{shards}")]) == 0
+        digest = ResultStore(tmp_path / "sweep").digest()
+        for jobs in ("1", "2", "4"):
+            store = tmp_path / f"s{jobs}"
+            assert main(["sweep", *self.SWEEP, "--jobs", jobs,
+                         "--store", str(store)]) == 0
             captured = capsys.readouterr()
             assert captured.out == expected
             assert "fleet 108/108 done" in captured.err
+            assert ResultStore(store).digest() == digest
 
     def test_shard_logs_merge_and_resume(self, capsys, tmp_path):
         log = tmp_path / "fleet.jsonl"
-        assert main(["shard", *self.SWEEP, "--shards", "2", "--metrics",
+        assert main(["sweep", *self.SWEEP, "--jobs", "2", "--metrics",
                      "--store", str(tmp_path / "store"),
                      "--event-log", str(log)]) == 0
         expected = capsys.readouterr().out
 
-        # The fleet log replays and aggregates like a sweep's.
+        # The fleet log replays and aggregates.
         assert main(["events", str(log)]) == 0
         out = capsys.readouterr().out
         assert "108 jobs" in out
@@ -605,8 +616,8 @@ class TestShard:
         assert main(["events", *map(str, parts)]) == 0
         assert "108 jobs: 108 executed" in capsys.readouterr().out
 
-        # The log resumes (sharded, as recorded in its plan) to the
-        # same stdout.
+        # The log resumes (on the width its plan records) to the same
+        # stdout.
         assert main(["resume", str(log)]) == 0
         captured = capsys.readouterr()
         assert captured.out == expected
@@ -616,13 +627,101 @@ class TestShard:
         from repro.runtime import ResumeState
 
         log = tmp_path / "fleet.jsonl"
-        assert main(["shard", *self.SWEEP, "--shards", "2",
+        assert main(["sweep", *self.SWEEP, "--jobs", "2",
                      "--timeout", "30", "--store", str(tmp_path / "store"),
                      "--event-log", str(log)]) == 0
         assert main(["resume", str(log)]) == 0
         capsys.readouterr()
         state = ResumeState.load(log)  # the resume's own plan, last
         assert state.shards == 2 and state.timeout_seconds == 30.0
+
+    def test_resume_keeps_the_sweep_width(self, capsys, tmp_path,
+                                          monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        log = tmp_path / "fleet.jsonl"
+        store = tmp_path / "store"
+        assert main(["sweep", *self.SWEEP, "--jobs", "2",
+                     "--store", str(store), "--event-log", str(log)]) == 0
+        expected = capsys.readouterr().out
+
+        # Cut the log after 40 terminal events and drop the store
+        # entries of every job whose terminal event was cut.
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        terminal = [
+            position for position, event in enumerate(events)
+            if event["event"] in ("job_cached", "job_finished", "job_failed")
+        ]
+        kept = events[: terminal[39] + 1]
+        log.write_text("".join(json.dumps(e) + "\n" for e in kept))
+        plan = next(e for e in kept if e["event"] == "campaign_plan")
+        assert plan["shards"] == 2
+        done = {plan["keys"][events[p]["index"]] for p in terminal[:40]}
+        for path in store.glob("*.json"):
+            if path.stem not in done:
+                path.unlink()
+
+        # No --jobs: the resume runs on the two workers the plan
+        # records, so every job it starts carries a worker slot.
+        assert main(["resume", str(log)]) == 0
+        assert capsys.readouterr().out == expected
+        resumed = [json.loads(line)
+                   for line in log.read_text().splitlines()][len(kept):]
+        assert resumed[1]["event"] == "campaign_plan"
+        assert resumed[1]["shards"] == 2
+        started = [e for e in resumed if e["event"] == "job_started"]
+        assert len(started) == 68
+        assert {e["trace"].get("shard") for e in started} == {0, 1}
+
+    def test_collected_failures_print_the_job_table(self, capsys,
+                                                    tmp_path):
+        from repro.obs import flight as obs_flight
+
+        store = tmp_path / "store"
+        assert main(["sweep", *self.SWEEP, "--jobs", "2",
+                     "--failures", "collect", "--inject-fail", "3:99",
+                     "--store", str(store)]) == 1
+        captured = capsys.readouterr()
+        header = captured.out.splitlines()[0].split()
+        assert header == ["job", "label", "source", "wall", "s"]
+        rows = [line.split() for line in captured.out.splitlines()[2:]]
+        assert len(rows) == 108
+        assert [row[0] for row in rows if "failed" in row] == ["3"]
+        assert "fleet 107/108 done (1 failed" in captured.err
+        assert "postmortems: repro postmortem --list" in captured.err
+        (bundle,) = obs_flight.find_bundles(store)
+        assert obs_flight.load_bundle(bundle)["reason"] == "failed"
+
+    def test_status_socket_serves_live_metrics(self, capsys, tmp_path):
+        import socket
+        import threading
+        import time
+
+        sock = tmp_path / "fleet.sock"
+
+        def listening() -> bool:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+                return probe.connect_ex(str(sock)) == 0
+
+        codes = []
+        sweep = threading.Thread(target=lambda: codes.append(main(
+            ["sweep", *self.SWEEP, "--jobs", "2", "--metrics",
+             "--store", str(tmp_path / "store"),
+             "--inject-sleep", "5:3", "--status-socket", str(sock)]
+        )))
+        sweep.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not listening() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            # Job 5 stalls for 3 s: the campaign is still running.
+            assert main(["top", str(sock), "--once", "--openmetrics"]) == 0
+            assert sweep.is_alive()
+        finally:
+            sweep.join()
+        assert codes == [0]
+        out = capsys.readouterr().out
+        assert "repro_fleet_total 108" in out.splitlines()
+        assert "SSER mean" in out
 
     def test_multi_log_merge_is_order_insensitive(self, capsys, tmp_path):
         logs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

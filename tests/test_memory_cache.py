@@ -41,15 +41,6 @@ class TestBasics:
         assert c.stats.misses == 2
         assert c.stats.hits == 1
         assert c.stats.miss_rate == pytest.approx(2 / 3)
-        c.stats.reset()
-        assert c.stats.accesses == 0
-
-    def test_flush(self):
-        c = _tiny_cache()
-        c.access(0)
-        c.flush()
-        assert not c.contains(0)
-        assert c.resident_lines == 0
 
     def test_contains_does_not_touch_lru(self):
         c = _tiny_cache(sets=1, ways=2)

@@ -36,14 +36,6 @@ class TestDataPath:
         outcome = h.access_data(0)
         assert outcome.level == "l2"
 
-    def test_instruction_path(self, memory):
-        h = CacheHierarchy(memory, 2.66)
-        first = h.access_instruction(0x400000)
-        again = h.access_instruction(0x400000)
-        assert first.level == "dram"
-        assert again.level == "l1"
-        assert again.latency_cycles == 0.0
-
     def test_shared_l3(self, memory):
         shared = SetAssociativeCache(memory.l3, "l3")
         h1 = CacheHierarchy(memory, 2.66, shared_l3=shared)
@@ -52,13 +44,6 @@ class TestDataPath:
         # The same line misses h2's private levels but hits shared L3.
         outcome = h2.access_data(0x2000)
         assert outcome.level == "l3"
-
-    def test_reset_stats(self, memory):
-        h = CacheHierarchy(memory, 2.66)
-        h.access_data(0)
-        h.reset_stats()
-        assert h.dram_accesses == 0
-        assert h.l1d.stats.accesses == 0
 
     def test_dram_latency_scales_with_frequency(self, memory):
         fast = CacheHierarchy(memory, 2.66)

@@ -28,9 +28,10 @@ from repro.runtime import (
     JsonlEventSink,
     ResultStore,
     ResumeState,
-    ShardCoordinator,
+    RetryPolicy,
     read_events,
 )
+from repro.runtime.events import MetricsSnapshot
 from repro.runtime.events import (
     PostmortemWritten,
     SpanSnapshot,
@@ -55,14 +56,14 @@ def specs_1b1s(count=5, instructions=120_000):
 
 
 def run_fleet(shards, specs, *, log=None, store=None, **kwargs):
-    """A fleet run, optionally logging to ``log``."""
-    sink = JsonlEventSink(log) if log is not None else None
-    coordinator = ShardCoordinator(shards, log_sink=sink, **kwargs)
+    """A fleet run (one engine on ``shards`` workers), optionally
+    logging to ``log``."""
+    sinks = [JsonlEventSink(log)] if log is not None else []
+    engine = ExecutionEngine(shards, sinks=sinks, **kwargs)
     try:
-        return coordinator.run(specs, store=store)
+        return engine.run_many(specs, store=store)
     finally:
-        if sink is not None:
-            sink.close()
+        engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +369,7 @@ class TestPostmortems:
             2,
             specs_1b1s(4),
             store=store,
-            max_attempts=3,
+            retry=RetryPolicy(max_attempts=3, base_delay_seconds=0.0),
             fault_plan=FaultPlan(fail_attempts={0: 1}),
         )
         assert report.ok  # the injected fault was retried away
@@ -413,17 +414,25 @@ class TestStatusSocketMetrics:
         finally:
             server.close()
 
-    def test_metrics_source_overrides_fallback(self, tmp_path):
-        custom = "# TYPE x counter\nx_total 1\n# EOF\n"
-        server = FleetStatusServer(
-            FleetStatus(1),
-            tmp_path / "status.sock",
-            metrics_source=lambda: custom,
-        )
+    def test_metrics_op_serves_the_campaign_metrics(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.counter("sim.runs").inc()
+        status = FleetStatus(2)
+        for index in (0, 1):
+            status.emit(MetricsSnapshot(
+                index=index,
+                label=f"job{index}",
+                metrics=registry.snapshot().to_dict(),
+            ))
+        server = FleetStatusServer(status, tmp_path / "status.sock")
         server.start()
         try:
             response = query_socket(tmp_path / "status.sock", "metrics")
-            assert response["openmetrics"] == custom
+            exposition = parse_exposition(response["openmetrics"])
+            assert exposition.value("repro_sim_runs_total") == 2
+            assert exposition.value("repro_fleet_total") == 2
         finally:
             server.close()
 

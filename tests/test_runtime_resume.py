@@ -17,7 +17,6 @@ from repro.runtime import (
     ResultStore,
     ResumeError,
     ResumeState,
-    ShardCoordinator,
     event_from_dict,
     read_events,
 )
@@ -105,6 +104,19 @@ class TestPlanAndCheckpointEvents:
         state = ResumeState.from_events([event_from_dict(old)])
         assert not state.metrics and not state.spans
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_plan_records_the_engine_width(self, tmp_path, jobs):
+        events = []
+        engine = ExecutionEngine(jobs, sinks=[CallbackSink(events.append)])
+        engine.run_many(specs_1b1s(2), store=tmp_path)
+        plan = next(e for e in events if isinstance(e, CampaignPlan))
+        assert plan.shards == jobs
+        assert ResumeState.from_events(events).shards == jobs
+        # Older engines wrote null; a resume then falls back to
+        # REPRO_JOBS.
+        old = dict(plan.to_dict(), shards=None)
+        assert ResumeState.from_events([event_from_dict(old)]).shards is None
+
     def test_events_roundtrip_through_jsonl(self, tmp_path):
         log = tmp_path / "events.jsonl"
         engine = ExecutionEngine(sinks=[JsonlEventSink(log)])
@@ -175,12 +187,12 @@ class TestResumeState:
         specs = specs_1b1s(6, instructions=60_000)
         log = tmp_path / "fleet.jsonl"
         sink = JsonlEventSink(log)
-        ShardCoordinator(
+        ExecutionEngine(
             2,
             failure_policy=FailurePolicy.COLLECT,
             fault_plan=FaultPlan(fail_attempts={3: 99}),
-            log_sink=sink,
-        ).run(specs, store=tmp_path / "store")
+            sinks=[sink],
+        ).run_many(specs, store=tmp_path / "store")
         sink.close()
         events = read_events(log)
         keys = [spec.key() for spec in specs]

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.runtime.retry import (
-    DEFAULT_RETRY,
-    NO_RETRY,
-    FailurePolicy,
-    RetryPolicy,
-)
+from repro.runtime.retry import FailurePolicy, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -42,10 +37,6 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RetryPolicy().delay(0)
-
-    def test_presets(self):
-        assert NO_RETRY.max_attempts == 1
-        assert DEFAULT_RETRY.max_attempts == 3
 
 
 class TestFailurePolicy:

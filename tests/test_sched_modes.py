@@ -324,7 +324,7 @@ class TestModeFuzz:
         report = fuzz(
             3, model_cases=0, run_cases=0, stack_cases=0, kernel_cases=0,
             decision_cases=0, resume_cases=0, service_cases=0,
-            shard_cases=0, mode_cases=1,
+            mode_cases=1,
         )
         assert report.ok, report.format()
         assert report.reports[0].subject.startswith("mode/0")

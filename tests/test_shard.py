@@ -1,12 +1,14 @@
-"""Tests for sharded campaign execution (`repro.runtime.shard`).
+"""Tests for campaigns on a fleet of engine workers
+(`repro.runtime.shard`).
 
-The shard coordinator's contract is byte-identity with the single-host
-engine: same results, same store bytes, same replayed log facts, for
-any shard count and any worker completion order.  A fleet is one
-engine run whose workers are the shards, so these tests pin what the
-coordinator adds (the shard count in the plan, fleet status, live
-metrics) and what a fleet must still do: recover lost workers, kill
-overrunning or aborted ones, run any machine override, and resume.
+A fleet is one :class:`ExecutionEngine` run whose N workers are the
+shards.  Its contract is byte-identity with the in-process engine:
+same results, same store bytes, same replayed log facts, for any
+worker count and any completion order.  These tests pin what a fleet
+records and feeds (its width in the plan, :class:`FleetStatus`, live
+metrics) and what it must do: recover lost workers, kill overrunning
+or aborted ones, run any machine override, and resume.  The
+:class:`ShardCoordinator` shim keeps the ``benchmarks/e2e`` API.
 """
 
 import errno
@@ -65,11 +67,8 @@ def canonical(results):
 
 
 class TestCoordinator:
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            ShardCoordinator(0)
-
     def test_matches_serial_engine_at_any_shard_count(self, tmp_path):
+        # Through the shim's whole API: width, metrics and log sink.
         specs = specs_1b1s(6)
         serial = ExecutionEngine().run_many(
             specs, store=tmp_path / "serial"
@@ -78,11 +77,17 @@ class TestCoordinator:
         digests = {ResultStore(tmp_path / "serial").digest()}
         for shards in (1, 2, 4):
             store = tmp_path / f"s{shards}"
-            report = ShardCoordinator(shards).run(specs, store=store)
+            events = []
+            report = ShardCoordinator(
+                shards, metrics=True, log_sink=CallbackSink(events.append)
+            ).run(specs, store=store)
             assert canonical(report.results) == expected
             assert [o.index for o in report.outcomes] == list(
                 range(len(specs))
             )
+            assert report.metrics is not None
+            (plan,) = [e for e in events if isinstance(e, CampaignPlan)]
+            assert plan.shards == shards
             digests.add(ResultStore(store).digest())
         assert len(digests) == 1
 
@@ -95,7 +100,7 @@ class TestCoordinator:
             path = tmp_path / f"log{shards}.jsonl"
             sink = JsonlEventSink(path)
             try:
-                ShardCoordinator(shards, log_sink=sink).run(
+                ExecutionEngine(shards, sinks=[sink]).run_many(
                     specs, store=tmp_path / f"store{shards}"
                 )
             finally:
@@ -111,15 +116,15 @@ class TestCoordinator:
     def test_collect_reports_failures_fail_fast_raises(self, tmp_path):
         specs = specs_1b1s(4)
         plan = FaultPlan(fail_attempts={2: 99})
-        report = ShardCoordinator(
+        report = ExecutionEngine(
             2,
             failure_policy=FailurePolicy.COLLECT,
             fault_plan=plan,
-        ).run(specs, store=tmp_path / "a")
+        ).run_many(specs, store=tmp_path / "a")
         assert [o.index for o in report.failures] == [2]
         assert all(o.ok for i, o in enumerate(report.outcomes) if i != 2)
         with pytest.raises(CampaignError, match="failed"):
-            ShardCoordinator(2, fault_plan=plan).run(
+            ExecutionEngine(2, fault_plan=plan).run_many(
                 specs, store=tmp_path / "b"
             )
 
@@ -128,8 +133,10 @@ class TestCoordinator:
         serial = ExecutionEngine(metrics=True).run_many(
             specs, store=tmp_path / "serial"
         )
-        coordinator = ShardCoordinator(2, metrics=True)
-        fleet = coordinator.run(specs, store=tmp_path / "fleet")
+        status = FleetStatus(len(specs))
+        fleet = ExecutionEngine(2, metrics=True, sinks=[status]).run_many(
+            specs, store=tmp_path / "fleet"
+        )
         assert fleet.metrics is not None
 
         def counters(snapshot):
@@ -145,15 +152,14 @@ class TestCoordinator:
 
         assert counters(fleet.metrics) == counters(serial.metrics)
         # The live exposition folded every snapshot as it arrived.
-        assert "repro_sim_runs_total 4" in coordinator.openmetrics()
+        assert "repro_sim_runs_total 4" in status.openmetrics()
 
     def test_resume_after_cut_matches_uninterrupted(self, tmp_path):
         specs = specs_1b1s(6)
         events = []
-        coordinator = ShardCoordinator(
-            2, log_sink=CallbackSink(events.append)
-        )
-        full = coordinator.run(specs, store=tmp_path / "store")
+        full = ExecutionEngine(
+            2, sinks=[CallbackSink(events.append)]
+        ).run_many(specs, store=tmp_path / "store")
         # Cut the durable log shortly after the plan record: the
         # resume state sees at most a few completions, the store has
         # everything -- resume must reconcile and match bit-for-bit.
@@ -162,7 +168,7 @@ class TestCoordinator:
         )
         state = ResumeState.from_events(events[: plan_at + 3])
         assert state.shards == 2
-        resumed = ShardCoordinator(2).run(
+        resumed = ExecutionEngine(state.shards).run_many(
             specs, resume_from=state, store=tmp_path / "store"
         )
         assert check_resume(full, resumed).ok
@@ -182,7 +188,9 @@ class TestCoordinator:
         # The forked workers inherit the patched module.
         monkeypatch.setattr(engine_module, "_execute_job", dies_in_worker)
         with pytest.warns(UserWarning, match="worker pool broke"):
-            report = ShardCoordinator(2).run(specs, store=tmp_path / "store")
+            report = ExecutionEngine(2).run_many(
+                specs, store=tmp_path / "store"
+            )
         assert len(report.outcomes) == len(specs)
         assert all(o.ok for o in report.outcomes)
         serial = ExecutionEngine().run_many(specs, store=tmp_path / "s2")
@@ -205,7 +213,7 @@ class TestCoordinator:
         serial = ExecutionEngine().run_many(specs, machines=machine)
         standard = ExecutionEngine().run_many(specs)
         assert canonical(serial.results) != canonical(standard.results)
-        report = ShardCoordinator(2).run(specs, machines=machine)
+        report = ExecutionEngine(2).run_many(specs, machines=machine)
         assert canonical(report.results) == canonical(serial.results)
         descriptor = ExecutionEngine._machine_descriptor(machine)
         assert ExecutionEngine.machine_from_descriptor(descriptor) == machine
@@ -218,9 +226,9 @@ class TestCoordinator:
         machines = [None, slow, None, slow]
         serial = ExecutionEngine().run_many(specs, machines=machines)
         events = []
-        report = ShardCoordinator(
-            2, log_sink=CallbackSink(events.append)
-        ).run(specs, machines=machines)
+        report = ExecutionEngine(
+            2, sinks=[CallbackSink(events.append)]
+        ).run_many(specs, machines=machines)
         assert canonical(report.results) == canonical(serial.results)
         (plan,) = [e for e in events if isinstance(e, CampaignPlan)]
         assert plan.machine is None and plan.shards == 2
@@ -239,7 +247,7 @@ class TestCoordinator:
         serial = ExecutionEngine().run_many(specs, machines=machine)
         standard = ExecutionEngine().run_many(specs)
         assert canonical(serial.results) != canonical(standard.results)
-        report = ShardCoordinator(2).run(specs, machines=machine)
+        report = ExecutionEngine(2).run_many(specs, machines=machine)
         assert canonical(report.results) == canonical(serial.results)
 
 
@@ -249,12 +257,12 @@ class TestWorkStops:
     def test_timeout_kills_the_stalled_worker(self, tmp_path):
         specs = specs_1b1s(4, instructions=2000)
         started = time.monotonic()
-        report = ShardCoordinator(
+        report = ExecutionEngine(
             2,
             timeout_seconds=0.5,
             failure_policy=FailurePolicy.COLLECT,
             fault_plan=FaultPlan(sleep_seconds={1: 30.0}),
-        ).run(specs, store=tmp_path / "store")
+        ).run_many(specs, store=tmp_path / "store")
         assert time.monotonic() - started < 10.0
         assert report.outcomes[1].error == "timed out after 0.5s"
         assert report.outcomes[1].attempts == 0
@@ -265,12 +273,12 @@ class TestWorkStops:
         specs = specs_1b1s(4, instructions=2000)
         started = time.monotonic()
         with pytest.raises(CampaignError) as excinfo:
-            ShardCoordinator(
+            ExecutionEngine(
                 2,
                 fault_plan=FaultPlan(
                     sleep_seconds={0: 30.0}, fail_attempts={1: 99}
                 ),
-            ).run(specs, store=tmp_path / "store")
+            ).run_many(specs, store=tmp_path / "store")
         assert time.monotonic() - started < 10.0
         assert multiprocessing.active_children() == []
         errors = [o.error for o in excinfo.value.report.outcomes]
@@ -303,9 +311,9 @@ class TestProcessTransport:
             if isinstance(event, JobStarted):
                 pids.update(p.pid for p in multiprocessing.active_children())
 
-        report = ShardCoordinator(
+        report = ExecutionEngine(
             shards, sinks=[CallbackSink(note)]
-        ).run(specs, store=tmp_path / "fleet")
+        ).run_many(specs, store=tmp_path / "fleet")
         assert canonical(report.results) == canonical(serial.results)
         assert (
             ResultStore(tmp_path / "serial").digest()
@@ -334,9 +342,9 @@ class TestProcessTransport:
             specs, store=tmp_path / "serial"
         )
         with pytest.warns(UserWarning, match="worker pool broke"):
-            report = ShardCoordinator(
+            report = ExecutionEngine(
                 2, fault_plan=faults, sinks=[CallbackSink(kill_workers)]
-            ).run(specs, store=tmp_path / "fleet")
+            ).run_many(specs, store=tmp_path / "fleet")
         assert canonical(report.results) == canonical(serial.results)
         assert (
             ResultStore(tmp_path / "serial").digest()
@@ -365,7 +373,7 @@ class TestProcessTransport:
 
         monkeypatch.setattr(module, name, refuse)
         with pytest.warns(UserWarning, match="cannot fork workers"):
-            report = ShardCoordinator(2).run(
+            report = ExecutionEngine(2).run_many(
                 specs, store=tmp_path / "fleet"
             )
         assert canonical(report.results) == canonical(serial.results)
@@ -428,7 +436,7 @@ class TestMergedStreams:
 class TestFleetTelemetry:
     def test_status_counts_and_line(self):
         status = FleetStatus(3)
-        status.record_event(
+        status.emit(
             JobFinished(index=0, label="a", wall_seconds=0.1,
                         trace={"campaign": "c", "shard": 0})
         )
@@ -474,17 +482,18 @@ class TestFleetTelemetry:
         specs = specs_1b1s(6)
         store = tmp_path / "store"
         ExecutionEngine().run_many(specs[:2], store=store)
-        coordinator = ShardCoordinator(
+        status = FleetStatus(len(specs))
+        report = ExecutionEngine(
             2,
             failure_policy=FailurePolicy.COLLECT,
             fault_plan=FaultPlan(fail_attempts={4: 99}),
-        )
-        report = coordinator.run(specs, store=store)
-        snap = coordinator.status.snapshot()
+            sinks=[status],
+        ).run_many(specs, store=store)
+        snap = status.snapshot()
         assert snap["done"] == 5 and snap["cached"] == 2
         assert snap["failed"] == 1 and snap["queued"] == 0
-        # Cache hits run in the coordinator; the per-slot rows count
-        # exactly the jobs the workers ran.
+        # Cache hits are served in the engine's process; the per-slot
+        # rows count exactly the jobs the workers ran.
         assert {s["shard"] for s in snap["shards"]} <= {0, 1}
         assert sum(s["done"] + s["failed"] for s in snap["shards"]) == (
             report.executed
@@ -496,7 +505,7 @@ class TestShardedStderrEvents:
     def test_live_sinks_see_every_job_event(self, tmp_path):
         specs = specs_1b1s(4)
         seen = []
-        ShardCoordinator(2, sinks=[CallbackSink(seen.append)]).run(
+        ExecutionEngine(2, sinks=[CallbackSink(seen.append)]).run_many(
             specs, store=tmp_path / "store"
         )
         finished = [e for e in seen if isinstance(e, JobFinished)]

@@ -18,11 +18,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime import (
-    ExecutionEngine,
-    ShardCoordinator,
-    merge_event_streams,
-)
+from repro.runtime import ExecutionEngine, merge_event_streams
 from repro.runtime.events import JobFinished
 from repro.sim.campaign import RunSpec
 from repro.sim.serialize import run_result_to_dict
@@ -119,7 +115,7 @@ class TestShardCountInvariance:
             )
         }
         for shards in (1, 2, 4):
-            report = ShardCoordinator(shards).run(
+            report = ExecutionEngine(shards).run_many(
                 specs, store=tmp_path / f"s{shards}"
             )
             merged = {
@@ -135,8 +131,8 @@ class TestShardCountInvariance:
         cache hit, in a different order than the compute pass
         finished) leaves the report identical."""
         specs = self.specs()
-        forward = ShardCoordinator(3).run(specs, store=tmp_path / "fwd")
-        again = ShardCoordinator(3).run(specs, store=tmp_path / "fwd")
+        forward = ExecutionEngine(3).run_many(specs, store=tmp_path / "fwd")
+        again = ExecutionEngine(3).run_many(specs, store=tmp_path / "fwd")
         assert [o.cached for o in again.outcomes] == [True] * len(specs)
         assert [
             json.dumps(run_result_to_dict(r), sort_keys=True)

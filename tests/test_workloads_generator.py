@@ -212,3 +212,80 @@ class TestBatchedAddressDraws:
         assert rng_batched.bit_generator.state == rng_scalar.bit_generator.state
         # Distinct lines are the fresh ones: more than the stack holds.
         assert len(np.unique(batched)) > generator._L3_BAND[1] + 1
+
+
+def _per_branch_link_branches_to_loads(classes, dep1, mispredicted, chars,
+                                       rng):
+    """The generator's branch-to-load linking as one scalar
+    ``rng.random`` call and one scan of the load positions per
+    mispredicted branch: the reference for the one-draw version."""
+    p = chars.branch_depends_on_load_prob
+    if p <= 0:
+        return
+    load_positions = np.nonzero(classes == InstructionClass.LOAD)[0]
+    if load_positions.size == 0:
+        return
+    for i in np.nonzero(mispredicted)[0]:
+        if rng.random() >= p:
+            continue
+        prior = load_positions[load_positions < i]
+        if prior.size:
+            dep1[i] = i - int(prior[-1])
+
+
+class TestBatchedBranchLinks:
+    """One ``rng.random`` call and one ``searchsorted`` link each
+    mispredicted branch to its most recent load exactly as the
+    per-branch loop did, and leave the generator in the same state."""
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_every_profile_byte_identical(self, monkeypatch, seed):
+        cases = [
+            (name, n) for name in BENCHMARK_NAMES for n in (10_000, 20_000)
+        ]
+        batched = [
+            generate_trace(benchmark(name), n, seed=seed) for name, n in cases
+        ]
+        monkeypatch.setattr(
+            generator, "_link_branches_to_loads",
+            _per_branch_link_branches_to_loads,
+        )
+        for (name, n), trace in zip(cases, batched):
+            expected = generate_trace(benchmark(name), n, seed=seed)
+            for field in _TRACE_FIELDS:
+                a, b = getattr(trace, field), getattr(expected, field)
+                assert a.dtype == b.dtype, (name, n, field)
+                assert a.tobytes() == b.tobytes(), (name, n, field)
+
+    @pytest.mark.parametrize(
+        "kinds, mispredicted",
+        [
+            # The first branch precedes every load: it keeps its
+            # dependence.
+            ("BLBLNB", [1, 0, 1, 0, 0, 1]),
+            # No mispredicted branch: the draw is empty.
+            ("LBLB", [0, 0, 0, 0]),
+        ],
+        ids=["branch-before-first-load", "no-mispredictions"],
+    )
+    def test_edges_match_the_loop(self, kinds, mispredicted):
+        codes = {
+            "B": InstructionClass.BRANCH,
+            "L": InstructionClass.LOAD,
+            "N": InstructionClass.NOP,
+        }
+        classes = np.array([codes[k] for k in kinds], dtype=np.int8)
+        mispredicted = np.array(mispredicted, dtype=bool)
+        chars = _chars(branch_depends_on_load_prob=0.9)
+        dep_batched = np.full(len(classes), 7, dtype=np.int32)
+        dep_loop = dep_batched.copy()
+        rng_batched = np.random.default_rng(3)
+        rng_loop = np.random.default_rng(3)
+        generator._link_branches_to_loads(
+            classes, dep_batched, mispredicted, chars, rng_batched
+        )
+        _per_branch_link_branches_to_loads(
+            classes, dep_loop, mispredicted, chars, rng_loop
+        )
+        assert dep_batched.tobytes() == dep_loop.tobytes()
+        assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
