@@ -79,14 +79,18 @@ def llc_shares(
         exponent = LLC_SHARE_EXPONENT
     if not demands:
         return []
-    if any(d < 0 for d in demands):
-        raise ValueError("demands must be non-negative")
+    for d in demands:
+        if d < 0:
+            raise ValueError("demands must be non-negative")
     weights = [d**exponent for d in demands]
     total = sum(weights)
     if total <= 0:
         return [1.0] * len(demands)
     floor = 0.02 / len(demands)
-    raw = [max(w / total, floor) for w in weights]
+    raw = []
+    for w in weights:
+        share = w / total
+        raw.append(floor if floor > share else share)  # max(share, floor)
     norm = sum(raw)
     return [r / norm for r in raw]
 

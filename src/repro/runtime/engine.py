@@ -72,7 +72,11 @@ from repro.runtime.store import ResultStore
 from repro.sim.campaign import RunSpec, build_machine, machine_fields
 from repro.sim.experiment import run_workload
 from repro.sim.results import RunResult
-from repro.sim.serialize import run_result_from_dict, run_result_to_dict
+from repro.sim.serialize import (
+    run_result_from_dict,
+    run_result_to_dict,
+    shallow_dict,
+)
 
 
 def default_jobs() -> int:
@@ -141,9 +145,9 @@ def _execute_job(
     Returns ``(index, result_dict, attempts, wall_seconds, metrics,
     spans)``; the result travels as the JSON-codec dict so the payload
     is trivially picklable and byte-identical to what the result store
-    holds.  With a ``store``, the result is saved there under the
-    job's key before this returns.  With ``collect_metrics``, the run
-    executes under a fresh
+    holds.  With a ``store``, that same dict is saved there under the
+    job's key before this returns: the result is encoded once.  With
+    ``collect_metrics``, the run executes under a fresh
     :class:`repro.obs.metrics.MetricsRegistry` (one per attempt, so a
     retried job reports only its successful attempt) and ``metrics``
     is its snapshot dict; with ``collect_spans``, likewise under a
@@ -190,17 +194,11 @@ def _execute_job(
             if attempt >= retry.max_attempts:
                 raise
             time.sleep(retry.delay(attempt))
+    data = run_result_to_dict(result)
     if store is not None:
-        store.save(job.key, result)
+        store.save_dict(job.key, data)
     wall = time.perf_counter() - started
-    return (
-        job.index,
-        run_result_to_dict(result),
-        attempt,
-        wall,
-        metrics_data,
-        spans_data,
-    )
+    return job.index, data, attempt, wall, metrics_data, spans_data
 
 
 def clear_inherited_telemetry() -> None:
@@ -673,7 +671,7 @@ class ExecutionEngine:
             self._emit(CampaignStarted(total=len(jobs_list)))
             self._emit(
                 CampaignPlan(
-                    specs=[dataclasses.asdict(spec) for spec in specs],
+                    specs=[shallow_dict(spec) for spec in specs],
                     keys=keys,
                     labels=[job.label for job in jobs_list],
                     store=str(store.directory) if store is not None else None,

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Sequence
 
+from repro.sim.serialize import shallow_dict
+
 
 @dataclass(frozen=True)
 class Event:
@@ -42,10 +44,17 @@ class Event:
     )
 
     def to_dict(self) -> dict[str, Any]:
-        data = dataclasses.asdict(self)
+        """The event's fields plus its ``event`` kind, in a new dict.
+
+        Field values are the event's own objects, not copies (see
+        :func:`~repro.sim.serialize.shallow_dict`), so a payload such
+        as :attr:`MetricsSnapshot.metrics` is shared with the event:
+        treat the dict as read-only.
+        """
+        data = shallow_dict(self)
         data["event"] = self.kind
-        if data.get("trace") is None:
-            data.pop("trace", None)
+        if data["trace"] is None:
+            del data["trace"]
         return data
 
 
@@ -65,8 +74,9 @@ class CampaignPlan(Event):
     Emitted right after :class:`CampaignStarted`, before any job
     executes, so a killed campaign's event log always names every job
     it intended to run.  ``specs`` holds each
-    :class:`~repro.sim.campaign.RunSpec` in ``dataclasses.asdict``
-    form (rebuild with ``RunSpec.from_dict``), ``keys`` the matching
+    :class:`~repro.sim.campaign.RunSpec` as a dict of its fields
+    (:func:`~repro.sim.serialize.shallow_dict`; rebuild with
+    ``RunSpec.from_dict``), ``keys`` the matching
     ``RunSpec.key()`` content hashes (the result-store file names),
     and ``labels`` the display labels.  ``store`` is the result-store
     directory when the campaign is store-backed; ``machine`` is a
@@ -430,6 +440,10 @@ class StderrProgressSink(EventSink):
 class JsonlEventSink(EventSink):
     """Append events to a JSONL file, one JSON object per line."""
 
+    #: Encodes every line, keys sorted: one encoder for every sink,
+    #: where ``json.dumps(..., sort_keys=True)`` builds one per call.
+    encoder = json.JSONEncoder(sort_keys=True)
+
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._file = None
@@ -447,7 +461,7 @@ class JsonlEventSink(EventSink):
                     existing.seek(-1, 2)
                     if existing.read(1) != b"\n":
                         self._file.write("\n")
-        self._file.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        self._file.write(self.encoder.encode(event.to_dict()) + "\n")
         self._file.flush()
 
     def close(self) -> None:

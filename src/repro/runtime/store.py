@@ -21,7 +21,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.sim.results import RunResult
-from repro.sim.serialize import ResultCacheError, load_run, save_run
+from repro.sim.serialize import (
+    ResultCacheError,
+    load_run,
+    save_run,
+    save_run_dict,
+)
 
 
 class ResultStore:
@@ -66,6 +71,12 @@ class ResultStore:
     def save(self, key: str, result: RunResult) -> Path:
         """Atomically persist ``result`` under ``key``."""
         return save_run(result, self.path(key))
+
+    def save_dict(self, key: str, data: dict) -> Path:
+        """:meth:`save` for a result already in
+        :func:`~repro.sim.serialize.run_result_to_dict` form; the file
+        holds the same bytes."""
+        return save_run_dict(data, self.path(key))
 
     def keys(self) -> list[str]:
         """Keys of every entry present on disk, sorted."""

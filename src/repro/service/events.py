@@ -25,8 +25,9 @@ __all__ = ["EVENT_KINDS", "ServiceFeed", "feed_digest"]
 EVENT_KINDS = ("arrive", "shed", "start", "migrate", "depart")
 
 
-def _serialize(event: dict[str, Any]) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+#: Encodes every feed line: one encoder, where ``json.dumps`` with
+#: these options builds one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def feed_digest(lines: Iterable[str]) -> str:
@@ -63,7 +64,7 @@ class ServiceFeed:
                 f"unknown event kind {kind!r}; known: {EVENT_KINDS}"
             )
         event = {"event": kind, "time": float(time_seconds), **fields}
-        line = _serialize(event)
+        line = _ENCODER.encode(event)
         self.lines.append(line)
         if self._stream is not None:
             self._stream.write(line)

@@ -10,13 +10,13 @@ re-running the campaign serves it from there.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 
 from repro.ace.counters import AceCounterMode
 from repro.config.machines import STANDARD_MACHINES, MachineConfig
+from repro.sim.serialize import shallow_dict
 
 
 def build_machine(
@@ -107,18 +107,19 @@ class RunSpec:
         """Stable content hash used as the cache file name.
 
         Derived structurally from *every* dataclass field (via
-        :func:`dataclasses.asdict`), so a field added to the spec --
-        a new scheduler kwarg, say -- can never be silently omitted
-        from the cache key and collide two distinct runs.  The JSON
-        encoding matches the previous hand-written payload exactly,
-        so existing cache directories stay valid.
+        :func:`~repro.sim.serialize.shallow_dict`), so a field added
+        to the spec -- a new scheduler kwarg, say -- can never be
+        silently omitted from the cache key and collide two distinct
+        runs.  The JSON encoding matches the previous hand-written
+        payload exactly, so existing cache directories stay valid.
         """
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        payload = json.dumps(shallow_dict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        """Rebuild a spec from its :func:`dataclasses.asdict` form.
+        """Rebuild a spec from its dict of fields
+        (:func:`~repro.sim.serialize.shallow_dict`).
 
         JSON round-trips tuples as lists; this is the inverse used by
         campaign resume (:class:`repro.runtime.resume.ResumeState`) to

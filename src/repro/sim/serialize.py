@@ -29,6 +29,28 @@ class ResultCacheError(ValueError):
     corrupt JSON, wrong format version, or malformed fields)."""
 
 
+#: Field names per dataclass, in definition order (read by shallow_dict).
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def shallow_dict(obj: Any) -> dict[str, Any]:
+    """A dataclass instance's fields as a new dict, in definition order.
+
+    :func:`dataclasses.asdict` without its recursive copy: a field
+    holding a dict, list or tuple puts that same object in the dict.
+    ``json.dumps`` writes the same bytes for either form as long as no
+    field holds a dataclass, which holds for every result, spec and
+    event this encodes.  The field names are read once per class.
+    """
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclasses.fields(cls)
+        )
+    return {name: getattr(obj, name) for name in names}
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically.
 
@@ -54,8 +76,8 @@ def run_result_to_dict(result: RunResult) -> dict[str, Any]:
         "scheduler_name": result.scheduler_name,
         "quanta": result.quanta,
         "duration_seconds": result.duration_seconds,
-        "apps": [dataclasses.asdict(app) for app in result.apps],
-        "timeline": [dataclasses.asdict(p) for p in result.timeline],
+        "apps": [shallow_dict(app) for app in result.apps],
+        "timeline": [shallow_dict(p) for p in result.timeline],
     }
 
 
@@ -84,8 +106,14 @@ def run_result_from_dict(data: dict[str, Any]) -> RunResult:
 
 def save_run(result: RunResult, path: str | Path) -> Path:
     """Write a run result to a JSON file (atomically)."""
+    return save_run_dict(run_result_to_dict(result), path)
+
+
+def save_run_dict(data: dict[str, Any], path: str | Path) -> Path:
+    """Write a result already in :func:`run_result_to_dict` form, with
+    the bytes :func:`save_run` writes (atomically)."""
     path = Path(path)
-    _atomic_write_text(path, json.dumps(run_result_to_dict(result), indent=1))
+    _atomic_write_text(path, json.dumps(data, indent=1))
     return path
 
 

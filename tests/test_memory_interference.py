@@ -1,7 +1,7 @@
 """Tests for the shared-resource interference model."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config.machines import MemoryConfig
 from repro.cores.base import MemoryEnvironment
@@ -13,7 +13,48 @@ from repro.memory.interference import (
 )
 
 
+def builtin_llc_shares(demands, exponent=0.5):
+    """``llc_shares`` as written with ``any()`` and ``max()``."""
+    if not demands:
+        return []
+    if any(d < 0 for d in demands):
+        raise ValueError("demands must be non-negative")
+    weights = [d**exponent for d in demands]
+    total = sum(weights)
+    if total <= 0:
+        return [1.0] * len(demands)
+    floor = 0.02 / len(demands)
+    raw = [max(w / total, floor) for w in weights]
+    norm = sum(raw)
+    return [r / norm for r in raw]
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))  # repr compares NaN and -0.0 too
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+DEMANDS = st.floats(0.0, 1e12) | st.sampled_from(
+    [0.0, -0.0, 5e-324, float("nan"), float("inf"), -1.0, -5e-324]
+)
+
+
 class TestLlcShares:
+    @settings(max_examples=500)
+    @given(
+        demands=st.lists(DEMANDS, max_size=8),
+        exponent=st.sampled_from([0.5, 1.0, 2.0, 0.25]),
+    )
+    @example(demands=[0.0, 3.0, float("nan"), 0.0], exponent=0.5)
+    @example(demands=[float("nan"), 0.0], exponent=0.5)
+    @example(demands=[0.0, 0.0, 0.0], exponent=0.5)
+    def test_matches_the_builtin_form(self, demands, exponent):
+        assert _outcome(llc_shares, demands, exponent) == _outcome(
+            builtin_llc_shares, demands, exponent
+        )
+
     def test_equal_demands_split_equally(self):
         shares = llc_shares([1.0, 1.0, 1.0, 1.0])
         assert all(s == pytest.approx(0.25) for s in shares)
