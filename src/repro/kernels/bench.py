@@ -1,13 +1,14 @@
 """Performance micro-benchmarks for the simulation hot path.
 
 Times the layers the `repro.kernels` work optimizes -- trace
-generation (and the trace cache), batched cache access, the OoO and
-in-order window kernels (against their straight-line references) and
-a sweep on 1, 2 and 4 engine workers -- and emits a machine-readable report
-(``BENCH_PERF.json``) so the performance trajectory is tracked
-PR-over-PR.  End-to-end campaign time is measured by
-``benchmarks/e2e`` (``paper_fig06``), not here.  Run via ``repro bench``
-or ``python benchmarks/bench_perf.py``.
+generation (and the trace cache), the batched cache-hierarchy walk,
+the OoO and in-order window kernels (against their straight-line
+references), trace-driven runs of one mix under the three schedulers
+and a sweep on 1, 2 and 4 engine workers -- and emits a
+machine-readable report (``BENCH_PERF.json``) so the performance
+trajectory is tracked PR-over-PR.  End-to-end campaign time is
+measured by ``benchmarks/e2e`` (``paper_fig06``), not here.  Run via
+``repro bench`` or ``python benchmarks/bench_perf.py``.
 
 The regression gate is the *in-process* kernel-vs-reference speedup
 (``--min-ooo-speedup``), which is machine-independent; absolute
@@ -74,7 +75,8 @@ def run_bench(quick: bool = False) -> dict:
         cached_generate_trace,
         clear_cache,
     )
-    from repro.memory.cache import SetAssociativeCache
+    from repro.isa.instruction import InstructionClass
+    from repro.memory.hierarchy import CacheHierarchy
     from repro.workloads import benchmark
     from repro.workloads.generator import generate_trace
 
@@ -105,22 +107,27 @@ def run_bench(quick: bool = False) -> dict:
     }
     clear_cache()
 
-    # -- batched cache access vs scalar --
+    # -- batched hierarchy walk vs scalar --
+    # The trace's loads and stores in program order, through a cold
+    # hierarchy: the walk that warms a trace-driven reference run.
     app = TraceApplication(trace)
-    addresses = trace.addresses[trace.addresses != 0]
-    l1_config = MemoryConfig().l1d
+    memory_ops = (trace.classes == InstructionClass.LOAD) | (
+        trace.classes == InstructionClass.STORE
+    )
+    addresses = trace.addresses[memory_ops]
+    frequency_ghz = big_core_config().frequency_ghz
 
     def scalar_cache():
-        cache = SetAssociativeCache(l1_config, "bench")
-        access = cache.access
+        hierarchy = CacheHierarchy(MemoryConfig(), frequency_ghz)
+        access = hierarchy.access_data
         for a in addresses.tolist():
             access(a)
-        return cache
+        return hierarchy
 
     def batch_cache():
-        cache = SetAssociativeCache(l1_config, "bench")
-        cache.access_batch(addresses)
-        return cache
+        hierarchy = CacheHierarchy(MemoryConfig(), frequency_ghz)
+        hierarchy.access_data_batch(addresses)
+        return hierarchy
 
     scalar_s, _ = _best(scalar_cache, repeats)
     batch_s, _ = _best(batch_cache, repeats)
@@ -254,6 +261,41 @@ def run_bench(quick: bool = False) -> dict:
         ),
     }
 
+    # -- trace-driven runs at representative scale --
+    # One mix under the three schedulers, as `benchmarks/e2e`'s
+    # trace_validate runs it, from an empty reference memo and trace
+    # cache: trace generation, the warm-up walks and reference passes,
+    # and every window the multicore runs execute.  No gate.
+    from repro.config import STANDARD_MACHINES
+    from repro.sim import tracedriven
+    from repro.workloads.mixes import generate_workloads
+
+    trace_machine = STANDARD_MACHINES["2B2S"]()
+    trace_mix = generate_workloads(trace_machine.num_cores)[0]
+    trace_schedulers = ("random", "performance", "reliability")
+
+    def trace_workload():
+        clear_cache()
+        tracedriven._reference_memo.clear()
+        return [
+            tracedriven.run_trace_workload(
+                trace_machine, trace_mix, name, instructions=instructions
+            )
+            for name in trace_schedulers
+        ]
+
+    trace_s, trace_runs = _best(trace_workload, repeats)
+    trace_quanta = sum(run.quanta for run in trace_runs)
+    results["trace_workload"] = {
+        "machine": trace_machine.name,
+        "mix": list(trace_mix.benchmarks),
+        "schedulers": list(trace_schedulers),
+        "instructions": instructions,
+        "wall_s": trace_s,
+        "quanta": trace_quanta,
+        "us_per_quantum": 1e6 * trace_s / trace_quanta,
+    }
+
     # -- sweep on 1/2/4 engine workers (the "shard" row) --
     # One worker runs in-process, as --jobs 1 does; 2 and 4 deal the
     # specs to forked engine workers, so they pay the worker start
@@ -264,10 +306,8 @@ def run_bench(quick: bool = False) -> dict:
     # ~1.9x at 2 workers, leaving headroom over the 1.6x CI floor.  On
     # a single-core host the speedup honestly reads <= 1.0 (workers
     # time-slice one CPU) -- apply the gate only where cores exist.
-    from repro.config import STANDARD_MACHINES
     from repro.runtime.engine import ExecutionEngine
     from repro.sim.experiment import sweep_specs
-    from repro.workloads.mixes import generate_workloads
 
     shard_machine = STANDARD_MACHINES["1B1S"]()
     shard_instructions = 500_000_000 if quick else 1_000_000_000
@@ -353,6 +393,15 @@ def format_report(report: dict) -> str:
             f"% disabled, "
             f"{100 * r['span_overhead']['inorder_enabled_overhead']:+.2f}"
             f"% enabled (in-order)"
+        )
+    if "trace_workload" in r:
+        t = r["trace_workload"]
+        lines.append(
+            f"  trace workload     "
+            f"{t['us_per_quantum']:9.0f} us/quantum "
+            f"({t['machine']}, {len(t['schedulers'])} schedulers, "
+            f"{t['instructions'] // 1000}k instructions, "
+            f"{t['wall_s']:.2f} s)"
         )
     if "shard" in r:
         s = r["shard"]

@@ -19,6 +19,17 @@ as one pass in program order:
    hierarchy's :meth:`~repro.memory.hierarchy.CacheHierarchy.data_walk`
    at the point where the recurrence reaches it.
 
+The kernels read the application's trace itself, from ``start mod
+length``, and build no per-window :class:`~repro.isa.trace.Trace`.
+Each timing list starts with ``-inf`` entries, as many as the deepest
+window constraint (width, ROB, issue queue, load/store queue, latch
+slots) and the farthest dependence reaches, and the recurrence reads
+its constraints back from the end of the lists.  An instruction
+before the window therefore has a ``-inf`` timing, which never binds:
+exactly the references' "no constraint before the first
+instructions" and :meth:`~repro.isa.trace.Trace.slice`'s clamp of
+a dependence reaching before the window to "ready".
+
 Results are identical to the reference implementations: the
 recurrence performs the same float operations in the same order, and
 the caches see the same accesses in the same order -- those of the
@@ -73,6 +84,9 @@ _KIND[InstructionClass.FP_DIV] = 4
 #: ``float(latency_table()[cls])`` values of the reference).
 _STATIC_LATENCY = latency_table().astype(np.float64)
 
+#: The timing of an instruction before the window: it never binds.
+_BEFORE = float("-inf")
+
 
 def _chunk_bounds(n):
     """``(start, end)`` of each chunk of an ``n``-instruction window:
@@ -84,19 +98,41 @@ def _chunk_bounds(n):
         c0, size = c1, min(2 * size, _CHUNK)
 
 
-def _chunk_columns(window, c0, c1, icache_penalty):
-    """One chunk's static kernel inputs, per instruction, as plain
-    Python values: kind code, static latency, I-cache penalty, both
-    dependency distances, the misprediction flag and the address."""
-    classes = window.classes[c0:c1]
+def _window(app, start_instruction, budget, width):
+    """``(trace, begin, n)``: the window of a ``budget``-cycle run is
+    the ``n`` instructions of ``app.trace`` from ``begin`` -- those of
+    :meth:`~repro.cores.tracebase.TraceApplication.window`, unsliced."""
+    trace = app.trace
+    begin = start_instruction % len(trace)
+    length = int(budget * width) + _WINDOW_SLACK
+    return trace, begin, min(length, len(trace) - begin)
+
+
+def _reach(trace, begin, n):
+    """The largest dependence distance of the ``n`` instructions from
+    ``begin``: no dependence of the window reads further before it."""
+    if n <= 0:
+        return 0
+    end = begin + n
+    return int(max(trace.dep1[begin:end].max(), trace.dep2[begin:end].max()))
+
+
+def _chunk_columns(trace, c0, c1, icache_penalty):
+    """Static kernel inputs of ``trace``'s instructions ``[c0, c1)``,
+    per instruction, as plain Python values: kind code, static
+    latency, I-cache penalty, both dependency distances, negated (0
+    still means none, and a negated distance indexes the producer from
+    the end of a timing list), the misprediction flag and the
+    address."""
+    classes = trace.classes[c0:c1]
     return zip(
         _KIND[classes].tolist(),
         _STATIC_LATENCY[classes].tolist(),
-        np.where(window.icache_miss[c0:c1], icache_penalty, 0.0).tolist(),
-        window.dep1[c0:c1].tolist(),
-        window.dep2[c0:c1].tolist(),
-        window.mispredicted[c0:c1].tolist(),
-        window.addresses[c0:c1].tolist(),
+        np.where(trace.icache_miss[c0:c1], icache_penalty, 0.0).tolist(),
+        np.negative(trace.dep1[c0:c1]).tolist(),
+        np.negative(trace.dep2[c0:c1]).tolist(),
+        trace.mispredicted[c0:c1].tolist(),
+        trace.addresses[c0:c1].tolist(),
     )
 
 
@@ -122,17 +158,14 @@ def ooo_simulate_window(model, app, start_instruction, cycles, env):
     core = model.core
     assert core.rob is not None and core.load_queue is not None
     budget = float(cycles)
-    window = app.window(
-        start_instruction, int(budget * core.width) + _WINDOW_SLACK
-    )
-    n = len(window)
+    width = core.width
+    trace, begin, n = _window(app, start_instruction, budget, width)
     hierarchy = model.hierarchy_for(app)
     dram_extra = (
         model.dram_latency_cycles(env) - hierarchy.dram_latency_cycles
     )
     lat1, lat2, lat3, lat4 = hierarchy.data_latencies
     load_lat = (lat1, lat2, lat3, lat4 + dram_extra)
-    width = core.width
     rob_size = core.rob.entries
     iq_size = core.issue_queue.entries
     lq_size = core.load_queue.entries
@@ -140,12 +173,19 @@ def ooo_simulate_window(model, app, start_instruction, cycles, env):
     depth = core.frontend_depth
     icache_penalty = model.memory.l2.latency_cycles
 
-    dispatch_l: list[float] = []
-    issue_l: list[float] = []
-    finish_l: list[float] = []
-    commit_l: list[float] = []
-    load_commits: list[float] = []
-    store_commits: list[float] = []
+    # Timings of the instructions before the window: -inf never binds.
+    pad = max(width, rob_size, iq_size, _reach(trace, begin, n))
+    dispatch_l = [_BEFORE] * pad
+    issue_l = [_BEFORE] * pad
+    finish_l = [_BEFORE] * pad
+    commit_l = [_BEFORE] * pad
+    load_commits = [_BEFORE] * lq_size
+    store_commits = [_BEFORE] * sq_size
+    # Each list holds the timings of the instructions before the
+    # current one, so ``timings[-d]`` is that of the instruction ``d``
+    # before it.  The offsets are negated once, not per instruction.
+    back_width, back_rob, back_iq = -width, -rob_size, -iq_size
+    back_lq, back_sq = -lq_size, -sq_size
     load_lats: list[float] = []
     dispatch_append = dispatch_l.append
     issue_append = issue_l.append
@@ -162,59 +202,46 @@ def ooo_simulate_window(model, app, start_instruction, cycles, env):
     int_div_free = 0.0
     fp_div_free = 0.0
     prev_commit = 0.0
-    committed = 0
-    end_time = 0.0
-    i = 0
-    iw = -width
-    irob = -rob_size
-    iiq = -iq_size
-    nll = -lq_size
-    nss = -sq_size
     broke = False
     try:
         for c0, c1 in _chunk_bounds(n):
             for k, lat, ic, d1, d2, mp, addr in _chunk_columns(
-                window, c0, c1, icache_penalty
+                trace, begin + c0, begin + c1, icache_penalty
             ):
                 if ic:
                     fetch_ready += ic
                 td = fetch_ready
-                if iw >= 0:
-                    x = dispatch_l[iw] + 1.0
-                    if x > td:
-                        td = x
-                if irob >= 0:
-                    x = commit_l[irob]
-                    if x > td:
-                        td = x
-                if iiq >= 0:
-                    x = issue_l[iiq]
-                    if x > td:
-                        td = x
+                x = dispatch_l[back_width] + 1.0
+                if x > td:
+                    td = x
+                x = commit_l[back_rob]
+                if x > td:
+                    td = x
+                x = issue_l[back_iq]
+                if x > td:
+                    td = x
                 if k:
                     if k == 1:
-                        if nll >= 0:
-                            x = load_commits[nll]
-                            if x > td:
-                                td = x
+                        x = load_commits[back_lq]
+                        if x > td:
+                            td = x
                         lat = load_lat[access(addr)]
                         load_lat_append(lat)
                     elif k == 2:
-                        if nss >= 0:
-                            x = store_commits[nss]
-                            if x > td:
-                                td = x
+                        x = store_commits[back_sq]
+                        if x > td:
+                            td = x
                         # Stores write back at commit: the access is for
                         # the cache state, the pipeline sees unit latency.
                         access(addr)
                 dispatch_append(td)
                 ready = td + 1.0
                 if d1:
-                    x = finish_l[i - d1]
+                    x = finish_l[d1]
                     if x > ready:
                         ready = x
                 if d2:
-                    x = finish_l[i - d2]
+                    x = finish_l[d2]
                     if x > ready:
                         ready = x
                 if k > 2:
@@ -239,47 +266,41 @@ def ooo_simulate_window(model, app, start_instruction, cycles, env):
                 tc = fin + 1.0
                 if prev_commit > tc:
                     tc = prev_commit
-                if iw >= 0:
-                    x = commit_l[iw] + 1.0
-                    if x > tc:
-                        tc = x
+                x = commit_l[back_width] + 1.0
+                if x > tc:
+                    tc = x
                 commit_append(tc)
                 prev_commit = tc
                 if k:
                     if k == 1:
                         load_append(tc)
-                        nll += 1
                     elif k == 2:
                         store_append(tc)
-                        nss += 1
-                iw += 1
-                irob += 1
-                iiq += 1
                 if tc > budget:
                     broke = True
                     break
-                i += 1
-                committed = i
-                end_time = tc
             if broke:
                 break
     finally:
         walk.close()
 
-    elapsed = budget if committed < n else max(end_time, 1.0)
-    classes = window.classes[:committed]
+    # The break instruction's timings are the lists' last entries.
+    stop = len(commit_l) - 1 if broke else len(commit_l)
+    committed = stop - pad
+    elapsed = budget if committed < n else max(commit_l[-1], 1.0)
+    classes = trace.classes[begin:begin + committed]
     reg = obs_metrics.ACTIVE
     if reg is not None:
         reg.counter("kernel.windows", kernel="ooo").inc()
         reg.counter("kernel.instructions", kernel="ooo").inc(committed)
     return WindowTiming(
         classes=classes.copy(),
-        dispatch=np.array(dispatch_l[:committed], dtype=np.float64),
-        issue=np.array(issue_l[:committed], dtype=np.float64),
-        finish=np.array(finish_l[:committed], dtype=np.float64),
-        commit=np.array(commit_l[:committed], dtype=np.float64),
+        dispatch=np.array(dispatch_l[pad:stop], dtype=np.float64),
+        issue=np.array(issue_l[pad:stop], dtype=np.float64),
+        finish=np.array(finish_l[pad:stop], dtype=np.float64),
+        commit=np.array(commit_l[pad:stop], dtype=np.float64),
         latency=_latencies(classes, load_lats),
-        mispredicted=window.mispredicted[:committed].copy(),
+        mispredicted=trace.mispredicted[begin:begin + committed].copy(),
         committed=committed,
         elapsed_cycles=elapsed,
     )
@@ -301,10 +322,8 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
     core = model.core
     assert core.pipeline_latches is not None
     budget = float(cycles)
-    window = app.window(
-        start_instruction, int(budget * core.width) + _WINDOW_SLACK
-    )
-    n = len(window)
+    width = core.width
+    trace, begin, n = _window(app, start_instruction, budget, width)
     if n == 0:
         return QuantumResult(instructions=0, cycles=budget)
     hierarchy = model.hierarchy_for(app)
@@ -316,15 +335,19 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
     l3_start = hierarchy.l3_accesses
     dram_start = hierarchy.dram_accesses
 
-    width = core.width
     depth = core.frontend_depth
     latch_slots = core.pipeline_latches.entries
     icache_penalty = model.memory.l2.latency_cycles
 
-    fetch_l: list[float] = []
-    issue_l: list[float] = []
-    finish_l: list[float] = []
-    wb_l: list[float] = []
+    # Timings of the instructions before the window: -inf never binds.
+    pad = max(width, latch_slots, _reach(trace, begin, n))
+    fetch_l = [_BEFORE] * pad
+    issue_l = [_BEFORE] * pad
+    finish_l = [_BEFORE] * pad
+    wb_l = [_BEFORE] * pad
+    # As in the OoO kernel, ``timings[-d]`` is the timing of the
+    # instruction ``d`` before the current one.
+    back_width, back_latch = -width, -latch_slots
     load_lats: list[float] = []
     fetch_append = fetch_l.append
     issue_append = issue_l.append
@@ -339,16 +362,11 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
     int_div_free = 0.0
     fp_div_free = 0.0
     prev_issue = 0.0
-    committed = 0
-    end_time = 0.0
-    i = 0
-    iw = -width
-    ilatch = -latch_slots
     broke = False
     try:
         for c0, c1 in _chunk_bounds(n):
             for k, lat, ic, d1, d2, mp, addr in _chunk_columns(
-                window, c0, c1, icache_penalty
+                trace, begin + c0, begin + c1, icache_penalty
             ):
                 if ic:
                     fetch_ready += ic
@@ -356,14 +374,12 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
                 # pipeline-latch slot is free (slots are held from fetch
                 # to writeback, so stalls back-pressure the front end).
                 tf = fetch_ready
-                if iw >= 0:
-                    x = fetch_l[iw] + 1.0
-                    if x > tf:
-                        tf = x
-                if ilatch >= 0:
-                    x = wb_l[ilatch]
-                    if x > tf:
-                        tf = x
+                x = fetch_l[back_width] + 1.0
+                if x > tf:
+                    tf = x
+                x = wb_l[back_latch]
+                if x > tf:
+                    tf = x
                 fetch_append(tf)
                 # In-order issue after traversing the front-end stages:
                 # after the previous instruction, at most `width` per
@@ -371,16 +387,15 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
                 ti = tf + depth - 2.0
                 if prev_issue > ti:
                     ti = prev_issue
-                if iw >= 0:
-                    x = issue_l[iw] + 1.0
-                    if x > ti:
-                        ti = x
+                x = issue_l[back_width] + 1.0
+                if x > ti:
+                    ti = x
                 if d1:
-                    x = finish_l[i - d1]
+                    x = finish_l[d1]
                     if x > ti:
                         ti = x
                 if d2:
-                    x = finish_l[i - d2]
+                    x = finish_l[d2]
                     if x > ti:
                         ti = x
                 if k:
@@ -412,24 +427,23 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
                         fetch_ready = x
                 w = fin + 1.0
                 wb_append(w)
-                iw += 1
-                ilatch += 1
                 if w > budget:
                     broke = True
                     break
-                i += 1
-                committed = i
-                end_time = w
             if broke:
                 break
     finally:
         walk.close()
 
-    elapsed = budget if committed < n else max(end_time, 1.0)
-    classes = window.classes[:committed]
+    # The break instruction's timings are the lists' last entries.
+    stop = len(wb_l) - 1 if broke else len(wb_l)
+    committed = stop - pad
+    elapsed = budget if committed < n else max(wb_l[-1], 1.0)
+    classes = trace.classes[begin:begin + committed]
     ace, occupancy = _inorder_account(
         model, classes, _latencies(classes, load_lats),
-        fetch_l, issue_l, wb_l, elapsed, TIMESTAMP_CLIP,
+        fetch_l[pad:stop], issue_l[pad:stop], wb_l[pad:stop], elapsed,
+        TIMESTAMP_CLIP,
     )
     reg = obs_metrics.ACTIVE
     if reg is not None:
@@ -443,7 +457,7 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
         memory_accesses=float(hierarchy.dram_accesses - dram_start),
         l3_accesses=float(hierarchy.l3_accesses - l3_start),
         branch_mispredictions=float(
-            np.count_nonzero(window.mispredicted[:committed])
+            np.count_nonzero(trace.mispredicted[begin:begin + committed])
         ),
     )
 
@@ -451,18 +465,18 @@ def inorder_run_cycles(model, app, start_instruction, cycles, env):
 def _inorder_account(
     model, classes, latency, fetch_l, issue_l, wb_l, elapsed, timestamp_clip,
 ):
-    """Vectorized in-order ACE/occupancy accounting (Section 4.2) of a
-    committed prefix of ``classes``."""
+    """Vectorized in-order ACE/occupancy accounting (Section 4.2) of
+    committed instructions: their ``classes``, latencies and fetch,
+    issue and writeback timings."""
     from repro.cores.inorder import _ARCH_REG_LIVE_FRACTION
 
     core = model.core
     latch_bits = core.pipeline_latches.bits_per_entry
     iq_bits = core.issue_queue.bits_per_entry
     sq_bits = core.store_queue.bits_per_entry
-    committed = len(classes)
-    fetch = np.array(fetch_l[:committed], dtype=np.float64)
-    issue = np.array(issue_l[:committed], dtype=np.float64)
-    wb = np.array(wb_l[:committed], dtype=np.float64)
+    fetch = np.array(fetch_l, dtype=np.float64)
+    issue = np.array(issue_l, dtype=np.float64)
+    wb = np.array(wb_l, dtype=np.float64)
 
     non_nop = classes != InstructionClass.NOP
     residency = np.minimum(wb - fetch, timestamp_clip)

@@ -8,16 +8,15 @@ This representation is an order of magnitude faster than per-access
 numpy round-trips and behaves identically (hit/miss pattern, eviction
 choice, statistics) to the previous numpy-backed implementation.
 
-:meth:`SetAssociativeCache.access_batch` services a whole address
-vector in one pass over pre-extracted index/tag buffers -- the batched
-entry point the `repro.kernels` window kernels are built on.
+:meth:`SetAssociativeCache.access` is the scalar path; the fast walk
+the `repro.kernels` window kernels and the trace-driven warm-up run
+is :meth:`repro.memory.hierarchy.CacheHierarchy.data_walk`, which
+works on these sets, clocks and statistics directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.config.machines import CacheLevelConfig
 
@@ -84,43 +83,6 @@ class SetAssociativeCache:
             del lru[min(lru, key=lru.__getitem__)]
         lru[tag] = self._clock
         return False
-
-    def access_batch(self, addresses: np.ndarray) -> np.ndarray:
-        """Access a vector of byte addresses in order; returns hit flags.
-
-        Semantically identical to calling :meth:`access` once per
-        address (same hit/miss pattern, LRU state and statistics), but
-        the set-index/tag extraction is vectorized and the update loop
-        runs over plain Python ints with no per-call overhead.
-        """
-        n = len(addresses)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        lines = np.asarray(addresses, dtype=np.int64) >> self._line_shift
-        indices = (lines % self._num_sets).tolist()
-        tags = (lines // self._num_sets).tolist()
-        sets = self._sets
-        ways = self._ways
-        clock = self._clock
-        hits = []
-        append = hits.append
-        missed = 0
-        for index, tag in zip(indices, tags):
-            clock += 1
-            lru = sets[index]
-            if tag in lru:
-                lru[tag] = clock
-                append(True)
-                continue
-            missed += 1
-            if len(lru) >= ways:
-                del lru[min(lru, key=lru.__getitem__)]
-            lru[tag] = clock
-            append(False)
-        self._clock = clock
-        self.stats.accesses += n
-        self.stats.misses += missed
-        return np.array(hits, dtype=bool)
 
     def contains(self, address: int) -> bool:
         """Whether the line holding an address is resident (no update)."""

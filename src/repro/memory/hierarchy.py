@@ -11,7 +11,9 @@ local variables while it is open and accesses one address per
 ``send``.  The `repro.kernels` window kernels send each load and store
 as their recurrence reaches it, so a window walks exactly the accesses
 the scalar path would; :meth:`CacheHierarchy.access_data_batch` sends
-a whole address vector (the trace profiler's entry point).
+a whole address vector: the warm-up of the trace-driven path's
+isolated reference runs (`repro.sim.tracedriven`) and the trace
+profiler walk a trace's loads and stores through it.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ paper-scale runs.
 
 Each application's isolated reference run is memoized by content
 (:data:`REFERENCE_MEMO_CAP`), so one mix under several schedulers
-runs its reference passes once.
+runs its reference passes once.  A reference run warms the
+application's private caches with one walk of its loads and stores,
+then times one isolated pass.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.cores.base import CoreModel
 from repro.cores.inorder import InOrderCoreModel
 from repro.cores.ooo import OutOfOrderCoreModel
 from repro.cores.tracebase import TraceApplication
+from repro.isa.instruction import InstructionClass
 from repro.memory.cache import SetAssociativeCache
 from repro.obs.tracing import span
 from repro.sim.experiment import make_scheduler
@@ -86,9 +89,14 @@ def _reference_cycles(
     """Isolated big-core cycles of ``app``, the trace generated from
     ``(profile, instructions, seed)``.
 
-    A warm-up pass primes the application's private caches first: in
-    the mix the applications run repeatedly with warm private caches,
-    so a cold-cache reference would overestimate T_ref at trace scale.
+    The application's private caches are warmed first: in the mix the
+    applications run repeatedly with warm private caches, so a
+    cold-cache reference would overestimate T_ref at trace scale.  The
+    warm-up is one walk of the trace's loads and stores in program
+    order.  Those are the accesses a timed isolated pass makes when it
+    commits the trace in one :func:`run_isolated` chunk, as every
+    profile does at 20k and 200k instructions, so the walk leaves the
+    caches as such a pass would, without timing it.
     ``model`` has no shared L3, so the run touches only the
     application's own hierarchy and its result is a function of the
     memo key: a hit is exact.
@@ -96,7 +104,11 @@ def _reference_cycles(
     key = (model.core, model.memory, profile, instructions, seed)
     cycles = _reference_memo.get(key)
     if cycles is None:
-        run_isolated(model, app)  # warm-up pass
+        trace = app.trace
+        memory = (trace.classes == InstructionClass.LOAD) | (
+            trace.classes == InstructionClass.STORE
+        )
+        model.hierarchy_for(app).access_data_batch(trace.addresses[memory])
         cycles = run_isolated(model, app).cycles
         if len(_reference_memo) >= REFERENCE_MEMO_CAP:
             _reference_memo.clear()

@@ -7,6 +7,8 @@ identical cache state (including at the budget break, and with an L3
 shared between an out-of-order and an in-order model).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.cores.base import ISOLATED, MemoryEnvironment
 from repro.cores.inorder import InOrderCoreModel
 from repro.cores.ooo import OutOfOrderCoreModel
 from repro.cores.tracebase import TraceApplication
+from repro.isa.instruction import InstructionClass
 from repro.isa.trace import Trace
 from repro.kernels import window
 from repro.kernels.reference import (
@@ -450,3 +453,100 @@ class TestSharedL3UnderContention:
                         model_k.hierarchy_for(app_k)
                     ) == _cache_state(model_r.hierarchy_for(app_r)), context
         assert all(positions)
+
+
+def _far_linked_app(link=300):
+    """An ``mcf`` trace whose first mispredicted branch past position
+    400 depends on a load at least ``link`` instructions before it:
+    farther back than the ROB, the issue queue or the latch slots
+    reach, and than any dependence the generator draws.  Returns the
+    application and the branch's position."""
+    trace = generate_trace(benchmark("mcf"), 20_000, seed=0)
+    branch = int(np.flatnonzero(trace.mispredicted[400:])[0]) + 400
+    loads = np.flatnonzero(trace.classes[:branch - link + 1]
+                           == InstructionClass.LOAD)
+    dep1 = trace.dep1.copy()
+    dep1[branch] = branch - int(loads[-1])
+    app = TraceApplication(dataclasses.replace(trace, dep1=dep1))
+    return app, branch
+
+
+class TestWindowsOnTheTrace:
+    """The kernels read the trace itself, with ``-inf`` timings before
+    the window, where the references read a sliced ``Trace`` whose
+    dependences reaching before the window are clamped to "ready"."""
+
+    @pytest.mark.parametrize("multiplier", (1.0, 2.5))
+    def test_starts_inside_a_dependence_reach(self, multiplier):
+        env = MemoryEnvironment(dram_latency_multiplier=multiplier)
+        app_k, branch = _far_linked_app()
+        app_r, _ = _far_linked_app()
+        length = app_k.instructions
+        assert app_k.trace.dep1[branch] > max(
+            big_core_config().rob.entries,
+            small_core_config().pipeline_latches.entries,
+        )
+        # Every start after the far load up to the branch, so that the
+        # branch's dependence reaches before the window, and the 64
+        # starts after the branch; then some of the same starts past
+        # the trace end, where windows wrap.
+        load = branch - int(app_k.trace.dep1[branch])
+        starts = list(range(load + 1, branch + 65))
+        starts += [s + length for s in starts[::16]]
+        starts += [s + 3 * length for s in starts[::64]]
+        kernel_models, reference_models = (
+            _shared_l3_models(), _shared_l3_models()
+        )
+        for step, start in enumerate(starts):
+            budget = (3.0, 60.0, 250.0)[step % 3]
+            context = (multiplier, start, budget)
+            ooo_k, inorder_k = kernel_models
+            ooo_r, inorder_r = reference_models
+            _assert_timing_equal(
+                ooo_k.simulate_window(app_k, start, budget, env),
+                reference_ooo_window(ooo_r, app_r, start, budget, env),
+                context,
+            )
+            _assert_inorder_equal(
+                inorder_k.run_cycles(app_k, start, budget, env),
+                reference_inorder_run(inorder_r, app_r, start, budget, env),
+                context,
+            )
+            for model_k, model_r in zip(kernel_models, reference_models):
+                assert _cache_state(
+                    model_k.hierarchy_for(app_k)
+                ) == _cache_state(model_r.hierarchy_for(app_r)), context
+
+    @pytest.mark.parametrize("kernel", ("ooo", "inorder"))
+    def test_budget_breaking_on_the_first_instruction(self, kernel):
+        new_model, run, reference = _KERNELS[kernel]
+        app_k, branch = _far_linked_app()
+        app_r, _ = _far_linked_app()
+        model_k, model_r = new_model(), new_model()
+        length = app_k.instructions
+        for start in (0, branch - 5, branch, length - 1, branch + 2 * length):
+            result_k = run(model_k, app_k, 1.0, start)
+            result_r = reference(model_r, app_r, start, 1.0, ISOLATED)
+            assert _committed(result_k) == 0, start
+            if kernel == "ooo":
+                _assert_timing_equal(result_k, result_r, start)
+            else:
+                _assert_inorder_equal(result_k, result_r, start)
+            assert _cache_state(model_k.hierarchy_for(app_k)) == _cache_state(
+                model_r.hierarchy_for(app_r)
+            ), start
+
+    @pytest.mark.parametrize("kernel", ("ooo", "inorder"))
+    def test_no_trace_is_built_per_window(self, monkeypatch, kernel):
+        new_model, run, _ = _KERNELS[kernel]
+        app, branch = _far_linked_app()
+        model = new_model()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a window kernel built a Trace")
+
+        monkeypatch.setattr(TraceApplication, "window", forbidden)
+        monkeypatch.setattr(Trace, "slice", forbidden)
+        for start in (0, branch - 10, branch + 3 * app.instructions):
+            for budget in (1.0, 40.0, 3_000.0):
+                run(model, app, budget, start)

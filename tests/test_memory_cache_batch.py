@@ -1,20 +1,10 @@
-"""Equivalence tests for the batched cache/hierarchy access paths."""
+"""Equivalence tests for the batched hierarchy walk."""
 
 import numpy as np
 import pytest
 
-from repro.config.machines import CacheLevelConfig, MemoryConfig
-from repro.memory.cache import SetAssociativeCache
+from repro.config.machines import MemoryConfig
 from repro.memory.hierarchy import CacheHierarchy
-
-
-def _tiny_config(sets=4, ways=2, line=64):
-    return CacheLevelConfig(
-        size_bytes=sets * ways * line,
-        associativity=ways,
-        latency_cycles=1,
-        line_bytes=line,
-    )
 
 
 def _state(cache):
@@ -36,43 +26,6 @@ def _hierarchy_state(h):
 
 def _random_addresses(rng, n, span):
     return rng.integers(0, span, size=n, dtype=np.int64)
-
-
-class TestAccessBatchEquivalence:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_batch_matches_scalar_sequence(self, seed):
-        rng = np.random.default_rng(seed)
-        # Small span so the tiny cache sees hits, misses and evictions.
-        addresses = _random_addresses(rng, 500, 4 * 2 * 64 * 3)
-        scalar = SetAssociativeCache(_tiny_config(), "scalar")
-        batch = SetAssociativeCache(_tiny_config(), "batch")
-        expected = np.array(
-            [scalar.access(int(a)) for a in addresses], dtype=bool
-        )
-        hits = batch.access_batch(addresses)
-        assert np.array_equal(hits, expected)
-        assert _state(batch) == _state(scalar)
-
-    def test_batch_resumes_from_scalar_state(self):
-        rng = np.random.default_rng(3)
-        addresses = _random_addresses(rng, 300, 2000)
-        scalar = SetAssociativeCache(_tiny_config(), "scalar")
-        mixed = SetAssociativeCache(_tiny_config(), "mixed")
-        for a in addresses[:100]:
-            scalar.access(int(a))
-            mixed.access(int(a))
-        expected = np.array(
-            [scalar.access(int(a)) for a in addresses[100:]], dtype=bool
-        )
-        assert np.array_equal(mixed.access_batch(addresses[100:]), expected)
-        assert _state(mixed) == _state(scalar)
-
-    def test_empty_batch_is_a_no_op(self):
-        cache = SetAssociativeCache(_tiny_config(), "c")
-        before = _state(cache)
-        hits = cache.access_batch(np.zeros(0, dtype=np.int64))
-        assert hits.shape == (0,) and hits.dtype == bool
-        assert _state(cache) == before
 
 
 class TestHierarchyBatchEquivalence:

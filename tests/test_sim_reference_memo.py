@@ -6,15 +6,23 @@ core, memory, profile, instructions, trace seed) -- so one mix under
 several schedulers runs its reference passes once.  Each application's
 reference run touches only its own private hierarchy, so a memo hit
 must leave every ``RunResult`` exactly as a fresh computation does.
+A reference run warms the caches with one walk of the trace's loads
+and stores, which must leave them as the timed warm-up pass it
+replaced did.
 """
 
+import copy
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.config import machine_1b1s
+from repro.cores.base import QuantumResult
 from repro.cores.ooo import OutOfOrderCoreModel
+from repro.cores.tracebase import TraceApplication
+from repro.isa.instruction import InstructionClass
 from repro.sim import tracedriven
 from repro.sim.isolated import run_isolated
 from repro.sim.serialize import run_result_to_dict
@@ -24,6 +32,8 @@ from repro.sim.tracedriven import (
     trace_applications,
 )
 from repro.workloads import benchmark
+from repro.workloads.generator import generate_trace
+from repro.workloads.spec2006 import BENCHMARK_NAMES
 
 _INSTRUCTIONS = 3_000
 _SCHEDULERS = ("random", "performance", "reliability")
@@ -64,8 +74,9 @@ class TestExact:
         for scheduler in _SCHEDULERS:
             tracedriven._reference_memo.clear()
             cold[scheduler] = _run(mix, scheduler)
-        # Warm-up and measured pass per application, every time.
-        assert len(isolated_runs) == 2 * 2 * len(_SCHEDULERS)
+        # One measured pass per application, every time: the warm-up
+        # is a cache walk, not a pass.
+        assert len(isolated_runs) == 2 * len(_SCHEDULERS)
         del isolated_runs[:]
         for scheduler in _SCHEDULERS:
             assert _run(mix, scheduler) == cold[scheduler], scheduler
@@ -92,7 +103,7 @@ class TestExact:
         del isolated_runs[:]
         # Slot 0 (milc, seed + 0) hits; slot 1 is a new application.
         warm = _run(("milc", "gobmk"), "reliability")
-        assert isolated_runs == ["gobmk", "gobmk"]
+        assert isolated_runs == ["gobmk"]
         tracedriven._reference_memo.clear()
         assert warm == _run(("milc", "gobmk"), "reliability")
 
@@ -100,7 +111,86 @@ class TestExact:
         _run(("milc", "mcf"), "random", seed=1)
         # Seed 2 moves milc to trace seed 2 and mcf to trace seed 3.
         _run(("milc", "mcf"), "random", seed=2)
-        assert len(isolated_runs) == 8
+        assert len(isolated_runs) == 4
+
+
+def _hierarchy_state(hierarchy):
+    """Every set's tag -> clock dict, clock and statistics of the three
+    levels, and the hierarchy's own counters."""
+    return (
+        [
+            (cache._sets, cache._clock, cache.stats)
+            for cache in (hierarchy.l1d, hierarchy.l2, hierarchy.l3)
+        ],
+        hierarchy.l3_accesses,
+        hierarchy.dram_accesses,
+    )
+
+
+def _assert_walk_leaves_the_old_pass_state(monkeypatch, profile, app):
+    machine = machine_1b1s()
+    instructions = app.instructions
+
+    # The old warm-up, kept here as the reference: one timed pass.
+    old = OutOfOrderCoreModel(machine.big, machine.memory)
+    chunks = []
+    run_cycles = old.run_cycles
+
+    def counting_run_cycles(*args):
+        result = run_cycles(*args)
+        chunks.append(result.instructions)
+        return result
+
+    monkeypatch.setattr(old, "run_cycles", counting_run_cycles)
+    run_isolated(old, app)
+    # The pass committed the trace in one chunk, so its accesses were
+    # exactly the trace's loads and stores, in program order.
+    assert chunks == [instructions]
+
+    # The state the measured pass of `_reference_cycles` starts from.
+    warmed = []
+
+    def measured_pass(model, app):
+        warmed.append(copy.deepcopy(
+            _hierarchy_state(model.hierarchy_for(app))
+        ))
+        return QuantumResult.zero()
+
+    monkeypatch.setattr(tracedriven, "run_isolated", measured_pass)
+    new = OutOfOrderCoreModel(machine.big, machine.memory)
+    tracedriven._reference_cycles(new, app, profile, instructions, 0)
+    assert warmed == [_hierarchy_state(old.hierarchy_for(app))]
+
+
+class TestWarmUpWalk:
+    """The warm-up walk leaves the reference model's caches exactly as
+    the timed isolated pass that warmed them before did."""
+
+    @pytest.mark.parametrize(
+        "name, instructions",
+        [(name, 20_000) for name in BENCHMARK_NAMES] + [("mcf", 200_000)],
+    )
+    def test_walk_leaves_the_old_pass_state(
+        self, monkeypatch, name, instructions
+    ):
+        profile = benchmark(name)
+        app = TraceApplication(generate_trace(profile, instructions, seed=0))
+        _assert_walk_leaves_the_old_pass_state(monkeypatch, profile, app)
+
+    def test_walk_selects_loads_and_stores_by_class(self, monkeypatch):
+        """A load or store at address 0 is walked, and an address on
+        any other instruction is not, as in the timed pass."""
+        profile = benchmark("gcc")
+        trace = generate_trace(profile, 5_000, seed=0)
+        classes = trace.classes
+        memory = (classes == InstructionClass.LOAD) | (
+            classes == InstructionClass.STORE
+        )
+        addresses = trace.addresses.copy()
+        addresses[np.flatnonzero(memory)[:20]] = 0
+        addresses[np.flatnonzero(~memory)[:20]] = 1 << 20
+        app = TraceApplication(dataclasses.replace(trace, addresses=addresses))
+        _assert_walk_leaves_the_old_pass_state(monkeypatch, profile, app)
 
 
 class TestKey:
@@ -109,7 +199,7 @@ class TestKey:
         _run(mix, "random")
         del isolated_runs[:]
         variant = _run(mix, "random", machine=machine)
-        assert len(isolated_runs) == 4
+        assert len(isolated_runs) == 2
         assert len(tracedriven._reference_memo) == 4
         tracedriven._reference_memo.clear()
         assert variant == _run(mix, "random", machine=machine)
