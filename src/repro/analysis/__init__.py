@@ -1,20 +1,11 @@
 """Analyses: robustness and design studies over the reproduction."""
 
-from repro.analysis.hardening import (
-    HardeningOption,
-    HardeningPlan,
-    greedy_plan,
-    hardening_options,
-    suite_ace_profile,
-)
-from repro.analysis.sensitivity import SensitivityPoint, sweep_assumptions
+from repro import lazy_namespace
 
-__all__ = [
-    "HardeningOption",
-    "HardeningPlan",
-    "SensitivityPoint",
-    "greedy_plan",
-    "hardening_options",
-    "suite_ace_profile",
-    "sweep_assumptions",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".hardening": (
+        "HardeningOption", "HardeningPlan", "greedy_plan",
+        "hardening_options", "suite_ace_profile",
+    ),
+    ".sensitivity": ("SensitivityPoint", "sweep_assumptions"),
+})

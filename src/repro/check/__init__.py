@@ -22,57 +22,20 @@ result as it completes, and ``repro check`` runs the fuzzer and the
 golden comparison from the command line.
 """
 
-from repro.check.invariants import (
-    CheckReport,
-    Invariant,
-    Severity,
-    Violation,
-    check_decision_trace,
-    check_mode_none,
-    check_mode_outcome,
-    check_mode_schedule,
-    check_oracle,
-    check_resume,
-    check_run,
-    check_schedule,
-    check_segment_paths,
-    check_service,
-    check_stack,
-    default_run_checks,
-    merge_reports,
-    registered_invariants,
-)
-from repro.check.differential import FuzzReport, fuzz
-from repro.check.golden import (
-    DEFAULT_GOLDEN_DIR,
-    GOLDEN_PIPELINES,
-    compare_goldens,
-    regenerate_goldens,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "CheckReport",
-    "DEFAULT_GOLDEN_DIR",
-    "FuzzReport",
-    "GOLDEN_PIPELINES",
-    "Invariant",
-    "Severity",
-    "Violation",
-    "check_decision_trace",
-    "check_mode_none",
-    "check_mode_outcome",
-    "check_mode_schedule",
-    "check_oracle",
-    "check_resume",
-    "check_run",
-    "check_schedule",
-    "check_segment_paths",
-    "check_service",
-    "check_stack",
-    "compare_goldens",
-    "default_run_checks",
-    "fuzz",
-    "merge_reports",
-    "regenerate_goldens",
-    "registered_invariants",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".invariants": (
+        "CheckReport", "Invariant", "Severity", "Violation",
+        "check_decision_trace", "check_mode_none", "check_mode_outcome",
+        "check_mode_schedule", "check_oracle", "check_resume", "check_run",
+        "check_schedule", "check_segment_paths", "check_service",
+        "check_stack", "default_run_checks", "merge_reports",
+        "registered_invariants",
+    ),
+    ".differential": ("FuzzReport", "fuzz"),
+    ".golden": (
+        "DEFAULT_GOLDEN_DIR", "GOLDEN_PIPELINES", "compare_goldens",
+        "regenerate_goldens",
+    ),
+})

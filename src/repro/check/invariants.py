@@ -188,7 +188,18 @@ _REGISTRY: dict[str, Invariant] = {}
 def registered_invariants(
     subject_kind: str | None = None,
 ) -> tuple[Invariant, ...]:
-    """Every registered invariant, optionally filtered by subject."""
+    """Every registered invariant, optionally filtered by subject.
+
+    The differential fuzzer's invariants register when
+    :mod:`repro.check.differential` is imported, so the listing
+    imports it first.
+    """
+    import repro.check.differential  # noqa: F401
+
+    return _registered(subject_kind)
+
+
+def _registered(subject_kind: str | None) -> tuple[Invariant, ...]:
     return tuple(
         inv
         for inv in _REGISTRY.values()
@@ -214,7 +225,7 @@ def invariant(
 def _apply(
     subject_kind: str, subject_label: str, *args
 ) -> CheckReport:
-    invariants = registered_invariants(subject_kind)
+    invariants = _registered(subject_kind)
     violations: list[Violation] = []
     for inv in invariants:
         for message, values in inv.fn(*args):

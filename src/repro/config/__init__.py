@@ -1,47 +1,16 @@
 """Machine configuration: structures, core types, and HCMP topologies."""
 
-from repro.config.cores import (
-    CoreConfig,
-    FunctionalUnitPool,
-    big_core_config,
-    small_core_config,
-)
-from repro.config.machines import (
-    BIG,
-    SMALL,
-    STANDARD_MACHINES,
-    CacheLevelConfig,
-    MachineConfig,
-    MemoryConfig,
-    machine_1b1s,
-    machine_1b3s,
-    machine_2b2s,
-    machine_3b1s,
-    machine_4b4s,
-)
-from repro.config.structures import (
-    RegisterFileConfig,
-    StructureConfig,
-    StructureKind,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "BIG",
-    "SMALL",
-    "STANDARD_MACHINES",
-    "CacheLevelConfig",
-    "CoreConfig",
-    "FunctionalUnitPool",
-    "MachineConfig",
-    "MemoryConfig",
-    "RegisterFileConfig",
-    "StructureConfig",
-    "StructureKind",
-    "big_core_config",
-    "machine_1b1s",
-    "machine_1b3s",
-    "machine_2b2s",
-    "machine_3b1s",
-    "machine_4b4s",
-    "small_core_config",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".cores": (
+        "CoreConfig", "FunctionalUnitPool", "big_core_config",
+        "small_core_config",
+    ),
+    ".machines": (
+        "BIG", "SMALL", "STANDARD_MACHINES", "CacheLevelConfig",
+        "MachineConfig", "MemoryConfig", "machine_1b1s", "machine_1b3s",
+        "machine_2b2s", "machine_3b1s", "machine_4b4s",
+    ),
+    ".structures": ("RegisterFileConfig", "StructureConfig", "StructureKind"),
+})

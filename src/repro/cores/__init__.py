@@ -1,29 +1,14 @@
 """Core performance models: mechanistic and trace-driven pipelines."""
 
-from repro.cores.base import (
-    ACE_STRUCTURES,
-    ISOLATED,
-    CoreModel,
-    MemoryEnvironment,
-    QuantumResult,
-)
-from repro.cores.mechanistic import (
-    MechanisticCoreModel,
-    PhaseAnalysis,
-    analyze_big_phase,
-    analyze_phase,
-    analyze_small_phase,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "ACE_STRUCTURES",
-    "ISOLATED",
-    "CoreModel",
-    "MechanisticCoreModel",
-    "MemoryEnvironment",
-    "PhaseAnalysis",
-    "QuantumResult",
-    "analyze_big_phase",
-    "analyze_phase",
-    "analyze_small_phase",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".base": (
+        "ACE_STRUCTURES", "ISOLATED", "CoreModel", "MemoryEnvironment",
+        "QuantumResult",
+    ),
+    ".mechanistic": (
+        "MechanisticCoreModel", "PhaseAnalysis", "analyze_big_phase",
+        "analyze_phase", "analyze_small_phase",
+    ),
+})

@@ -20,6 +20,9 @@ from repro.cores.base import (
     QuantumResult,
 )
 from repro.cores.tracebase import TraceApplication, TraceDrivenModel
+from repro.kernels.window import inorder_run_cycles
+from repro.obs import flight as obs_flight
+from repro.obs.tracing import span
 
 #: 10-bit fetch-time counters clip residency here (Section 4.2).
 TIMESTAMP_CLIP = 1023
@@ -49,10 +52,6 @@ class InOrderCoreModel(TraceDrivenModel):
         sums, so accounting totals can differ from the reference at
         floating-point rounding level (~1e-15 relative).
         """
-        from repro.kernels.window import inorder_run_cycles
-        from repro.obs import flight as obs_flight
-        from repro.obs.tracing import span
-
         recorder = obs_flight.ACTIVE
         if recorder is not None:
             recorder.note(

@@ -45,6 +45,9 @@ from repro.isa.instruction import (
     InstructionClass,
     fu_bits_table,
 )
+from repro.kernels.window import ooo_simulate_window
+from repro.obs import flight as obs_flight
+from repro.obs.tracing import span
 
 #: 12-bit per-ROB-entry timestamp counters clip residency here.
 TIMESTAMP_CLIP = 4095
@@ -104,10 +107,6 @@ class OutOfOrderCoreModel(TraceDrivenModel):
         :func:`repro.kernels.reference.reference_ooo_window` and the
         two are cross-checked by the differential fuzzer.
         """
-        from repro.kernels.window import ooo_simulate_window
-        from repro.obs import flight as obs_flight
-        from repro.obs.tracing import span
-
         recorder = obs_flight.ACTIVE
         if recorder is not None:
             recorder.note(

@@ -1,25 +1,11 @@
 """Instruction-set substrate: instruction classes and dynamic traces."""
 
-from repro.isa.instruction import (
-    EXECUTION_LATENCY,
-    FP_WRITERS,
-    FU_BITS,
-    INT_WRITERS,
-    NUM_CLASSES,
-    InstructionClass,
-    fu_bits_table,
-    latency_table,
-)
-from repro.isa.trace import Trace
+from repro import lazy_namespace
 
-__all__ = [
-    "EXECUTION_LATENCY",
-    "FP_WRITERS",
-    "FU_BITS",
-    "INT_WRITERS",
-    "NUM_CLASSES",
-    "InstructionClass",
-    "Trace",
-    "fu_bits_table",
-    "latency_table",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".instruction": (
+        "EXECUTION_LATENCY", "FP_WRITERS", "FU_BITS", "INT_WRITERS",
+        "NUM_CLASSES", "InstructionClass", "fu_bits_table", "latency_table",
+    ),
+    ".trace": ("Trace",),
+})

@@ -11,17 +11,9 @@
 See docs/performance.md for the design and measured speedups.
 """
 
-from repro.kernels.trace_cache import (
-    cache_stats,
-    cached_generate_trace,
-    clear_cache,
-)
-from repro.kernels.window import inorder_run_cycles, ooo_simulate_window
+from repro import lazy_namespace
 
-__all__ = [
-    "cache_stats",
-    "cached_generate_trace",
-    "clear_cache",
-    "inorder_run_cycles",
-    "ooo_simulate_window",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".trace_cache": ("cache_stats", "cached_generate_trace", "clear_cache"),
+    ".window": ("inorder_run_cycles", "ooo_simulate_window"),
+})

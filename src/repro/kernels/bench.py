@@ -301,7 +301,7 @@ def run_bench(quick: bool = False) -> dict:
     # specs to forked engine workers, so they pay the worker start
     # (a few ms per fork) that shards_1 does not.  The regression gate
     # (--min-shard-speedup) applies at 2 workers; 4 is reported for the
-    # scaling curve.  Sized so the serial compute (~2 s quick)
+    # scaling curve.  Sized so the serial compute (0.9-1.4 s quick)
     # dominates worker start: on a >= 2-core host the model predicts
     # ~1.9x at 2 workers, leaving headroom over the 1.6x CI floor.  On
     # a single-core host the speedup honestly reads <= 1.0 (workers

@@ -1,21 +1,12 @@
 """Cache and memory substrate: caches, hierarchy, interference."""
 
-from repro.memory.cache import CacheStats, SetAssociativeCache
-from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
-from repro.memory.interference import (
-    ApplicationDemand,
-    InterferenceModel,
-    bandwidth_multiplier,
-    llc_shares,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "AccessOutcome",
-    "ApplicationDemand",
-    "CacheHierarchy",
-    "CacheStats",
-    "InterferenceModel",
-    "SetAssociativeCache",
-    "bandwidth_multiplier",
-    "llc_shares",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".cache": ("CacheStats", "SetAssociativeCache"),
+    ".hierarchy": ("AccessOutcome", "CacheHierarchy"),
+    ".interference": (
+        "ApplicationDemand", "InterferenceModel", "bandwidth_multiplier",
+        "llc_shares",
+    ),
+})

@@ -1,39 +1,15 @@
 """Reliability (AVF/SER/wSER/SSER) and performance (STP/ANTT) metrics."""
 
-from repro.metrics.performance import (
-    ApplicationPerformance,
-    average_normalized_turnaround,
-    ipc,
-    normalize_cpi_stack,
-    system_throughput,
-)
-from repro.metrics.reliability import (
-    DEFAULT_IFR,
-    ApplicationReliability,
-    SserBreakdown,
-    avf,
-    mttf,
-    soft_error_rate,
-    sser,
-    sser_breakdown,
-    system_ser,
-    weighted_ser,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "DEFAULT_IFR",
-    "ApplicationPerformance",
-    "ApplicationReliability",
-    "SserBreakdown",
-    "average_normalized_turnaround",
-    "avf",
-    "ipc",
-    "mttf",
-    "normalize_cpi_stack",
-    "soft_error_rate",
-    "sser",
-    "sser_breakdown",
-    "system_ser",
-    "system_throughput",
-    "weighted_ser",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".performance": (
+        "ApplicationPerformance", "average_normalized_turnaround", "ipc",
+        "normalize_cpi_stack", "system_throughput",
+    ),
+    ".reliability": (
+        "DEFAULT_IFR", "ApplicationReliability", "SserBreakdown", "avf",
+        "mttf", "soft_error_rate", "sser", "sser_breakdown", "system_ser",
+        "weighted_ser",
+    ),
+})

@@ -26,56 +26,20 @@ per instrumentation site when disabled (gated <3% on the OoO and
 in-order kernel paths by ``repro bench``).  See docs/observability.md.
 """
 
-from repro.obs import context, flight, metrics, openmetrics, tracing
-from repro.obs.context import TraceContext
-from repro.obs.flight import FlightRecorder
-from repro.obs.decisions import (
-    DECISION_TRACE_SCHEMA,
-    DecisionTraceRecorder,
-    QuantumRecord,
-    ReplayError,
-    SwapCandidate,
-    decompose_swaps,
-    format_trace,
-    read_trace,
-    replay_trace,
-    write_trace,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RegistrySnapshot,
-    Timer,
-)
-from repro.obs.tracing import SpanNode, SpanTracer, span
+from repro import lazy_namespace
 
-__all__ = [
-    "DECISION_TRACE_SCHEMA",
-    "Counter",
-    "DecisionTraceRecorder",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "QuantumRecord",
-    "RegistrySnapshot",
-    "ReplayError",
-    "SpanNode",
-    "SpanTracer",
-    "SwapCandidate",
-    "Timer",
-    "TraceContext",
-    "context",
-    "decompose_swaps",
-    "flight",
-    "format_trace",
-    "metrics",
-    "openmetrics",
-    "read_trace",
-    "replay_trace",
-    "span",
-    "tracing",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".context": ("context", "TraceContext"),
+    ".flight": ("flight", "FlightRecorder"),
+    ".decisions": (
+        "DECISION_TRACE_SCHEMA", "DecisionTraceRecorder", "QuantumRecord",
+        "ReplayError", "SwapCandidate", "decompose_swaps", "format_trace",
+        "read_trace", "replay_trace", "write_trace",
+    ),
+    ".metrics": (
+        "metrics", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "RegistrySnapshot", "Timer",
+    ),
+    ".openmetrics": ("openmetrics",),
+    ".tracing": ("tracing", "SpanNode", "SpanTracer", "span"),
+})

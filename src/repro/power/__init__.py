@@ -1,5 +1,7 @@
 """Activity-based power model (the McPAT substitute)."""
 
-from repro.power.model import PowerBreakdown, PowerModel
+from repro import lazy_namespace
 
-__all__ = ["PowerBreakdown", "PowerModel"]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".model": ("PowerBreakdown", "PowerModel"),
+})

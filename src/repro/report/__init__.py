@@ -1,26 +1,10 @@
 """Plain-text reporting: tables, ASCII charts, run summaries."""
 
-from repro.report.gantt import migration_summary, schedule_chart, schedule_strips
-from repro.report.charts import (
-    bar_chart,
-    grouped_bar_chart,
-    histogram,
-    series_plot,
-)
-from repro.report.summary import comparison_summary, run_summary, sweep_summary
-from repro.report.tables import format_percent, format_table
+from repro import lazy_namespace
 
-__all__ = [
-    "bar_chart",
-    "comparison_summary",
-    "format_percent",
-    "format_table",
-    "grouped_bar_chart",
-    "histogram",
-    "migration_summary",
-    "run_summary",
-    "schedule_chart",
-    "schedule_strips",
-    "series_plot",
-    "sweep_summary",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".gantt": ("migration_summary", "schedule_chart", "schedule_strips"),
+    ".charts": ("bar_chart", "grouped_bar_chart", "histogram", "series_plot"),
+    ".summary": ("comparison_summary", "run_summary", "sweep_summary"),
+    ".tables": ("format_percent", "format_table"),
+})

@@ -9,83 +9,23 @@ status and metrics (``repro sweep --jobs N --status-socket``,
 ``docs/sharding.md``).
 """
 
-from repro.runtime.engine import (
-    ExecutionEngine,
-    ExecutionReport,
-    FaultPlan,
-    InjectedFault,
-    Job,
-    JobOutcome,
-    default_jobs,
-)
-from repro.runtime.events import (
-    CallbackSink,
-    CampaignFinished,
-    CampaignPlan,
-    CampaignStarted,
-    CheckFailed,
-    Event,
-    EventSink,
-    JobCached,
-    JobFailed,
-    JobFinished,
-    JobStarted,
-    JobTiming,
-    JsonlEventSink,
-    MetricsSnapshot,
-    StderrProgressSink,
-    UnknownEvent,
-    event_from_dict,
-    merge_event_streams,
-    read_events,
-    read_events_merged,
-    replay_timings,
-)
-from repro.runtime.resume import ResumeError, ResumeState
-from repro.runtime.retry import CampaignError, FailurePolicy, RetryPolicy
-from repro.runtime.shard import (
-    FleetStatus,
-    FleetStatusServer,
-    ShardCoordinator,
-)
-from repro.runtime.store import ResultStore
+from repro import lazy_namespace
 
-__all__ = [
-    "CallbackSink",
-    "CampaignError",
-    "CampaignFinished",
-    "CampaignPlan",
-    "CampaignStarted",
-    "CheckFailed",
-    "Event",
-    "EventSink",
-    "ExecutionEngine",
-    "ExecutionReport",
-    "FailurePolicy",
-    "FaultPlan",
-    "FleetStatus",
-    "FleetStatusServer",
-    "InjectedFault",
-    "Job",
-    "JobCached",
-    "JobFailed",
-    "JobFinished",
-    "JobOutcome",
-    "JobStarted",
-    "JobTiming",
-    "JsonlEventSink",
-    "MetricsSnapshot",
-    "ResultStore",
-    "ResumeError",
-    "ResumeState",
-    "RetryPolicy",
-    "ShardCoordinator",
-    "StderrProgressSink",
-    "UnknownEvent",
-    "default_jobs",
-    "event_from_dict",
-    "merge_event_streams",
-    "read_events",
-    "read_events_merged",
-    "replay_timings",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".engine": (
+        "ExecutionEngine", "ExecutionReport", "FaultPlan", "InjectedFault",
+        "Job", "JobOutcome", "default_jobs",
+    ),
+    ".events": (
+        "CallbackSink", "CampaignFinished", "CampaignPlan", "CampaignStarted",
+        "CheckFailed", "Event", "EventSink", "JobCached", "JobFailed",
+        "JobFinished", "JobStarted", "JobTiming", "JsonlEventSink",
+        "MetricsSnapshot", "StderrProgressSink", "UnknownEvent",
+        "event_from_dict", "merge_event_streams", "read_events",
+        "read_events_merged", "replay_timings",
+    ),
+    ".resume": ("ResumeError", "ResumeState"),
+    ".retry": ("CampaignError", "FailurePolicy", "RetryPolicy"),
+    ".shard": ("FleetStatus", "FleetStatusServer", "ShardCoordinator"),
+    ".store": ("ResultStore",),
+})

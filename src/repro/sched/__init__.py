@@ -1,57 +1,24 @@
 """Schedulers: random, reliability-/performance-optimized, oracle."""
 
-from repro.sched.base import PARKED, Assignment, Observation, Scheduler, SegmentPlan
-from repro.sched.constrained import ConstrainedReliabilityScheduler
-from repro.sched.oversubscribed import OversubscribedReliabilityScheduler
-from repro.sched.oracle import (
-    SchedulePrediction,
-    StaticScheduler,
-    best_sser_schedule,
-    best_stp_schedule,
-    enumerate_schedules,
-    predict,
-)
-from repro.sched.performance import PerformanceScheduler
-from repro.sched.random_sched import RandomScheduler
-from repro.sched.reliability import ReliabilityScheduler
-from repro.sched.sampling import CoreTypeSample, SamplingScheduler
-from repro.sched.variants import ExhaustiveReliabilityScheduler, RawSerScheduler
-from repro.sched.modes import (
-    MODES,
-    ModeAwareReliabilityScheduler,
-    ModeOutcome,
-    ModeSchedule,
-    ProtectionMode,
-    apply_modes,
-    parse_mode,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "Assignment",
-    "ConstrainedReliabilityScheduler",
-    "CoreTypeSample",
-    "ExhaustiveReliabilityScheduler",
-    "MODES",
-    "ModeAwareReliabilityScheduler",
-    "ModeOutcome",
-    "ModeSchedule",
-    "Observation",
-    "ProtectionMode",
-    "apply_modes",
-    "parse_mode",
-    "OversubscribedReliabilityScheduler",
-    "PARKED",
-    "PerformanceScheduler",
-    "RandomScheduler",
-    "RawSerScheduler",
-    "ReliabilityScheduler",
-    "SamplingScheduler",
-    "SchedulePrediction",
-    "Scheduler",
-    "SegmentPlan",
-    "StaticScheduler",
-    "best_sser_schedule",
-    "best_stp_schedule",
-    "enumerate_schedules",
-    "predict",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".base": (
+        "PARKED", "Assignment", "Observation", "Scheduler", "SegmentPlan",
+    ),
+    ".constrained": ("ConstrainedReliabilityScheduler",),
+    ".oversubscribed": ("OversubscribedReliabilityScheduler",),
+    ".oracle": (
+        "SchedulePrediction", "StaticScheduler", "best_sser_schedule",
+        "best_stp_schedule", "enumerate_schedules", "predict",
+    ),
+    ".performance": ("PerformanceScheduler",),
+    ".random_sched": ("RandomScheduler",),
+    ".reliability": ("ReliabilityScheduler",),
+    ".sampling": ("CoreTypeSample", "SamplingScheduler"),
+    ".variants": ("ExhaustiveReliabilityScheduler", "RawSerScheduler"),
+    ".modes": (
+        "MODES", "ModeAwareReliabilityScheduler", "ModeOutcome",
+        "ModeSchedule", "ProtectionMode", "apply_modes", "parse_mode",
+    ),
+})

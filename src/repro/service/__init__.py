@@ -31,59 +31,24 @@ differential fuzzing pin the event stream across in-process and
 worker-process runs of a load point.
 """
 
-from repro.service.admission import (
-    ADMISSION_POLICIES,
-    AdmissionPolicy,
-    FifoAdmission,
-    SserPriorityAdmission,
-    make_admission,
-)
-from repro.service.arrivals import (
-    ARRIVAL_PROCESSES,
-    ArrivalProcess,
-    BurstyArrivals,
-    DiurnalArrivals,
-    JobArrival,
-    PoissonArrivals,
-    make_process,
-    service_benchmark_pool,
-)
-from repro.service.events import ServiceFeed, feed_digest
-from repro.service.load import LoadPoint, run_load_point
-from repro.service.placement import SlotPlacer
-from repro.service.queue import AdmissionQueue, QueuedJob
-from repro.service.server import (
-    OpenSystem,
-    SchedulerService,
-    ServiceConfig,
-    ServiceJob,
-    ServiceResult,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "ADMISSION_POLICIES",
-    "ARRIVAL_PROCESSES",
-    "AdmissionPolicy",
-    "AdmissionQueue",
-    "ArrivalProcess",
-    "BurstyArrivals",
-    "DiurnalArrivals",
-    "FifoAdmission",
-    "JobArrival",
-    "LoadPoint",
-    "OpenSystem",
-    "PoissonArrivals",
-    "QueuedJob",
-    "SchedulerService",
-    "ServiceConfig",
-    "ServiceFeed",
-    "ServiceJob",
-    "ServiceResult",
-    "SlotPlacer",
-    "SserPriorityAdmission",
-    "feed_digest",
-    "make_admission",
-    "make_process",
-    "run_load_point",
-    "service_benchmark_pool",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".admission": (
+        "ADMISSION_POLICIES", "AdmissionPolicy", "FifoAdmission",
+        "SserPriorityAdmission", "make_admission",
+    ),
+    ".arrivals": (
+        "ARRIVAL_PROCESSES", "ArrivalProcess", "BurstyArrivals",
+        "DiurnalArrivals", "JobArrival", "PoissonArrivals", "make_process",
+        "service_benchmark_pool",
+    ),
+    ".events": ("ServiceFeed", "feed_digest"),
+    ".load": ("LoadPoint", "run_load_point"),
+    ".placement": ("SlotPlacer",),
+    ".queue": ("AdmissionQueue", "QueuedJob"),
+    ".server": (
+        "OpenSystem", "SchedulerService", "ServiceConfig", "ServiceJob",
+        "ServiceResult",
+    ),
+})

@@ -22,7 +22,6 @@ or a local unix socket.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import math
@@ -718,6 +717,8 @@ class SchedulerService:
 
     async def serve_stdio(self, infile=None, outfile=None) -> None:
         """Serve newline-delimited JSON over stdin/stdout."""
+        import asyncio
+
         infile = infile if infile is not None else sys.stdin
         outfile = outfile if outfile is not None else sys.stdout
         loop = asyncio.get_running_loop()
@@ -732,6 +733,7 @@ class SchedulerService:
 
     async def serve_socket(self, path: str) -> None:
         """Serve newline-delimited JSON over a unix-domain socket."""
+        import asyncio
 
         async def on_client(reader, writer):
             while not self.closed:

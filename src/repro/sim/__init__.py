@@ -1,37 +1,16 @@
 """Multicore simulation engine: isolated runs, full runs, sweeps."""
 
-from repro.sim.experiment import (
-    SCHEDULER_NAMES,
-    average_ratio,
-    geomean_ratio,
-    make_scheduler,
-    run_workload,
-    sweep,
-)
-from repro.sim.isolated import (
-    IsolatedRun,
-    IsolatedStats,
-    ReferenceTimes,
-    isolated_stats,
-    run_isolated,
-)
-from repro.sim.multicore import MulticoreSimulation, default_models
-from repro.sim.results import AppRunRecord, RunResult, TimelinePoint
+from repro import lazy_namespace
 
-__all__ = [
-    "AppRunRecord",
-    "IsolatedRun",
-    "IsolatedStats",
-    "MulticoreSimulation",
-    "ReferenceTimes",
-    "RunResult",
-    "SCHEDULER_NAMES",
-    "TimelinePoint",
-    "average_ratio",
-    "default_models",
-    "geomean_ratio",
-    "isolated_stats",
-    "make_scheduler",
-    "run_workload",
-    "sweep",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".experiment": (
+        "SCHEDULER_NAMES", "average_ratio", "geomean_ratio",
+        "make_scheduler", "run_workload", "sweep",
+    ),
+    ".isolated": (
+        "IsolatedRun", "IsolatedStats", "ReferenceTimes", "isolated_stats",
+        "run_isolated",
+    ),
+    ".multicore": ("MulticoreSimulation", "default_models"),
+    ".results": ("AppRunRecord", "RunResult", "TimelinePoint"),
+})

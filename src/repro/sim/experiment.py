@@ -14,6 +14,7 @@ from repro.ace.counters import AceCounterMode
 from repro.config.machines import MachineConfig
 from repro.cores.base import CoreModel
 from repro.sched.base import Scheduler
+from repro.sched.modes import ModeAwareReliabilityScheduler
 from repro.sched.performance import PerformanceScheduler
 from repro.sched.random_sched import RandomScheduler
 from repro.sched.reliability import ReliabilityScheduler
@@ -37,10 +38,6 @@ def make_scheduler(
     if name == "reliability":
         return ReliabilityScheduler(machine, num_apps)
     if name == "modes":
-        # Imported here: repro.sched.modes pulls in repro.ace, which
-        # imports back into repro.sched at package-init time.
-        from repro.sched.modes import ModeAwareReliabilityScheduler
-
         return ModeAwareReliabilityScheduler(machine, num_apps)
     raise ValueError(
         f"unknown scheduler {name!r}; known: {SCHEDULER_NAMES + ('modes',)}"

@@ -1,15 +1,10 @@
 """Validation: cross-model agreement checks."""
 
-from repro.validation.crossmodel import (
-    DEFAULT_BENCHMARKS,
-    BenchmarkAgreement,
-    ModelAgreement,
-    compare_models,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "BenchmarkAgreement",
-    "DEFAULT_BENCHMARKS",
-    "ModelAgreement",
-    "compare_models",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".crossmodel": (
+        "DEFAULT_BENCHMARKS", "BenchmarkAgreement", "ModelAgreement",
+        "compare_models",
+    ),
+})

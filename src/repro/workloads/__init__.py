@@ -1,31 +1,14 @@
 """Synthetic SPEC CPU2006-like workload substrate."""
 
-from repro.workloads.characteristics import (
-    BenchmarkProfile,
-    InstructionMix,
-    PhaseCharacteristics,
-    uniform_profile,
-)
-from repro.workloads.spec2006 import (
-    BENCHMARK_NAMES,
-    SIMPOINT_INSTRUCTIONS,
-    SUITE,
-    benchmark,
-    benchmarks_by_class,
-    big_core_avf,
-    classify_benchmarks,
-)
+from repro import lazy_namespace
 
-__all__ = [
-    "BENCHMARK_NAMES",
-    "BenchmarkProfile",
-    "InstructionMix",
-    "PhaseCharacteristics",
-    "SIMPOINT_INSTRUCTIONS",
-    "SUITE",
-    "benchmark",
-    "benchmarks_by_class",
-    "big_core_avf",
-    "classify_benchmarks",
-    "uniform_profile",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(__name__, {
+    ".characteristics": (
+        "BenchmarkProfile", "InstructionMix", "PhaseCharacteristics",
+        "uniform_profile",
+    ),
+    ".spec2006": (
+        "BENCHMARK_NAMES", "SIMPOINT_INSTRUCTIONS", "SUITE", "benchmark",
+        "benchmarks_by_class", "big_core_avf", "classify_benchmarks",
+    ),
+})
